@@ -6,16 +6,30 @@ symbol exponents and compares the observed share with the predicted
 root-of-unity character sum over the same ideals serves as a decay
 diagnostic for single radicands.
 
-Degree-1 ideals (above rational primes p == 1 mod l) dominate every norm
-range and are handled by the array kernels; the scarce higher-degree ideals
-go through the exact generic path.  Both paths produce identical integer
-tallies regardless of backend or thread count.
+Only counts per norm are reported, never which ideal matched, so the scan
+never builds the ideals themselves:
+
+* The degree-1 ideals above a split prime p == 1 mod l correspond to the
+  primitive l-th roots of unity mod p.  With v_j = b_j**((p-1)/l) and g the
+  first v_j != 1, they are the ideals of root g**k for k = 1 .. l-1, and
+  the symbol of b_j at the one of root g**k is c_j / k mod l, where
+  c_j = log_g v_j.  One discrete log per radicand and prime therefore
+  yields the number of matching ideals above p: #{k : c_j == s_j * k}.
+* At an ideal of inertia degree f >= 2, (p**f - 1)/l is a multiple of
+  p - 1, so every rational argument has symbol 0 there.  These ideals are
+  counted in closed form, (l-1)/f of norm p**f above each such p, and
+  match exactly when every target is 0.
+
+Both produce identical integer tallies regardless of backend or thread
+count.  ``primes_above`` and ``residue_symbol`` remain the exact per-ideal
+path for single queries and the oracle the tests compare against.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
@@ -23,8 +37,8 @@ from functools import cache
 import numpy as np
 
 from . import kernels
-from .arith import exact_lth_root, factorize, is_prime
-from .cyclotomic import PrimeIdeal, primes_above, residue_symbol
+from .arith import exact_lth_root, factorize
+from .cyclotomic import _check_l, primes_above
 from .radical import (
     InputSet,
     ReductionResult,
@@ -34,6 +48,10 @@ from .radical import (
 )
 
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
+
+# Split primes per kernel call: a block's working arrays stay cache-resident,
+# and threads take blocks in turn.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -93,11 +111,6 @@ class CharSumReport:
         return self.final.normalized
 
 
-def _check_l(l: int) -> None:
-    if l == 2 or not is_prime(l):
-        raise ValueError(f"l must be an odd prime, got {l}")
-
-
 @cache
 def _order_table(l: int) -> dict[int, int]:
     table = {}
@@ -108,6 +121,15 @@ def _order_table(l: int) -> dict[int, int]:
             f += 1
         table[r] = f
     return table
+
+
+def _check_bound(norm_bound: int) -> None:
+    if norm_bound < 2:
+        raise ValueError("norm bound must be at least 2")
+    if norm_bound >= kernels.MAX_MODULUS:
+        raise ValueError(
+            f"norm bound must be below {kernels.MAX_MODULUS}, got {norm_bound}"
+        )
 
 
 def _checkpoint_bounds(norm_bound: int) -> tuple[int, ...]:
@@ -121,8 +143,7 @@ def enumerate_prime_ideals(l: int, norm_bound: int, *, seed: int = 0):
     exactly once, ordered by (norm, p, canonical factor order).  The prime
     above l is excluded."""
     _check_l(l)
-    if norm_bound < 2:
-        raise ValueError("norm bound must be at least 2")
+    _check_bound(norm_bound)
     orders = _order_table(l)
     items = []
     for p in kernels.sieve_primes(norm_bound).tolist():
@@ -142,69 +163,103 @@ def _mod_array(value: int, mod: np.ndarray) -> np.ndarray:
     return np.array([value % int(p) for p in mod.tolist()], dtype=np.int64)
 
 
-def _split_prime_exponents(
+def _split_prime_logs(
     l: int,
     norm_bound: int,
     exclude: frozenset[int],
     radicands: tuple[int, ...],
     threads: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Symbol exponents of each radicand at every degree-1 ideal.
+    """Discrete logs of the radicands' power residues at every split prime.
 
-    Returns (primes, expo) with primes the ascending split primes p <= bound
-    outside the excluded set and expo of shape (len(radicands), len(primes),
-    l-1): entry (j, i, k) is the exponent of radicands[j] at the k-th ideal
-    above primes[i] in canonical (root-ascending) order.
+    Returns (primes, logs) with primes the ascending p <= bound, p == 1 mod l,
+    outside the excluded set, and logs of shape (len(radicands), len(primes)):
+    at p = primes[i], logs[j, i] = c with v_j == g**c mod p, where
+    v_j = radicands[j]**((p-1)/l) and g is the first v_j != 1 (g = 1 and
+    every log 0 when there is none).  The symbol of radicands[j] at the
+    ideal above p whose root of unity is g**k is c / k mod l.
     """
     primes = kernels.sieve_primes(norm_bound)
     primes = primes[primes % l == 1]
     if exclude:
-        mask = ~np.isin(primes, np.array(sorted(exclude), dtype=np.int64))
-        primes = primes[mask]
-    n = primes.size
-    if n == 0:
-        return primes, np.zeros((len(radicands), 0, l - 1), dtype=np.int64)
+        primes = primes[~np.isin(primes, np.array(sorted(exclude), dtype=np.int64))]
 
-    def work(lo: int, hi: int) -> np.ndarray:
-        chunk = primes[lo:hi]
+    def work(lo: int) -> np.ndarray:
+        chunk = primes[lo : lo + _BLOCK]
         exps = (chunk - 1) // l
-        roots = kernels.unity_roots(chunk, l)
-        out = np.empty((len(radicands), chunk.size, l - 1), dtype=np.int64)
-        for j, b in enumerate(radicands):
-            vals = kernels.powmod(_mod_array(b, chunk), exps, chunk)
-            for k in range(l - 1):
-                out[j, :, k] = kernels.exponent_lookup(
-                    vals, np.ascontiguousarray(roots[:, k]), chunk, l
-                )
+        vals = [kernels.powmod(_mod_array(b, chunk), exps, chunk) for b in radicands]
+        gen = np.ones_like(chunk)
+        for v in reversed(vals):
+            gen = np.where(v != 1, v, gen)
+        out = np.empty((len(radicands), chunk.size), dtype=np.int64)
+        for j, v in enumerate(vals):
+            out[j] = kernels.exponent_lookup(v, gen, chunk, l)
         return out
 
-    threads = max(1, threads)
-    if threads == 1 or n < 2 * threads:
-        expo = work(0, n)
-    else:
-        cuts = np.linspace(0, n, threads + 1, dtype=int)
-        spans = [(int(cuts[i]), int(cuts[i + 1])) for i in range(threads)]
+    starts = range(0, primes.size, _BLOCK)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda span: work(*span), spans))
-        expo = np.concatenate(parts, axis=1) if parts else work(0, n)
-    if expo.size and expo.min() < 0:
+            parts = list(pool.map(work, starts))
+    else:
+        parts = [work(lo) for lo in starts]
+    if not parts:
+        return primes, np.zeros((len(radicands), 0), dtype=np.int64)
+    logs = np.concatenate(parts, axis=1)
+    if logs.size and logs.min() < 0:
         raise AssertionError("symbol value fell outside the root-of-unity subgroup")
-    return primes, expo
+    return primes, logs
 
 
-def _high_degree_ideals(
-    l: int, norm_bound: int, exclude: frozenset[int], seed: int
-) -> list[PrimeIdeal]:
+def _match_mask(logs: np.ndarray, targets: tuple[int, ...], l: int) -> np.ndarray:
+    """(n, l-1) bool array: entry (i, k-1) says whether every radicand takes
+    its target at the ideal of root g**k above the i-th split prime."""
+    cols = []
+    for k in range(1, l):
+        col = np.ones(logs.shape[1], dtype=bool)
+        for c, s in zip(logs, targets):
+            col &= c == s * k % l
+        cols.append(col)
+    return np.stack(cols, axis=1)
+
+
+def _high_degree_norms(l: int, norm_bound: int, exclude: frozenset[int]) -> list[int]:
+    """Ascending norms of the ideals of inertia degree f >= 2 and norm <=
+    norm_bound, one entry per ideal: (l-1)/f ideals of norm p**f lie above
+    each p of order f mod l.  Ideals above excluded primes are left out."""
     orders = _order_table(l)
-    out: list[PrimeIdeal] = []
+    norms: list[int] = []
     for p in kernels.sieve_primes(math.isqrt(norm_bound)).tolist():
         if p == l or p in exclude:
             continue
         f = orders[p % l]
         if f >= 2 and p**f <= norm_bound:
-            out.extend(primes_above(p, l, seed=seed))
-    out.sort(key=lambda P: P.norm)
-    return out
+            norms += [p**f] * ((l - 1) // f)
+    return sorted(norms)
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """The ideals of norm <= a bound, as the counts need them."""
+
+    primes: np.ndarray  # split primes, ascending
+    logs: np.ndarray  # per radicand and split prime, see _split_prime_logs
+    high_norms: list[int]  # one norm per ideal of inertia degree >= 2, ascending
+
+    def upto(self, bound: int) -> tuple[int, int]:
+        """(split primes, degree >= 2 ideals) of norm <= bound."""
+        split = int(np.searchsorted(self.primes, bound, side="right"))
+        return split, bisect_right(self.high_norms, bound)
+
+
+def _scan(
+    l: int,
+    norm_bound: int,
+    exclude: frozenset[int],
+    radicands: tuple[int, ...],
+    threads: int,
+) -> _Scan:
+    primes, logs = _split_prime_logs(l, norm_bound, exclude, radicands, threads)
+    return _Scan(primes, logs, _high_degree_norms(l, norm_bound, exclude))
 
 
 def _excluded_primes(s: InputSet, result: ReductionResult) -> frozenset[int]:
@@ -221,11 +276,15 @@ def _zeta_complex(l: int) -> list[complex]:
 
 
 def _char_stat(
-    n: int, bound: int, l: int, expo_slice: np.ndarray, generic_exps: list[int]
+    n: int, bound: int, l: int, split: int, nontrivial: int, high: int
 ) -> CharSumStat:
-    tallies = [int((expo_slice == v).sum()) for v in range(l)]
-    for e in generic_exps:
-        tallies[e] += 1
+    """Character sum of n over `split` split primes, `nontrivial` of which
+    give n a power residue v != 1, and `high` ideals of degree >= 2.
+
+    Above a split prime with v == 1 all l-1 symbols are 0; with v != 1 they
+    run through 1 .. l-1 once each.  At degree >= 2 the symbol is always 0.
+    """
+    tallies = [(l - 1) * (split - nontrivial) + high] + [nontrivial] * (l - 1)
     total = sum(tallies)
     zc = _zeta_complex(l)
     value = sum(t * zc[k] for k, t in enumerate(tallies))
@@ -249,7 +308,8 @@ def density_experiment(
     Inconsistent targets short-circuit: nothing is scanned and the report
     carries exactly zero matches.  Otherwise the count runs over all prime
     ideals of norm <= norm_bound outside the primes dividing the radicands,
-    with cumulative checkpoints at powers of ten.
+    with cumulative checkpoints at powers of ten.  ``seed`` is kept for
+    callers that echo it into reports; it no longer affects the scan.
     """
     l = input_set.l
     targets = tuple(int(r) % l for r in targets)
@@ -257,8 +317,7 @@ def density_experiment(
         raise ValueError(
             f"need one target per radicand: got {len(targets)} for {len(input_set.raw)}"
         )
-    if norm_bound < 2:
-        raise ValueError("norm bound must be at least 2")
+    _check_bound(norm_bound)
     result = reduce_basis(input_set)
     predicted = 1.0 / l**result.t
     if not consistency_check(input_set, targets):
@@ -268,31 +327,27 @@ def density_experiment(
         )
     s_targets = translate_targets(result, targets)
     exclude = _excluded_primes(input_set, result)
-    primes, expo = _split_prime_exponents(l, norm_bound, exclude, result.b, threads)
-    match = np.ones((primes.size, l - 1), dtype=bool)
-    for j, sj in enumerate(s_targets):
-        match &= expo[j] == sj
-    generic: list[tuple[int, tuple[int, ...]]] = []
-    for P in _high_degree_ideals(l, norm_bound, exclude, seed):
-        generic.append((P.norm, tuple(residue_symbol(b, P) for b in result.b)))
+    scan = _scan(l, norm_bound, exclude, result.b, threads)
+    per_prime = _match_mask(scan.logs, s_targets, l).sum(axis=1)
     if verify_translation:
         _assert_translation_equivalent(
             input_set, targets, result.b, s_targets, exclude, norm_bound,
-            primes, match, threads, seed,
+            scan, per_prime, threads,
         )
+    cum = np.concatenate(([0], np.cumsum(per_prime)))
+    high_match = not any(s_targets)
     rows = []
     for c in _checkpoint_bounds(norm_bound):
-        idx = int(np.searchsorted(primes, c, side="right"))
-        ideals = idx * (l - 1) + sum(1 for nm, _ in generic if nm <= c)
-        matches = int(match[:idx].sum()) + sum(
-            1 for nm, ex in generic if nm <= c and ex == s_targets
-        )
+        split, high = scan.upto(c)
+        ideals = split * (l - 1) + high
+        matches = int(cum[split]) + (high if high_match else 0)
         rows.append(CheckpointStat(c, ideals, matches, matches / ideals if ideals else 0.0))
     final = rows[-1]
     char_sums = ()
     if include_char_sums:
+        split, high = scan.upto(norm_bound)
         char_sums = tuple(
-            _char_stat(b, norm_bound, l, expo[j], [ex[j] for _, ex in generic])
+            _char_stat(b, norm_bound, l, split, int(np.count_nonzero(scan.logs[j])), high)
             for j, b in enumerate(result.b)
         )
     return DensityReport(
@@ -309,33 +364,34 @@ def _assert_translation_equivalent(
     s_targets: tuple[int, ...],
     exclude: frozenset[int],
     norm_bound: int,
-    primes: np.ndarray,
-    match_reduced: np.ndarray,
+    scan: _Scan,
+    per_prime: np.ndarray,
     threads: int,
-    seed: int,
 ) -> None:
     """Debug mode: counting through the raw radicands must select exactly the
-    same ideals as counting through the reduced basis."""
+    same ideals as counting through the reduced basis.
+
+    One scan over the raw cores and the reduced basis together gives both
+    sets the same generator g at each split prime, so their match masks
+    index the same ideals and are compared entry by entry.
+    """
     l = input_set.l
     cores = input_set.normalized
     r_norm = tuple(
         t for t, pos in zip(targets, input_set.index_map) if pos is not None
     )
-    primes2, expo2 = _split_prime_exponents(l, norm_bound, exclude, cores, threads)
-    if not np.array_equal(primes, primes2):
+    primes, logs = _split_prime_logs(l, norm_bound, exclude, cores + reduced_b, threads)
+    if not np.array_equal(primes, scan.primes):
         raise AssertionError("prime streams diverged between counting modes")
-    match_raw = np.ones((primes.size, l - 1), dtype=bool)
-    for j, rj in enumerate(r_norm):
-        match_raw &= expo2[j] == rj
+    match_raw = _match_mask(logs[: len(cores)], r_norm, l)
+    match_reduced = _match_mask(logs[len(cores) :], s_targets, l)
     if not np.array_equal(match_raw, match_reduced):
         raise AssertionError("raw-target and reduced-target counts differ per ideal")
-    for P in _high_degree_ideals(l, norm_bound, exclude, seed):
-        raw_ok = all(residue_symbol(a, P) == r for a, r in zip(cores, r_norm))
-        red_ok = all(
-            residue_symbol(b, P) == sj for b, sj in zip(reduced_b, s_targets)
-        )
-        if raw_ok != red_ok:
-            raise AssertionError(f"counting modes disagree at {P}")
+    if not np.array_equal(match_reduced.sum(axis=1), per_prime):
+        raise AssertionError("match counts depend on the choice of generator")
+    # every symbol is 0 at degree >= 2, so those ideals match iff all targets are 0
+    if scan.high_norms and any(r_norm) != any(s_targets):
+        raise AssertionError("counting modes disagree at the degree >= 2 ideals")
 
 
 def character_sum(
@@ -345,21 +401,19 @@ def character_sum(
 
     Rejects exact l-th powers (their sum would be trivially the ideal count).
     Ideals above primes dividing n are skipped; the normalized magnitude is
-    |sum| divided by the ideal count, 0.0 when no ideal qualifies.
+    |sum| divided by the ideal count, 0.0 when no ideal qualifies.  ``seed``
+    is kept for callers that echo it into reports; it no longer affects the
+    scan.
     """
     _check_l(l)
-    if norm_bound < 2:
-        raise ValueError("norm bound must be at least 2")
+    _check_bound(norm_bound)
     if n == 0 or exact_lth_root(n, l) is not None:
         raise ValueError(f"{n} is an exact {l}-th power; the sum would be trivial")
     exclude = frozenset(factorize(abs(n)).primes()) | {l}
-    primes, expo = _split_prime_exponents(l, norm_bound, exclude, (n,), threads)
-    generic = []
-    for P in _high_degree_ideals(l, norm_bound, exclude, seed):
-        generic.append((P.norm, residue_symbol(n, P)))
+    scan = _scan(l, norm_bound, exclude, (n,), threads)
+    cum = np.concatenate(([0], np.cumsum(scan.logs[0] != 0)))
     rows = []
     for c in _checkpoint_bounds(norm_bound):
-        idx = int(np.searchsorted(primes, c, side="right"))
-        gen_exps = [e for nm, e in generic if nm <= c]
-        rows.append(_char_stat(n, c, l, expo[0][:idx], gen_exps))
+        split, high = scan.upto(c)
+        rows.append(_char_stat(n, c, l, split, int(cum[split]), high))
     return CharSumReport(l, n, norm_bound, tuple(rows))

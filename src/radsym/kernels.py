@@ -16,6 +16,7 @@ product of two reduced residues fits in int64 without overflow.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -34,20 +35,31 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an ascending int64 array (boolean sieve)."""
+    """All primes <= limit as an ascending int64 array (odd-only boolean sieve)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1
+    odd[0] = False
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    idx = np.flatnonzero(odd)
+    out = np.empty(idx.size + 1, dtype=np.int64)
+    out[0] = 2
+    np.multiply(idx, 2, out=out[1:])
+    out[1:] += 1
+    return out
 
 
 def _check_moduli(mod: np.ndarray) -> None:
     if mod.size and int(mod.max()) >= MAX_MODULUS:
         raise ValueError(f"modulus exceeds {MAX_MODULUS}; int64 kernels would overflow")
+
+
+def _check_exponents(exp: np.ndarray) -> None:
+    if exp.size and int(exp.min()) < 0:
+        raise ValueError("exponents must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +69,14 @@ def _check_moduli(mod: np.ndarray) -> None:
 def powmod_numpy(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """Elementwise base**exp % mod by square-and-multiply."""
     _check_moduli(mod)
+    _check_exponents(exp)
     b = np.mod(base.astype(np.int64), mod)
     e = exp.astype(np.int64).copy()
     result = np.ones_like(mod)
     while True:
-        odd = (e & 1) == 1
-        if odd.any():
-            result[odd] = result[odd] * b[odd] % mod[odd]
+        result = np.where((e & 1) == 1, result * b % mod, result)
         e >>= 1
-        if not (e > 0).any():
+        if not e.any():
             return result
         b = b * b % mod
 
@@ -196,6 +207,7 @@ if HAVE_NUMBA:
 
     def powmod_numba(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         _check_moduli(mod)
+        _check_exponents(exp)
         return _powmod_loop(
             np.ascontiguousarray(base, dtype=np.int64),
             np.ascontiguousarray(exp, dtype=np.int64),

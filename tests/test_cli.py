@@ -157,6 +157,33 @@ def test_batch_mode(capsys, monkeypatch):
     assert json.loads(out[2])["result"]["consistent"] is True
 
 
+def test_out_of_range_bound_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "density", "-l", "3", "-x", "1000000000000000", "--targets", "0", "2"
+    )
+    assert (code, out) == (2, "")
+    assert "norm bound" in err
+    code, out, err = run_cli(capsys, "charsum", "-l", "3", "-x", str(2**31), "2")
+    assert (code, out) == (2, "")
+
+
+def test_batch_out_of_range_bound_keeps_the_stream(capsys):
+    lines = "\n".join(
+        [
+            json.dumps({"command": "density", "l": 3, "radicands": [2], "targets": [0],
+                        "norm_bound": 10**15}),
+            json.dumps({"command": "degree", "l": 3, "radicands": [2, 3, 6]}),
+        ]
+    )
+    code = _run_batch(io.StringIO(lines))
+    out = capsys.readouterr().out.strip().splitlines()
+    assert code == 2
+    assert len(out) == 2
+    error = json.loads(out[0])
+    assert error["line"] == "1" and "norm bound" in error["error"]
+    assert json.loads(out[1])["result"]["degree"] == "9"
+
+
 def test_batch_all_good_exits_zero(capsys):
     lines = json.dumps({"command": "degree", "l": 3, "radicands": [2]}) + "\n"
     assert _run_batch(io.StringIO(lines)) == 0

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import radsym.density
+from radsym import kernels
 from radsym.cyclotomic import SymbolUndefinedError, residue_symbol
 from radsym.density import (
     character_sum,
@@ -96,6 +98,8 @@ def test_density_checkpoint_structure():
     (3, [12, 18], (1, 2)),
     (5, [2, 3], (1, 4)),
     (5, [10], (0,)),
+    (7, [2, 3], (1, 5)),
+    (11, [2], (3,)),
 ])
 def test_density_matches_generic_ideal_walk(l, radicands, targets):
     """The array fast path must agree with a per-ideal walk over the stream."""
@@ -130,6 +134,49 @@ def test_density_translation_equivalence_debug_mode():
     for targets in [(0, 0, 0), (0, 1, 1), (0, 2, 2)]:
         if consistency_check(s2, targets):
             density_experiment(s2, targets, 3000, verify_translation=True)
+
+
+def test_density_translation_check_catches_wrong_translation(monkeypatch):
+    real = radsym.density.translate_targets
+
+    def shifted(result, targets, **kwargs):
+        return tuple((s + 1) % result.l for s in real(result, targets, **kwargs))
+
+    monkeypatch.setattr(radsym.density, "translate_targets", shifted)
+    s = normalize_inputs(3, [12, 18])
+    density_experiment(s, (1, 2), 5000)  # unchecked: silently miscounts
+    with pytest.raises(AssertionError):
+        density_experiment(s, (1, 2), 5000, verify_translation=True)
+
+
+@pytest.mark.parametrize("bound", [kernels.MAX_MODULUS, 10**15])
+def test_out_of_range_bounds_rejected_before_sieving(monkeypatch, bound):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved up to {limit}")
+
+    monkeypatch.setattr(kernels, "sieve_primes", no_sieve)
+    with pytest.raises(ValueError, match="norm bound"):
+        density_experiment(normalize_inputs(3, [2]), (0,), bound)
+    with pytest.raises(ValueError, match="norm bound"):
+        character_sum(2, 3, bound)
+    with pytest.raises(ValueError, match="norm bound"):
+        list(enumerate_prime_ideals(3, bound))
+
+
+@pytest.mark.parametrize("l", [3, 5, 7])
+def test_rational_symbols_vanish_at_higher_degree_ideals(l):
+    """(p**f - 1)/l is a multiple of p - 1 when f >= 2, so every rational
+    argument prime to p has symbol 0: the scan counts these ideals in
+    closed form on the strength of this."""
+    seen = set()
+    for I in enumerate_prime_ideals(l, 3000):
+        if I.f < 2:
+            continue
+        seen.add(I.f)
+        for a in (-7, -2, 2, 3, 5, 6, 10, 12, 97, 1001):
+            if a % I.p:
+                assert residue_symbol(a, I) == 0, (a, I)
+    assert seen == {f for f in range(2, l) if (l - 1) % f == 0}  # every possible f >= 2
 
 
 def test_density_threads_do_not_change_anything():
@@ -191,3 +238,15 @@ def test_character_sum_checkpoints():
     assert [row.bound for row in rep.checkpoints] == [1000, 10000, 12000]
     counts = [row.ideals for row in rep.checkpoints]
     assert counts == sorted(counts)
+
+
+@pytest.mark.parametrize("n,l,bound", [(2, 5, 5000), (6, 5, 4000), (2, 7, 5000), (-3, 7, 4000)])
+def test_character_sum_matches_generic_walk_higher_l(n, l, bound):
+    rep = character_sum(n, l, bound)
+    tallies = [0] * l
+    for I in enumerate_prime_ideals(l, bound):
+        if I.p == l or n % I.p == 0:
+            continue
+        tallies[residue_symbol(n, I)] += 1
+    assert rep.final.tallies == tuple(tallies)
+    assert rep.final.ideals == sum(tallies)

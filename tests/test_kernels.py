@@ -98,6 +98,13 @@ def test_powmod_rejects_oversize_moduli():
             kernels.powmod_numba(one, one, big)
 
 
+@pytest.mark.parametrize("name,powmod,_roots,_lookup", backends())
+def test_powmod_rejects_negative_exponents(name, powmod, _roots, _lookup):
+    one = np.array([1], dtype=np.int64)
+    with pytest.raises(ValueError):
+        powmod(one, np.array([-1], dtype=np.int64), np.array([7], dtype=np.int64))
+
+
 def _backend_in_subprocess(env_value):
     env = dict(os.environ)
     if env_value is None:
