@@ -1,22 +1,19 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Benchmark the numpy kernels against a pure-Python baseline.
 
 Times the three array kernels on the split primes below a bound, plus a pure
-Python per-element baseline, and optionally an end-to-end density experiment
-per backend (each in a subprocess so RADSYM_BACKEND takes effect at import).
+Python per-element ``pow`` loop, and optionally an end-to-end density
+experiment in the same process.
 
     python3 benchmarks/bench_kernels.py --bound 2000000 --end-to-end
 """
 
 import argparse
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 
-from radsym import kernels
+from radsym import density_experiment, kernels, normalize_inputs
 
 
 def timeit(fn, repeats=3):
@@ -39,48 +36,26 @@ def bench_kernels(bound: int, l: int) -> None:
     base = np.full(primes.size, 2, dtype=np.int64)
     print(f"split primes <= {bound}: {primes.size} lanes (l = {l})")
 
-    rows = []
-    variants = [("numpy", kernels.powmod_numpy, kernels.unity_roots_numpy,
-                 kernels.exponent_lookup_numpy)]
-    if kernels.HAVE_NUMBA:
-        variants.append(("numba", kernels.powmod_numba, kernels.unity_roots_numba,
-                         kernels.exponent_lookup_numba))
-        # trigger compilation outside the timed region
-        kernels.powmod_numba(base[:8], exps[:8], primes[:8])
-        kernels.unity_roots_numba(primes[:8], l)
-
-    roots = kernels.unity_roots_numpy(primes, l)
+    roots = kernels.unity_roots(primes, l)
     col = np.ascontiguousarray(roots[:, 0])
-    values = kernels.powmod_numpy(base, exps, primes)
-    for name, powmod, unity_roots, lookup in variants:
-        rows.append((f"powmod/{name}", timeit(lambda: powmod(base, exps, primes))))
-        rows.append((f"unity_roots/{name}", timeit(lambda: unity_roots(primes, l))))
-        rows.append((f"exponent_lookup/{name}",
-                     timeit(lambda: lookup(values, col, primes, l))))
-    rows.append(("powmod/python", timeit(lambda: python_powmod(base, exps, primes), 1)))
-
+    values = kernels.powmod(base, exps, primes)
+    rows = [
+        ("powmod", timeit(lambda: kernels.powmod(base, exps, primes))),
+        ("unity_roots", timeit(lambda: kernels.unity_roots(primes, l))),
+        ("exponent_lookup", timeit(lambda: kernels.exponent_lookup(values, col, primes, l))),
+        ("powmod/python", timeit(lambda: python_powmod(base, exps, primes), 1)),
+    ]
     width = max(len(name) for name, _ in rows)
     for name, seconds in rows:
         print(f"  {name:<{width}}  {seconds * 1e3:9.2f} ms")
 
 
 def bench_end_to_end(bound: int) -> None:
-    script = (
-        "import time\n"
-        "from radsym import normalize_inputs, density_experiment, kernels\n"
-        "t0 = time.perf_counter()\n"
-        f"rep = density_experiment(normalize_inputs(3, [2, 5]), (0, 0), {bound})\n"
-        "dt = time.perf_counter() - t0\n"
-        "print(f'{kernels.BACKEND}: {dt:.3f}s  ideals={rep.ideals_scanned} "
-        "matches={rep.matches}')\n"
-    )
+    t0 = time.perf_counter()
+    rep = density_experiment(normalize_inputs(3, [2, 5]), (0, 0), bound)
+    dt = time.perf_counter() - t0
     print(f"density_experiment end to end (bound {bound}):")
-    backends = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
-    for backend in backends:
-        env = dict(os.environ, RADSYM_BACKEND=backend)
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env)
-        sys.stdout.write("  " + (proc.stdout or proc.stderr))
+    print(f"  {dt:.3f}s  ideals={rep.ideals_scanned} matches={rep.matches}")
 
 
 def main() -> None:

@@ -13,7 +13,6 @@ from .arith import (
     RamifiedPrimeError,
     exact_lth_root,
     factorize,
-    ff_pow,
     is_prime,
     lth_power_free,
     multiplicative_order,
@@ -86,7 +85,6 @@ __all__ = [
     "exact_lth_root",
     "exponent_matrix",
     "factorize",
-    "ff_pow",
     "is_prime",
     "is_primary",
     "lth_power_free",

@@ -220,6 +220,22 @@ def lth_power_free(n: int, l: int) -> tuple[int, int]:
     return core, root
 
 
+@cache
+def order_table(l: int) -> tuple[int, ...]:
+    """``order_table(l)[r]`` is the multiplicative order of r mod the odd
+    prime l, for 1 <= r < l (entry 0 is unused).  With g a primitive root,
+    g**k has order (l-1) / gcd(k, l-1)."""
+    n = l - 1
+    qs = factorize(n).primes()
+    g = next(g for g in range(2, l) if all(pow(g, n // q, l) != 1 for q in qs))
+    table = [0] * l
+    cur = 1
+    for k in range(n):
+        table[cur] = n // math.gcd(k, n)
+        cur = cur * g % l
+    return tuple(table)
+
+
 def multiplicative_order(p: int, l: int) -> int:
     """Smallest f >= 1 with p**f == 1 mod l; divides l - 1.
 
@@ -231,13 +247,7 @@ def multiplicative_order(p: int, l: int) -> int:
         raise RamifiedPrimeError(f"p = l = {l} is ramified; it has no inertia degree")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    r = p % l
-    f = 1
-    cur = r
-    while cur != 1:
-        cur = cur * r % l
-        f += 1
-    return f
+    return order_table(l)[p % l]
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +263,6 @@ def poly_trim(coeffs) -> tuple[int, ...]:
 
 def poly_mod(a, p: int) -> tuple[int, ...]:
     return poly_trim(c % p for c in a)
-
-
-def poly_add(a, b, p: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return poly_trim(
-        ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)
-    )
 
 
 def poly_sub(a, b, p: int) -> tuple[int, ...]:
@@ -349,13 +352,6 @@ def poly_is_irreducible(h, p: int) -> bool:
     return True
 
 
-def poly_eval(a, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 @dataclass(frozen=True)
 class FiniteFieldElement:
     """An element of GF(p)[X]/(modulus), coefficients padded to degree f."""
@@ -439,13 +435,3 @@ def ff_from_poly(p: int, modulus: tuple[int, ...], coeffs) -> FiniteFieldElement
 
 def ff_from_int(p: int, modulus: tuple[int, ...], n: int) -> FiniteFieldElement:
     return ff_from_poly(p, modulus, (n % p,))
-
-
-def ff_gen(p: int, modulus: tuple[int, ...]) -> FiniteFieldElement:
-    """The class of X in GF(p)[X]/(modulus)."""
-    return ff_from_poly(p, modulus, (0, 1))
-
-
-def ff_pow(x: FiniteFieldElement, e: int) -> FiniteFieldElement:
-    """x**e by square-and-multiply; kept as a named entry point."""
-    return x**e

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .arith import FactorizationError, is_prime
 from .cyclotomic import poly_str, primes_above, residue_symbol
@@ -24,8 +24,8 @@ from .radical import (
     DegreeMismatchError,
     OracleScaleError,
     brute_force_kernel,
+    checked_degree,
     consistency_check,
-    degree,
     exponent_matrix,
     normalize_inputs,
     rank_and_kernel,
@@ -41,13 +41,16 @@ _ORACLE_GUARD = 10**7
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One request.  Field names double as the argparse dests, the batch
+    JSON keys and the report's config echo, whose key order is field order."""
+
     command: str
     l: int = 3
     radicands: tuple[int, ...] = ()
     targets: tuple[int, ...] | None = None
     norm_bound: int | None = None
     seed: int = 0
-    output_format: str = "text"
+    format: str = "text"
     threads: int = 1
     oracle: bool = False
     prime: int | None = None
@@ -66,25 +69,16 @@ def _validate_config(cfg: RunConfig) -> None:
         )
     if cfg.threads < 1:
         raise ValueError("threads must be >= 1")
-    if cfg.output_format not in ("text", "json"):
-        raise ValueError(f"unknown format {cfg.output_format!r}")
+    if cfg.format not in ("text", "json"):
+        raise ValueError(f"unknown format {cfg.format!r}")
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "command": cfg.command,
-        "l": cfg.l,
-        "radicands": list(cfg.radicands),
-        "targets": None if cfg.targets is None else list(cfg.targets),
-        "norm_bound": cfg.norm_bound,
-        "seed": cfg.seed,
-        "format": cfg.output_format,
-        "threads": cfg.threads,
-        "oracle": cfg.oracle,
-        "prime": cfg.prime,
-        "ideal": cfg.ideal,
-        "n": cfg.n,
-    }
+    echo = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        echo[f.name] = list(value) if isinstance(value, tuple) else value
+    return echo
 
 
 def _report(cfg: RunConfig, result: dict, checkpoints=(), warnings=()) -> dict:
@@ -100,7 +94,7 @@ def _cmd_degree(cfg: RunConfig) -> dict:
     s = normalize_inputs(cfg.l, cfg.radicands)
     red = reduce_basis(s)
     kernel = rank_and_kernel(exponent_matrix(s))
-    value = degree(s, "rank")
+    value = checked_degree(red, kernel)
     warnings = []
     oracle = None
     m = len(s.normalized)
@@ -140,7 +134,7 @@ def _cmd_reduce(cfg: RunConfig) -> dict:
         "b": list(red.b),
         "exclusive_primes": list(red.exclusive_primes),
         "transform": [[int(x) for x in row] for row in red.transform],
-        "degree": degree(s, "reduction"),
+        "degree": checked_degree(red, rank_and_kernel(exponent_matrix(s))),
         "normalized": list(s.normalized),
         "dropped_indices": [i for i, pos in enumerate(s.index_map) if pos is None],
     }
@@ -153,6 +147,7 @@ def _cmd_symbol(cfg: RunConfig) -> dict:
     if not is_prime(cfg.prime):
         raise ValueError(f"{cfg.prime} is not prime")
     ideals = primes_above(cfg.prime, cfg.l, seed=cfg.seed)
+    ideal_count = len(ideals)
     if cfg.ideal != "all":
         try:
             index = int(cfg.ideal)
@@ -179,7 +174,7 @@ def _cmd_symbol(cfg: RunConfig) -> dict:
     result = {
         "prime": cfg.prime,
         "inertia_degree": ideals[0].f,
-        "ideal_count": len(primes_above(cfg.prime, cfg.l, seed=cfg.seed)),
+        "ideal_count": ideal_count,
         "ideals": rows,
     }
     return _report(cfg, result)
@@ -251,7 +246,7 @@ def _cmd_check(cfg: RunConfig) -> dict:
     s = normalize_inputs(cfg.l, cfg.radicands)
     kernel = rank_and_kernel(exponent_matrix(s))
     result = {
-        "consistent": consistency_check(s, cfg.targets),
+        "consistent": consistency_check(s, cfg.targets, kernel),
         "rank": kernel.rank,
         "kernel_basis": [list(v) for v in kernel.basis],
         "dropped_indices": [i for i, pos in enumerate(s.index_map) if pos is None],
@@ -373,66 +368,83 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        l=args.l,
-        radicands=tuple(getattr(args, "radicands", ())),
-        targets=getattr(args, "targets", None),
-        norm_bound=getattr(args, "norm_bound", None),
-        seed=args.seed,
-        output_format=args.format,
-        threads=args.threads,
-        oracle=getattr(args, "oracle", False),
-        prime=getattr(args, "prime", None),
-        ideal=str(getattr(args, "ideal", "all")),
-        n=getattr(args, "n", None),
-    )
+    values = {f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)}
+    values["radicands"] = tuple(values["radicands"])
+    return RunConfig(**values)
 
 
-def _config_from_json(payload: dict) -> RunConfig:
-    known = {
-        "command", "l", "radicands", "targets", "norm_bound", "seed",
-        "format", "threads", "oracle", "prime", "ideal", "n",
-    }
-    unknown = set(payload) - known
+def _int_tuple(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return tuple(int(x) for x in value)
+
+
+# Batch JSON converters for the fields that are not integers; every other
+# field goes through int().  null is kept only where it is the default.
+_FROM_JSON = {
+    "command": str,
+    "radicands": _int_tuple,
+    "targets": _int_tuple,
+    "format": str,
+    "oracle": bool,
+    "ideal": str,
+}
+
+
+def _config_from_json(line: str) -> RunConfig:
+    try:
+        payload = json.loads(line)
+    except RecursionError:  # how json reports a line nested too deeply
+        raise ValueError("config is nested too deeply") from None
+    if not isinstance(payload, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = set(payload) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "command" not in payload:
+    values = {"format": "json"}  # batch reports default to JSON
+    for f in fields(RunConfig):
+        if f.name not in payload:
+            continue
+        value = payload[f.name]
+        try:
+            if value is not None or f.default is not None:
+                value = _FROM_JSON.get(f.name, int)(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"bad value for config key {f.name!r}: {value!r}") from None
+        values[f.name] = value
+    if "command" not in values:
         raise ValueError("config must name a command")
-    command = payload["command"]
-    if command not in _HANDLERS:
-        raise ValueError(f"unknown command {command!r}")
-    targets = payload.get("targets")
-    return RunConfig(
-        command=command,
-        l=int(payload.get("l", 3)),
-        radicands=tuple(int(a) for a in payload.get("radicands", ())),
-        targets=None if targets is None else tuple(int(r) for r in targets),
-        norm_bound=None if payload.get("norm_bound") is None else int(payload["norm_bound"]),
-        seed=int(payload.get("seed", 0)),
-        output_format=str(payload.get("format", "json")),
-        threads=int(payload.get("threads", 1)),
-        oracle=bool(payload.get("oracle", False)),
-        prime=None if payload.get("prime") is None else int(payload["prime"]),
-        ideal=str(payload.get("ideal", "all")),
-        n=None if payload.get("n") is None else int(payload["n"]),
-    )
+    if values["command"] not in _HANDLERS:
+        raise ValueError(f"unknown command {values['command']!r}")
+    return RunConfig(**values)
+
+
+def _execute(cfg: RunConfig) -> dict:
+    _validate_config(cfg)
+    return _HANDLERS[cfg.command](cfg)
+
+
+# Exceptions reported as an error instead of a traceback: a broken invariant
+# is internal, the rest are problems with the input.
+_INTERNAL = (DegreeMismatchError, AssertionError)
+_REPORTED = _INTERNAL + (ValueError, KeyError, FactorizationError)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and message for an exception in ``_REPORTED``."""
+    if isinstance(exc, _INTERNAL):
+        return EXIT_INTERNAL, f"internal: {exc}"
+    return EXIT_USER, str(exc)
 
 
 def _run(cfg: RunConfig) -> int:
     try:
-        _validate_config(cfg)
-        report = _HANDLERS[cfg.command](cfg)
-    except (DegreeMismatchError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (ValueError, FactorizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    if cfg.output_format == "json":
-        print(_dumps(report))
-    else:
-        print(_render_text(report))
+        report = _execute(cfg)
+    except _REPORTED as exc:
+        code, message = _failure(exc)
+        print(f"error: {message}", file=sys.stderr)
+        return code
+    print(_dumps(report) if cfg.format == "json" else _render_text(report))
     return EXIT_OK
 
 
@@ -444,17 +456,12 @@ def _run_batch(stream=None) -> int:
         if not line:
             continue
         try:
-            cfg = _config_from_json(json.loads(line))
-            _validate_config(cfg)
-            report = _HANDLERS[cfg.command](cfg)
-            print(_dumps(report))
-        except (DegreeMismatchError, AssertionError) as exc:
-            print(_dumps({"error": f"internal: {exc}", "line": line_no}))
-            worst = EXIT_INTERNAL
-        except (ValueError, KeyError, FactorizationError) as exc:
-            print(_dumps({"error": str(exc), "line": line_no}))
-            if worst == EXIT_OK:
-                worst = EXIT_USER
+            report = _execute(_config_from_json(line))
+        except _REPORTED as exc:
+            code, message = _failure(exc)
+            report = {"error": message, "line": line_no}
+            worst = max(worst, code)
+        print(_dumps(report))
     return worst
 
 

@@ -32,12 +32,11 @@ import math
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from . import kernels
-from .arith import exact_lth_root, factorize
+from .arith import exact_lth_root, factorize, order_table
 from .cyclotomic import _check_l, primes_above
 from .radical import (
     InputSet,
@@ -111,18 +110,6 @@ class CharSumReport:
         return self.final.normalized
 
 
-@cache
-def _order_table(l: int) -> dict[int, int]:
-    table = {}
-    for r in range(1, l):
-        f, cur = 1, r
-        while cur != 1:
-            cur = cur * r % l
-            f += 1
-        table[r] = f
-    return table
-
-
 def _check_bound(norm_bound: int) -> None:
     if norm_bound < 2:
         raise ValueError("norm bound must be at least 2")
@@ -144,7 +131,7 @@ def enumerate_prime_ideals(l: int, norm_bound: int, *, seed: int = 0):
     above l is excluded."""
     _check_l(l)
     _check_bound(norm_bound)
-    orders = _order_table(l)
+    orders = order_table(l)
     items = []
     for p in kernels.sieve_primes(norm_bound).tolist():
         if p == l:
@@ -226,7 +213,7 @@ def _high_degree_norms(l: int, norm_bound: int, exclude: frozenset[int]) -> list
     """Ascending norms of the ideals of inertia degree f >= 2 and norm <=
     norm_bound, one entry per ideal: (l-1)/f ideals of norm p**f lie above
     each p of order f mod l.  Ideals above excluded primes are left out."""
-    orders = _order_table(l)
+    orders = order_table(l)
     norms: list[int] = []
     for p in kernels.sieve_primes(math.isqrt(norm_bound)).tolist():
         if p == l or p in exclude:

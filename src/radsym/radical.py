@@ -236,18 +236,19 @@ def _assert_exclusive(vecs, cols) -> None:
                 raise AssertionError("pivot prime exclusivity violated")
 
 
-def degree(s: InputSet, method: str = "rank") -> int:
-    """l**t by elimination or l**rank by the matrix; the two are asserted
-    equal, and a mismatch raises DegreeMismatchError (an internal bug)."""
-    if method not in ("reduction", "rank"):
-        raise ValueError(f"unknown method {method!r}")
-    t = reduce_basis(s).t
-    rank = rank_and_kernel(exponent_matrix(s)).rank
-    if t != rank:
+def checked_degree(red: ReductionResult, kernel: KernelBasis) -> int:
+    """l**t from the elimination, asserted equal to l**rank from the matrix;
+    a mismatch raises DegreeMismatchError (an internal bug)."""
+    if red.t != kernel.rank:
         raise DegreeMismatchError(
-            f"elimination gives l**{t} but the matrix rank gives l**{rank}"
+            f"elimination gives l**{red.t} but the matrix rank gives l**{kernel.rank}"
         )
-    return s.l**t
+    return red.l**red.t
+
+
+def degree(s: InputSet) -> int:
+    """Degree of the radical extension, by elimination and by matrix rank."""
+    return checked_degree(reduce_basis(s), rank_and_kernel(exponent_matrix(s)))
 
 
 def brute_force_kernel(s: InputSet, *, limit: int = 10**7) -> int:
@@ -267,9 +268,10 @@ def brute_force_kernel(s: InputSet, *, limit: int = 10**7) -> int:
     return count
 
 
-def consistency_check(s: InputSet, targets) -> bool:
+def consistency_check(s: InputSet, targets, kernel: KernelBasis | None = None) -> bool:
     """Whether the target exponents can be realized by any prime ideal:
-    dropped entries need target 0 and every kernel relation must vanish."""
+    dropped entries need target 0 and every kernel relation must vanish.
+    ``kernel`` is ``rank_and_kernel(exponent_matrix(s))`` when the caller has it."""
     targets = tuple(int(r) % s.l for r in targets)
     if len(targets) != len(s.raw):
         raise ValueError(
@@ -282,7 +284,8 @@ def consistency_check(s: InputSet, targets) -> bool:
                 return False
         else:
             reduced.append(r)
-    kernel = rank_and_kernel(exponent_matrix(s))
+    if kernel is None:
+        kernel = rank_and_kernel(exponent_matrix(s))
     for relation in kernel.basis:
         if sum(c * r for c, r in zip(relation, reduced)) % s.l != 0:
             return False

@@ -10,12 +10,11 @@ from radsym.arith import (
     factorize,
     ff_from_int,
     ff_from_poly,
-    ff_gen,
-    ff_pow,
     integer_nth_root,
     is_prime,
     lth_power_free,
     multiplicative_order,
+    order_table,
     poly_is_irreducible,
 )
 
@@ -64,6 +63,9 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+    # past ~3.3e24 is_prime defers to sympy's BPSW test
+    assert is_prime(2**89 - 1)
+    assert not is_prime((2**61 - 1) * (2**31 - 1))  # no factor <= 37
 
 
 def test_integer_nth_root():
@@ -126,18 +128,30 @@ def test_multiplicative_order():
             assert pow(p, f, l) == 1
 
 
+
+def test_order_table_matches_repeated_multiplication():
+    for l in (3, 5, 7, 11, 13, 101):
+        table = order_table(l)
+        for r in range(1, l):
+            f, cur = 1, r
+            while cur != 1:
+                cur = cur * r % l
+                f += 1
+            assert table[r] == f
+
+
 F4 = (1, 1, 1)  # X^2 + X + 1 over GF(2)
 
 
 def test_ff_pow_examples():
     x = ff_from_int(7, (0, 1), 2)
-    assert ff_pow(x, 2) == ff_from_int(7, (0, 1), 4)
+    assert x**2 == ff_from_int(7, (0, 1), 4)
     # Lagrange in GF(4): every nonzero element cubes to 1
     one = ff_from_int(2, F4, 1)
     for coeffs in [(1, 0), (0, 1), (1, 1)]:
-        assert ff_pow(ff_from_poly(2, F4, coeffs), 3) == one
+        assert ff_from_poly(2, F4, coeffs) ** 3 == one
     # the class of X squared reduces to X + 1
-    assert ff_pow(ff_gen(2, F4), 2) == ff_from_poly(2, F4, (1, 1))
+    assert ff_from_poly(2, F4, (0, 1)) ** 2 == ff_from_poly(2, F4, (1, 1))
 
 
 @pytest.mark.parametrize(
@@ -161,6 +175,6 @@ def test_ff_pow_distributes(p, modulus):
         x = ff_from_poly(p, modulus, tuple(rng.randrange(p) for _ in range(f)))
         y = ff_from_poly(p, modulus, tuple(rng.randrange(p) for _ in range(f)))
         e = rng.randrange(0, 3 * order)
-        assert ff_pow(x * y, e) == ff_pow(x, e) * ff_pow(y, e)
+        assert (x * y) ** e == x**e * y**e
         if not x.is_zero():
-            assert ff_pow(x, order) == one
+            assert x**order == one

@@ -145,16 +145,48 @@ def test_batch_mode(capsys, monkeypatch):
             json.dumps({"command": "degree", "l": 3, "radicands": [2, 3, 6]}),
             json.dumps({"command": "nope"}),
             json.dumps({"command": "check", "l": 3, "radicands": [2], "targets": [1]}),
+            json.dumps({"command": "degree", "l": 3, "radicands": 5}),
+            json.dumps({"command": "check", "l": 3, "radicands": [2], "targets": 1}),
+            json.dumps([1, 2]),
+            json.dumps({"command": "degree", "l": 3, "radicands": [2]}),
         ]
     )
     code = _run_batch(io.StringIO(lines))
     out = capsys.readouterr().out.strip().splitlines()
     assert code == 2
-    assert len(out) == 3
+    assert len(out) == 7
     first = json.loads(out[0])
     assert first["result"]["degree"] == "9"
     assert "error" in json.loads(out[1])
     assert json.loads(out[2])["result"]["consistent"] is True
+    assert "'radicands'" in json.loads(out[3])["error"]
+    assert "'targets'" in json.loads(out[4])["error"]
+    assert json.loads(out[5]) == {"error": "config must be a JSON object", "line": "6"}
+    assert json.loads(out[6])["result"]["degree"] == "3"
+
+
+def test_text_config_line_is_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "density", "-l", "5", "-x", "1000", "--targets", "1,0", "--seed", "4",
+        "--threads", "2", "2", "3",
+    )
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "config: command=density l=5 radicands=[2,3] targets=[1,0] norm_bound=1000 "
+        "seed=4 format=text threads=2 oracle=False prime=None ideal=all n=None"
+    )
+
+
+def test_batch_echo_defaults_to_json_format(capsys):
+    line = json.dumps({"command": "check", "l": 3, "radicands": [12, 18], "targets": [1, 2]})
+    assert _run_batch(io.StringIO(line)) == 0
+    assert capsys.readouterr().out == (
+        '{"checkpoints":[],"config":{"command":"check","format":"json","ideal":"all",'
+        '"l":"3","n":null,"norm_bound":null,"oracle":false,"prime":null,'
+        '"radicands":["12","18"],"seed":"0","targets":["1","2"],"threads":"1"},'
+        '"result":{"consistent":true,"dropped_indices":[],"kernel_basis":[["1","1"]],'
+        '"rank":"1"},"warnings":[]}\n'
+    )
 
 
 def test_out_of_range_bound_exits_2(capsys):

@@ -157,9 +157,6 @@ def test_degree_examples():
     assert degree(normalize_inputs(5, [2, 3])) == 25
     assert brute_count(5, (2, 3)) == 1
     assert degree(normalize_inputs(3, [])) == 1
-    assert degree(normalize_inputs(3, [2, 3, 6]), "reduction") == 9
-    with pytest.raises(ValueError):
-        degree(normalize_inputs(3, [2]), "guess")
 
 
 def test_brute_force_kernel_examples():
