@@ -3,7 +3,10 @@
 
 Times the three array kernels on the split primes below a bound, plus a pure
 Python per-element ``pow`` loop, and optionally an end-to-end density
-experiment in the same process.
+experiment in the same process.  ``powmod`` is also timed both ways the scan
+could call it for three radicands, block by block as the scan does: one
+stacked (3, n) call per block against shared exponents and moduli, and three
+1-D calls per block.
 
     python3 benchmarks/bench_kernels.py --bound 2000000 --end-to-end
 """
@@ -14,6 +17,7 @@ import time
 import numpy as np
 
 from radsym import density_experiment, kernels, normalize_inputs
+from radsym.density import _BLOCK
 
 
 def timeit(fn, repeats=3):
@@ -34,13 +38,23 @@ def bench_kernels(bound: int, l: int) -> None:
     primes = primes[primes % l == 1]
     exps = (primes - 1) // l
     base = np.full(primes.size, 2, dtype=np.int64)
+    stacked = np.stack([np.full(primes.size, b, dtype=np.int64) for b in (2, 5, 7)])
     print(f"split primes <= {bound}: {primes.size} lanes (l = {l})")
+
+    def per_block(stack: bool) -> None:
+        for lo in range(0, primes.size, _BLOCK):
+            block = np.s_[lo : lo + _BLOCK]
+            rows = [stacked[:, block]] if stack else stacked[:, block]
+            for row in rows:
+                kernels.powmod(row, exps[block], primes[block])
 
     roots = kernels.unity_roots(primes, l)
     col = np.ascontiguousarray(roots[:, 0])
     values = kernels.powmod(base, exps, primes)
     rows = [
         ("powmod", timeit(lambda: kernels.powmod(base, exps, primes))),
+        ("powmod (2,5,7) stacked", timeit(lambda: per_block(True))),
+        ("powmod (2,5,7) 3 x 1-D", timeit(lambda: per_block(False))),
         ("unity_roots", timeit(lambda: kernels.unity_roots(primes, l))),
         ("exponent_lookup", timeit(lambda: kernels.exponent_lookup(values, col, primes, l))),
         ("powmod/python", timeit(lambda: python_powmod(base, exps, primes), 1)),

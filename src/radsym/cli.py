@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from .arith import FactorizationError, is_prime
 from .cyclotomic import poly_str, primes_above, residue_symbol
-from .density import character_sum, density_experiment
+from .density import MAX_THREADS, character_sum, density_experiment
 from .radical import (
     DegreeMismatchError,
     OracleScaleError,
@@ -37,6 +37,11 @@ EXIT_USER = 2
 EXIT_INTERNAL = 3
 
 _ORACLE_GUARD = 10**7
+
+# Largest accepted l (exclusive).  Finding the ideals above p costs a search
+# for an irreducible polynomial of degree up to l - 1 in pure Python, which
+# takes seconds near this cap and grows quickly beyond it.
+MAX_L = 1024
 
 
 @dataclass(frozen=True)
@@ -61,14 +66,16 @@ class RunConfig:
 def _validate_config(cfg: RunConfig) -> None:
     if cfg.l < 3 or cfg.l % 2 == 0 or not is_prime(cfg.l):
         raise ValueError(f"l must be an odd prime >= 3, got {cfg.l}")
+    if cfg.l >= MAX_L:
+        raise ValueError(f"l must be below {MAX_L}, got {cfg.l}")
     if any(a == 0 for a in cfg.radicands):
         raise ValueError("radicands must be nonzero")
     if cfg.targets is not None and len(cfg.targets) != len(cfg.radicands):
         raise ValueError(
             f"got {len(cfg.targets)} targets for {len(cfg.radicands)} radicands"
         )
-    if cfg.threads < 1:
-        raise ValueError("threads must be >= 1")
+    if not 1 <= cfg.threads <= MAX_THREADS:
+        raise ValueError(f"threads must be between 1 and {MAX_THREADS}, got {cfg.threads}")
     if cfg.format not in ("text", "json"):
         raise ValueError(f"unknown format {cfg.format!r}")
 
@@ -92,8 +99,9 @@ def _report(cfg: RunConfig, result: dict, checkpoints=(), warnings=()) -> dict:
 
 def _cmd_degree(cfg: RunConfig) -> dict:
     s = normalize_inputs(cfg.l, cfg.radicands)
-    red = reduce_basis(s)
-    kernel = rank_and_kernel(exponent_matrix(s))
+    mat = exponent_matrix(s)
+    red = reduce_basis(s, mat)
+    kernel = rank_and_kernel(mat)
     value = checked_degree(red, kernel)
     warnings = []
     oracle = None
@@ -128,13 +136,14 @@ def _cmd_degree(cfg: RunConfig) -> dict:
 
 def _cmd_reduce(cfg: RunConfig) -> dict:
     s = normalize_inputs(cfg.l, cfg.radicands)
-    red = reduce_basis(s)
+    mat = exponent_matrix(s)
+    red = reduce_basis(s, mat)
     result = {
         "t": red.t,
         "b": list(red.b),
         "exclusive_primes": list(red.exclusive_primes),
         "transform": [[int(x) for x in row] for row in red.transform],
-        "degree": checked_degree(red, rank_and_kernel(exponent_matrix(s))),
+        "degree": checked_degree(red, rank_and_kernel(mat)),
         "normalized": list(s.normalized),
         "dropped_indices": [i for i, pos in enumerate(s.index_map) if pos is None],
     }

@@ -40,13 +40,18 @@ from .arith import exact_lth_root, factorize, order_table
 from .cyclotomic import _check_l, primes_above
 from .radical import (
     InputSet,
-    ReductionResult,
     consistency_check,
+    exponent_matrix,
+    rank_and_kernel,
     reduce_basis,
     translate_targets,
 )
 
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
+
+# Most scan threads a call may ask for.  The pool may start one thread per
+# block, and threads beyond the core count only add switching.
+MAX_THREADS = 64
 
 # Split primes per kernel call: a block's working arrays stay cache-resident,
 # and threads take blocks in turn.
@@ -119,6 +124,11 @@ def _check_bound(norm_bound: int) -> None:
         )
 
 
+def _check_threads(threads: int) -> None:
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
+
+
 def _checkpoint_bounds(norm_bound: int) -> tuple[int, ...]:
     bounds = {c for c in DEFAULT_CHECKPOINTS if c <= norm_bound}
     bounds.add(norm_bound)
@@ -173,15 +183,14 @@ def _split_prime_logs(
 
     def work(lo: int) -> np.ndarray:
         chunk = primes[lo : lo + _BLOCK]
-        exps = (chunk - 1) // l
-        vals = [kernels.powmod(_mod_array(b, chunk), exps, chunk) for b in radicands]
+        bases = np.empty((len(radicands), chunk.size), dtype=np.int64)
+        for j, b in enumerate(radicands):
+            bases[j] = _mod_array(b, chunk)
+        vals = kernels.powmod(bases, (chunk - 1) // l, chunk)
         gen = np.ones_like(chunk)
-        for v in reversed(vals):
+        for v in vals[::-1]:
             gen = np.where(v != 1, v, gen)
-        out = np.empty((len(radicands), chunk.size), dtype=np.int64)
-        for j, v in enumerate(vals):
-            out[j] = kernels.exponent_lookup(v, gen, chunk, l)
-        return out
+        return kernels.exponent_lookup(vals, gen, chunk, l)
 
     starts = range(0, primes.size, _BLOCK)
     if threads > 1 and len(starts) > 1:
@@ -249,12 +258,12 @@ def _scan(
     return _Scan(primes, logs, _high_degree_norms(l, norm_bound, exclude))
 
 
-def _excluded_primes(s: InputSet, result: ReductionResult) -> frozenset[int]:
+def _excluded_primes(s: InputSet) -> frozenset[int]:
+    """l and the primes dividing the raw radicands.  Every reduced b_j is a
+    product of these primes, so it needs no factorization of its own."""
     bad = {s.l}
     for a in s.raw:
         bad.update(factorize(a).primes())
-    for b in result.b:
-        bad.update(factorize(b).primes())
     return frozenset(bad)
 
 
@@ -305,15 +314,17 @@ def density_experiment(
             f"need one target per radicand: got {len(targets)} for {len(input_set.raw)}"
         )
     _check_bound(norm_bound)
-    result = reduce_basis(input_set)
+    _check_threads(threads)
+    matrix = exponent_matrix(input_set)
+    result = reduce_basis(input_set, matrix)
     predicted = 1.0 / l**result.t
-    if not consistency_check(input_set, targets):
+    if not consistency_check(input_set, targets, rank_and_kernel(matrix)):
         return DensityReport(
             l, norm_bound, input_set.raw, targets, False, result.t, predicted,
             result.b, (), 0, 0, 0.0, (), (),
         )
     s_targets = translate_targets(result, targets)
-    exclude = _excluded_primes(input_set, result)
+    exclude = _excluded_primes(input_set)
     scan = _scan(l, norm_bound, exclude, result.b, threads)
     per_prime = _match_mask(scan.logs, s_targets, l).sum(axis=1)
     if verify_translation:
@@ -394,6 +405,7 @@ def character_sum(
     """
     _check_l(l)
     _check_bound(norm_bound)
+    _check_threads(threads)
     if n == 0 or exact_lth_root(n, l) is not None:
         raise ValueError(f"{n} is an exact {l}-th power; the sum would be trivial")
     exclude = frozenset(factorize(abs(n)).primes()) | {l}

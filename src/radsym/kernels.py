@@ -52,18 +52,37 @@ def _check_exponents(exp: np.ndarray) -> None:
 
 
 def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Elementwise base**exp % mod by square-and-multiply."""
+    """Elementwise base**exp % mod by left-to-right square-and-multiply.
+
+    Shapes broadcast, so an (m, n) block of bases against (n,) exponents and
+    moduli raises m rows per lane in one pass over the exponent bits.  Each
+    bit squares and then multiplies by the base or by 1.  When the largest
+    modulus squared times the largest reduced base fits in int64, the two
+    products share one reduction; otherwise each is reduced on its own.
+    """
+    mod = np.asarray(mod, dtype=np.int64)
+    e = np.asarray(exp, dtype=np.int64)
     _check_moduli(mod)
-    _check_exponents(exp)
-    b = np.mod(base.astype(np.int64), mod)
-    e = exp.astype(np.int64).copy()
-    result = np.ones_like(mod)
-    while True:
-        result = np.where((e & 1) == 1, result * b % mod, result)
-        e >>= 1
-        if not e.any():
-            return result
-        b = b * b % mod
+    _check_exponents(e)
+    b = np.mod(np.asarray(base, dtype=np.int64), mod)
+    shape = np.broadcast_shapes(b.shape, e.shape)
+    one = 1 % mod
+    bits = int(e.max()).bit_length() if e.size else 0
+    if bits == 0 or b.size == 0:
+        return np.broadcast_to(one, shape).copy()
+    fused = int(mod.max()) ** 2 * int(b.max()) < 1 << 63
+    r = np.where((e >> (bits - 1)) & 1 == 1, b, one)
+    b_minus_1 = b - 1
+    mult = np.empty(shape, dtype=np.int64)
+    for k in range(bits - 2, -1, -1):
+        np.multiply(b_minus_1, (e >> k) & 1, out=mult)
+        mult += 1  # b where bit k is set, 1 elsewhere
+        np.multiply(r, r, out=r)
+        if not fused:
+            np.remainder(r, mod, out=r)
+        r *= mult
+        np.remainder(r, mod, out=r)
+    return r
 
 
 def unity_roots(primes: np.ndarray, l: int) -> np.ndarray:
@@ -98,12 +117,13 @@ def exponent_lookup(
 ) -> np.ndarray:
     """Discrete log of ``values`` base ``roots`` inside the order-l subgroup.
 
-    Returns e in [0, l) with roots**e == values mod p for each lane; -1 when
-    the value is not a power of the root (callers treat that as corruption).
+    ``values`` may stack rows against one (n,) row of roots and primes, whose
+    powers are then built once for all rows.  Returns e in [0, l) with
+    roots**e == values mod p for each lane; -1 when the value is not a power
+    of the root (callers treat that as corruption).
     """
-    n = values.shape[0]
-    out = np.full(n, -1, dtype=np.int64)
-    acc = np.ones(n, dtype=np.int64)
+    out = np.full(np.shape(values), -1, dtype=np.int64)
+    acc = np.ones(np.shape(primes), dtype=np.int64)
     for e in range(l):
         hit = (out < 0) & (acc == values)
         out[hit] = e

@@ -165,7 +165,7 @@ class ReductionResult:
     transform: np.ndarray
 
 
-def reduce_basis(s: InputSet) -> ReductionResult:
+def reduce_basis(s: InputSet, matrix: ExponentMatrix | None = None) -> ReductionResult:
     """Successive elimination on exponent vectors mod l.
 
     Repeatedly take the first unprocessed row, pick its smallest prime q not
@@ -173,9 +173,10 @@ def reduce_basis(s: InputSet) -> ReductionResult:
     adding the right multiple of the pivot row; rows that become zero are
     exact l-th powers and are dropped.  Working on exponent vectors keeps the
     intermediate numbers bounded; the integers b_j are rebuilt at the end.
+    ``matrix`` is ``exponent_matrix(s)`` when the caller has it.
     """
     l = s.l
-    mat = exponent_matrix(s)
+    mat = exponent_matrix(s) if matrix is None else matrix
     m_norm = len(s.normalized)
     rows = [[mat.entries[i].copy(), _unit_vector(m_norm, i)] for i in range(m_norm)]
     pending = list(range(m_norm))
@@ -248,7 +249,8 @@ def checked_degree(red: ReductionResult, kernel: KernelBasis) -> int:
 
 def degree(s: InputSet) -> int:
     """Degree of the radical extension, by elimination and by matrix rank."""
-    return checked_degree(reduce_basis(s), rank_and_kernel(exponent_matrix(s)))
+    mat = exponent_matrix(s)
+    return checked_degree(reduce_basis(s, mat), rank_and_kernel(mat))
 
 
 def brute_force_kernel(s: InputSet, *, limit: int = 10**7) -> int:

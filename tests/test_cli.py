@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import radsym.cli
+import radsym.density
 from radsym.cli import _run_batch, main
 
 
@@ -214,6 +216,50 @@ def test_batch_out_of_range_bound_keeps_the_stream(capsys):
     error = json.loads(out[0])
     assert error["line"] == "1" and "norm bound" in error["error"]
     assert json.loads(out[1])["result"]["degree"] == "9"
+
+
+@pytest.fixture
+def no_heavy_work(monkeypatch):
+    """Fail any config that starts scan threads or searches for the ideals
+    above p; the failure shows as exit 3 instead of the expected 2."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started work for a rejected config")
+
+    monkeypatch.setattr(radsym.density, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(radsym.cli, "primes_above", refuse)
+
+
+def test_oversize_l_and_threads_exit_2(capsys, no_heavy_work):
+    code, out, err = run_cli(capsys, "symbol", "-l", "10007", "-p", "2", "2")
+    assert (code, out) == (2, "") and "below 1024" in err
+    assert run_cli(capsys, "check", "-l", "1031", "--targets", "1", "2")[0] == 2
+    assert run_cli(capsys, "check", "-l", "1021", "--targets", "1", "2")[0] == 0
+    code, out, err = run_cli(
+        capsys, "density", "-l", "3", "-x", "100000", "--threads", "65", "--targets", "0", "2"
+    )
+    assert (code, out) == (2, "") and "threads" in err
+    assert run_cli(capsys, "charsum", "-l", "3", "-x", "1000", "--threads", "1000000", "2")[0] == 2
+
+
+def test_batch_caps_l_and_threads(capsys, no_heavy_work):
+    lines = "\n".join(
+        [
+            json.dumps({"command": "symbol", "l": 10007, "prime": 2, "radicands": [2]}),
+            json.dumps({"command": "degree", "l": 3, "radicands": [2, 3, 6]}),
+            json.dumps({"command": "density", "l": 3, "radicands": [2], "targets": [0],
+                        "norm_bound": 10**5, "threads": 65}),
+            json.dumps({"command": "degree", "l": 5, "radicands": [2, 3]}),
+        ]
+    )
+    code = _run_batch(io.StringIO(lines))
+    out = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert code == 2
+    assert len(out) == 4
+    assert out[0]["line"] == "1" and "below 1024" in out[0]["error"]
+    assert out[1]["result"]["degree"] == "9"
+    assert out[2]["line"] == "3" and "threads" in out[2]["error"]
+    assert out[3]["result"]["degree"] == "25"
 
 
 def test_batch_all_good_exits_zero(capsys):

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 import radsym.density
+import radsym.radical
 from radsym import kernels
 from radsym.cyclotomic import SymbolUndefinedError, residue_symbol
 from radsym.density import (
@@ -100,6 +102,7 @@ def test_density_checkpoint_structure():
     (5, [10], (0,)),
     (7, [2, 3], (1, 5)),
     (11, [2], (3,)),
+    (3, [1000003], (1,)),
 ])
 def test_density_matches_generic_ideal_walk(l, radicands, targets):
     """The array fast path must agree with a per-ideal walk over the stream."""
@@ -179,6 +182,42 @@ def test_rational_symbols_vanish_at_higher_degree_ideals(l):
     assert seen == {f for f in range(2, l) if (l - 1) % f == 0}  # every possible f >= 2
 
 
+def test_density_computes_each_factorization_once(monkeypatch):
+    calls = {"exponent_matrix": 0, "factorize": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (radsym.radical, radsym.density):
+        for name in calls:
+            if hasattr(module, name):
+                counted(module, name)
+    s = normalize_inputs(3, [12, 18, 5])
+    rep = density_experiment(s, (0, 0, 1), 1000)
+    assert rep.consistent
+    # one matrix of the three cores, then the three raw radicands' primes
+    assert calls == {"exponent_matrix": 1, "factorize": 6}
+
+
+@pytest.mark.parametrize("threads", [0, -1, radsym.density.MAX_THREADS + 1, 10**6])
+def test_thread_counts_checked_before_sieving(monkeypatch, threads):
+    def refuse(*args, **kwargs):
+        raise AssertionError("started work for a bad thread count")
+
+    monkeypatch.setattr(radsym.density, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(kernels, "sieve_primes", refuse)
+    with pytest.raises(ValueError, match="threads"):
+        density_experiment(normalize_inputs(3, [2]), (0,), 10**6, threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        character_sum(2, 3, 10**6, threads=threads)
+
+
 def test_density_threads_do_not_change_anything():
     s = normalize_inputs(3, [2, 5])
     a = density_experiment(s, (0, 0), 50_000, threads=1)
@@ -231,6 +270,27 @@ def test_character_sum_conjugate_symmetry():
     # so the nonzero tallies agree exactly
     rep = character_sum(2, 3, 10**5)
     assert rep.final.tallies[1] == rep.final.tallies[2]
+
+
+def test_character_sum_scan_above_the_fused_range(monkeypatch):
+    """2**31 - 1 reduces to residues near p, and above p = 2**21 a block's
+    p**2 * residue no longer fits in int64: those blocks take powmod's
+    two-reduction path, which must still count like Python's pow."""
+    n, l, bound = 2**31 - 1, 3, 2_200_000
+    exact_blocks = []
+    real = kernels.powmod
+
+    def spy(base, exp, mod):
+        reduced = int((np.asarray(base) % mod).max())
+        exact_blocks.append(int(mod.max()) ** 2 * reduced >= 2**63)
+        return real(base, exp, mod)
+
+    monkeypatch.setattr(kernels, "powmod", spy)
+    rep = character_sum(n, l, bound)
+    assert any(exact_blocks) and not all(exact_blocks)
+    split = [p for p in kernels.sieve_primes(bound).tolist() if p % l == 1]
+    nontrivial = sum(1 for p in split if pow(n, (p - 1) // l, p) != 1)
+    assert rep.final.tallies[1] == rep.final.tallies[2] == nontrivial
 
 
 def test_character_sum_checkpoints():

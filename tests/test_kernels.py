@@ -64,3 +64,64 @@ def test_powmod_rejects_negative_exponents():
     one = np.array([1], dtype=np.int64)
     with pytest.raises(ValueError):
         kernels.powmod(one, np.array([-1], dtype=np.int64), np.array([7], dtype=np.int64))
+
+
+def _python_pow_rows(base, exp, mod):
+    return np.array(
+        [[pow(int(b), int(e), int(m)) for b, e, m in zip(row, exp, mod)] for row in base],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize("fused", [True, False])
+def test_powmod_stacked_against_python_pow(fused):
+    """An (m, n) base block against shared (n,) exponents and moduli, on the
+    one-reduction path (small bases, p < 2**25) and on the two-reduction path
+    (p near 2**31, bases at or above p)."""
+    rng = np.random.default_rng(5)
+    n = 400
+    if fused:
+        mod = rng.integers(2, 2**25, size=n).astype(np.int64)
+        base = rng.integers(0, 2**13, size=(3, n)).astype(np.int64)
+    else:
+        mod = rng.integers(2**31 - 2**20, 2**31, size=n).astype(np.int64)
+        base = rng.integers(2**31, 2**40, size=(3, n)).astype(np.int64)
+    exp = rng.integers(0, 2**31, size=n).astype(np.int64)
+    reduced = np.mod(base, mod)
+    assert (int(mod.max()) ** 2 * int(reduced.max()) < 2**63) == fused
+    got = kernels.powmod(base, exp, mod)
+    assert got.shape == (3, n)
+    assert np.array_equal(got, _python_pow_rows(base, exp, mod))
+    rows = np.stack([kernels.powmod(row, exp, mod) for row in base])
+    assert np.array_equal(got, rows)
+
+
+def test_powmod_zero_exponents_and_empty_blocks():
+    mod = np.array([1, 2, 7, 2**31 - 1], dtype=np.int64)
+    base = np.array([[5, 0, 3, 2**40], [-1, 1, 0, 7]], dtype=np.int64)
+    zero = np.zeros(4, dtype=np.int64)
+    got = kernels.powmod(base, zero, mod)
+    assert np.array_equal(got, _python_pow_rows(base, zero, mod))
+    assert got.tolist() == [[0, 1, 1, 1]] * 2
+    empty = np.empty(0, dtype=np.int64)
+    assert kernels.powmod(np.empty((3, 0), dtype=np.int64), empty, empty).shape == (3, 0)
+    exp = np.array([0, 3, 5, 9], dtype=np.int64)
+    assert kernels.powmod(np.empty((0, 4), dtype=np.int64), exp, mod).shape == (0, 4)
+
+
+@pytest.mark.parametrize("l", [3, 5, 7])
+def test_exponent_lookup_stacked_roundtrip(l):
+    """Rows of values against one row of roots: each row's logs come back."""
+    rng = np.random.default_rng(l)
+    primes = kernels.sieve_primes(20000)
+    primes = primes[primes % l == 1]
+    col = np.ascontiguousarray(kernels.unity_roots(primes, l)[:, 0])
+    exps = rng.integers(0, l, size=(3, primes.size)).astype(np.int64)
+    values = kernels.powmod(col, exps, primes)
+    assert values.shape == exps.shape
+    got = kernels.exponent_lookup(values, col, primes, l)
+    assert np.array_equal(got, exps)
+    ones = np.ones_like(primes)
+    assert kernels.exponent_lookup(np.stack([ones, ones]), ones, primes, l).tolist() == [
+        [0] * primes.size
+    ] * 2
