@@ -34,8 +34,7 @@ def python_powmod(base, exp, mod):
 
 
 def bench_kernels(bound: int, l: int) -> None:
-    primes = kernels.sieve_primes(bound)
-    primes = primes[primes % l == 1]
+    primes = kernels.sieve_primes(bound, 0, l)
     exps = (primes - 1) // l
     base = np.full(primes.size, 2, dtype=np.int64)
     stacked = np.stack([np.full(primes.size, b, dtype=np.int64) for b in (2, 5, 7)])

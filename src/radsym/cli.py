@@ -382,20 +382,34 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+def _int(value) -> int:
+    """A JSON integer, or a decimal string of one as the echo writes it;
+    bools and floats are refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError("not an integer")
+    return int(value)
+
+
 def _int_tuple(value) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise TypeError("not a list")
-    return tuple(int(x) for x in value)
+    return tuple(_int(x) for x in value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("not a bool")
+    return value
 
 
 # Batch JSON converters for the fields that are not integers; every other
-# field goes through int().  null is kept only where it is the default.
+# field goes through _int().  null is kept only where it is the default.
 _FROM_JSON = {
     "command": str,
     "radicands": _int_tuple,
     "targets": _int_tuple,
     "format": str,
-    "oracle": bool,
+    "oracle": _bool,
     "ideal": str,
 }
 
@@ -417,7 +431,7 @@ def _config_from_json(line: str) -> RunConfig:
         value = payload[f.name]
         try:
             if value is not None or f.default is not None:
-                value = _FROM_JSON.get(f.name, int)(value)
+                value = _FROM_JSON.get(f.name, _int)(value)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"bad value for config key {f.name!r}: {value!r}") from None
         values[f.name] = value
@@ -434,15 +448,18 @@ def _execute(cfg: RunConfig) -> dict:
 
 
 # Exceptions reported as an error instead of a traceback: a broken invariant
-# is internal, the rest are problems with the input.
+# is internal, the rest are problems with the input (running out of memory
+# means the request was too large for this machine).
 _INTERNAL = (DegreeMismatchError, AssertionError)
-_REPORTED = _INTERNAL + (ValueError, KeyError, FactorizationError)
+_REPORTED = _INTERNAL + (ValueError, KeyError, FactorizationError, MemoryError)
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
     """Exit code and message for an exception in ``_REPORTED``."""
     if isinstance(exc, _INTERNAL):
         return EXIT_INTERNAL, f"internal: {exc}"
+    if isinstance(exc, MemoryError):
+        return EXIT_USER, f"out of memory: {exc}" if str(exc) else "out of memory"
     return EXIT_USER, str(exc)
 
 

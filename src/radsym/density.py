@@ -20,9 +20,11 @@ never builds the ideals themselves:
   counted in closed form, (l-1)/f of norm p**f above each such p, and
   match exactly when every target is 0.
 
-Both produce identical integer tallies regardless of backend or thread
-count.  ``primes_above`` and ``residue_symbol`` remain the exact per-ideal
-path for single queries and the oracle the tests compare against.
+The split primes are sieved window by window along the progression
+1 + 2l*i, and each window leaves only integer tallies per checkpoint bound,
+so memory stays flat as the bound grows and the tallies do not depend on
+the thread count.  ``primes_above`` and ``residue_symbol`` remain the exact
+per-ideal path for single queries and the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -50,12 +52,18 @@ from .radical import (
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 
 # Most scan threads a call may ask for.  The pool may start one thread per
-# block, and threads beyond the core count only add switching.
+# window, and threads beyond the core count only add switching.
 MAX_THREADS = 64
 
-# Split primes per kernel call: a block's working arrays stay cache-resident,
-# and threads take blocks in turn.
+# Split primes per kernel call: a block's working arrays stay cache-resident.
 _BLOCK = 1 << 14
+
+# Sieve window, in terms of the progression 1 + 2l*i per unit of
+# sqrt(norm bound).  A window loops in Python over the sieving primes (about
+# 2 sqrt(X) / ln X of them), which then costs little next to its striking,
+# and a window's arrays stay near a MB whatever the bound.  Threads take
+# windows in turn.
+_WINDOW_SCALE = 32
 
 
 @dataclass(frozen=True)
@@ -154,56 +162,35 @@ def enumerate_prime_ideals(l: int, norm_bound: int, *, seed: int = 0):
         yield from primes_above(p, l, seed=seed)
 
 
-def _mod_array(value: int, mod: np.ndarray) -> np.ndarray:
-    if -(2**62) < value < 2**62:
-        return np.mod(value, mod)
-    return np.array([value % int(p) for p in mod.tolist()], dtype=np.int64)
+def _bases(radicands: tuple[int, ...], primes: np.ndarray) -> np.ndarray:
+    """The radicands as powmod bases against ``primes``: one (m, 1) column,
+    which powmod reduces once, unless a radicand reaches 2**62 in absolute
+    value; such a row is reduced lane by lane in Python."""
+    if all(abs(b) < 2**62 for b in radicands):
+        return np.array(radicands, dtype=np.int64).reshape(-1, 1)
+    out = np.empty((len(radicands), primes.size), dtype=np.int64)
+    for j, b in enumerate(radicands):
+        out[j] = b if abs(b) < 2**62 else [b % p for p in primes.tolist()]
+    return out
 
 
-def _split_prime_logs(
-    l: int,
-    norm_bound: int,
-    exclude: frozenset[int],
-    radicands: tuple[int, ...],
-    threads: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete logs of the radicands' power residues at every split prime.
+def _split_prime_logs(l: int, primes: np.ndarray, radicands: tuple[int, ...]) -> np.ndarray:
+    """Discrete logs of the radicands' power residues at the given split primes.
 
-    Returns (primes, logs) with primes the ascending p <= bound, p == 1 mod l,
-    outside the excluded set, and logs of shape (len(radicands), len(primes)):
-    at p = primes[i], logs[j, i] = c with v_j == g**c mod p, where
-    v_j = radicands[j]**((p-1)/l) and g is the first v_j != 1 (g = 1 and
-    every log 0 when there is none).  The symbol of radicands[j] at the
-    ideal above p whose root of unity is g**k is c / k mod l.
+    Returns logs of shape (len(radicands), len(primes)): at p = primes[i],
+    logs[j, i] = c with v_j == g**c mod p, where v_j = radicands[j]**((p-1)/l)
+    and g is the first v_j != 1 (g = 1 and every log 0 when there is none).
+    The symbol of radicands[j] at the ideal above p whose root of unity is
+    g**k is c / k mod l.
     """
-    primes = kernels.sieve_primes(norm_bound)
-    primes = primes[primes % l == 1]
-    if exclude:
-        primes = primes[~np.isin(primes, np.array(sorted(exclude), dtype=np.int64))]
-
-    def work(lo: int) -> np.ndarray:
-        chunk = primes[lo : lo + _BLOCK]
-        bases = np.empty((len(radicands), chunk.size), dtype=np.int64)
-        for j, b in enumerate(radicands):
-            bases[j] = _mod_array(b, chunk)
-        vals = kernels.powmod(bases, (chunk - 1) // l, chunk)
-        gen = np.ones_like(chunk)
-        for v in vals[::-1]:
-            gen = np.where(v != 1, v, gen)
-        return kernels.exponent_lookup(vals, gen, chunk, l)
-
-    starts = range(0, primes.size, _BLOCK)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, starts))
-    else:
-        parts = [work(lo) for lo in starts]
-    if not parts:
-        return primes, np.zeros((len(radicands), 0), dtype=np.int64)
-    logs = np.concatenate(parts, axis=1)
+    vals = kernels.powmod(_bases(radicands, primes), (primes - 1) // l, primes)
+    gen = np.ones_like(primes)
+    for v in vals[::-1]:
+        gen = np.where(v != 1, v, gen)
+    logs = kernels.exponent_lookup(vals, gen, primes, l)
     if logs.size and logs.min() < 0:
         raise AssertionError("symbol value fell outside the root-of-unity subgroup")
-    return primes, logs
+    return logs
 
 
 def _match_mask(logs: np.ndarray, targets: tuple[int, ...], l: int) -> np.ndarray:
@@ -235,16 +222,20 @@ def _high_degree_norms(l: int, norm_bound: int, exclude: frozenset[int]) -> list
 
 @dataclass(frozen=True)
 class _Scan:
-    """The ideals of norm <= a bound, as the counts need them."""
+    """Counts over the ideals of norm <= one checkpoint bound."""
 
-    primes: np.ndarray  # split primes, ascending
-    logs: np.ndarray  # per radicand and split prime, see _split_prime_logs
-    high_norms: list[int]  # one norm per ideal of inertia degree >= 2, ascending
+    bound: int
+    split: int  # split primes
+    high: int  # ideals of inertia degree >= 2
+    matches: int  # ideals above split primes where every radicand takes its target
+    nontrivial: tuple[int, ...]  # per radicand, split primes where v_j != 1
 
-    def upto(self, bound: int) -> tuple[int, int]:
-        """(split primes, degree >= 2 ideals) of norm <= bound."""
-        split = int(np.searchsorted(self.primes, bound, side="right"))
-        return split, bisect_right(self.high_norms, bound)
+
+def _windows(l: int, norm_bound: int) -> list[tuple[int, int]]:
+    """[lo, hi] ranges covering 1 .. norm_bound, each holding
+    _WINDOW_SCALE * isqrt(norm_bound) terms of the progression 1 + 2l*i."""
+    span = 2 * l * _WINDOW_SCALE * math.isqrt(norm_bound)
+    return [(lo, min(lo + span - 1, norm_bound)) for lo in range(1, norm_bound + 1, span)]
 
 
 def _scan(
@@ -253,9 +244,55 @@ def _scan(
     exclude: frozenset[int],
     radicands: tuple[int, ...],
     threads: int,
-) -> _Scan:
-    primes, logs = _split_prime_logs(l, norm_bound, exclude, radicands, threads)
-    return _Scan(primes, logs, _high_degree_norms(l, norm_bound, exclude))
+    targets: tuple[int, ...] | None = None,
+    verify: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> tuple[_Scan, ...]:
+    """Counts at every checkpoint bound up to norm_bound.
+
+    Each window sieves its split primes, drops the excluded ones and feeds
+    blocks of them through powmod and the discrete log, then adds per
+    checkpoint bound its split primes, the matches for ``targets`` (none
+    counted when None) and the nontrivial residues per radicand.  Only these
+    integer sums outlive a window, and they do not depend on the order in
+    which threads take windows.  ``verify`` = (raw cores, their targets)
+    checks every block against the translation, see
+    ``_assert_translation_equivalent``.
+    """
+    bounds = np.array(_checkpoint_bounds(norm_bound), dtype=np.int64)
+    skip = np.array(sorted(p for p in exclude if p % l == 1), dtype=np.int64)
+
+    def window(lo_hi: tuple[int, int]) -> np.ndarray:
+        lo, hi = lo_hi
+        primes = kernels.sieve_primes(hi, lo, l)
+        if skip.size and skip[-1] >= lo and skip[0] <= hi:
+            primes = primes[~np.isin(primes, skip)]
+        out = np.zeros((bounds.size, 2 + len(radicands)), dtype=np.int64)
+        for start in range(0, primes.size, _BLOCK):
+            chunk = primes[start : start + _BLOCK]
+            logs = _split_prime_logs(l, chunk, radicands)
+            cols = np.empty((2 + len(radicands), chunk.size), dtype=np.int64)
+            cols[0] = 1
+            cols[1] = 0 if targets is None else _match_mask(logs, targets, l).sum(axis=1)
+            cols[2:] = logs != 0
+            if verify is not None:
+                _assert_translation_equivalent(l, chunk, radicands, targets, cols[1], *verify)
+            for row, k in enumerate(np.searchsorted(chunk, bounds, side="right").tolist()):
+                if k:
+                    out[row] += cols[:, :k].sum(axis=1)
+        return out
+
+    windows = _windows(l, norm_bound)
+    if threads > 1 and len(windows) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(window, windows))
+    else:
+        parts = [window(w) for w in windows]
+    totals = np.sum(parts, axis=0).tolist()
+    high = _high_degree_norms(l, norm_bound, exclude)
+    return tuple(
+        _Scan(c, split, bisect_right(high, c), matches, tuple(nontrivial))
+        for c, (split, matches, *nontrivial) in zip(bounds.tolist(), totals)
+    )
 
 
 def _excluded_primes(s: InputSet) -> frozenset[int]:
@@ -325,27 +362,26 @@ def density_experiment(
         )
     s_targets = translate_targets(result, targets)
     exclude = _excluded_primes(input_set)
-    scan = _scan(l, norm_bound, exclude, result.b, threads)
-    per_prime = _match_mask(scan.logs, s_targets, l).sum(axis=1)
+    verify = None
     if verify_translation:
-        _assert_translation_equivalent(
-            input_set, targets, result.b, s_targets, exclude, norm_bound,
-            scan, per_prime, threads,
-        )
-    cum = np.concatenate(([0], np.cumsum(per_prime)))
+        r_norm = tuple(t for t, pos in zip(targets, input_set.index_map) if pos is not None)
+        verify = (input_set.normalized, r_norm)
+    scans = _scan(l, norm_bound, exclude, result.b, threads, s_targets, verify)
+    # every symbol is 0 at degree >= 2, so those ideals match iff all targets are 0
     high_match = not any(s_targets)
+    if verify and scans[-1].high and any(verify[1]) != any(s_targets):
+        raise AssertionError("counting modes disagree at the degree >= 2 ideals")
     rows = []
-    for c in _checkpoint_bounds(norm_bound):
-        split, high = scan.upto(c)
-        ideals = split * (l - 1) + high
-        matches = int(cum[split]) + (high if high_match else 0)
-        rows.append(CheckpointStat(c, ideals, matches, matches / ideals if ideals else 0.0))
+    for sc in scans:
+        ideals = sc.split * (l - 1) + sc.high
+        matches = sc.matches + (sc.high if high_match else 0)
+        rows.append(CheckpointStat(sc.bound, ideals, matches, matches / ideals if ideals else 0.0))
     final = rows[-1]
     char_sums = ()
     if include_char_sums:
-        split, high = scan.upto(norm_bound)
+        last = scans[-1]
         char_sums = tuple(
-            _char_stat(b, norm_bound, l, split, int(np.count_nonzero(scan.logs[j])), high)
+            _char_stat(b, norm_bound, l, last.split, last.nontrivial[j], last.high)
             for j, b in enumerate(result.b)
         )
     return DensityReport(
@@ -356,40 +392,29 @@ def density_experiment(
 
 
 def _assert_translation_equivalent(
-    input_set: InputSet,
-    targets: tuple[int, ...],
+    l: int,
+    primes: np.ndarray,
     reduced_b: tuple[int, ...],
     s_targets: tuple[int, ...],
-    exclude: frozenset[int],
-    norm_bound: int,
-    scan: _Scan,
     per_prime: np.ndarray,
-    threads: int,
+    cores: tuple[int, ...],
+    r_norm: tuple[int, ...],
 ) -> None:
     """Debug mode: counting through the raw radicands must select exactly the
-    same ideals as counting through the reduced basis.
+    same ideals above ``primes`` as counting through the reduced basis.
 
-    One scan over the raw cores and the reduced basis together gives both
+    One pass over the raw cores and the reduced basis together gives both
     sets the same generator g at each split prime, so their match masks
-    index the same ideals and are compared entry by entry.
+    index the same ideals and are compared entry by entry; the scan's own
+    per-prime counts, taken with g from the reduced basis alone, must agree.
     """
-    l = input_set.l
-    cores = input_set.normalized
-    r_norm = tuple(
-        t for t, pos in zip(targets, input_set.index_map) if pos is not None
-    )
-    primes, logs = _split_prime_logs(l, norm_bound, exclude, cores + reduced_b, threads)
-    if not np.array_equal(primes, scan.primes):
-        raise AssertionError("prime streams diverged between counting modes")
+    logs = _split_prime_logs(l, primes, cores + reduced_b)
     match_raw = _match_mask(logs[: len(cores)], r_norm, l)
     match_reduced = _match_mask(logs[len(cores) :], s_targets, l)
     if not np.array_equal(match_raw, match_reduced):
         raise AssertionError("raw-target and reduced-target counts differ per ideal")
     if not np.array_equal(match_reduced.sum(axis=1), per_prime):
         raise AssertionError("match counts depend on the choice of generator")
-    # every symbol is 0 at degree >= 2, so those ideals match iff all targets are 0
-    if scan.high_norms and any(r_norm) != any(s_targets):
-        raise AssertionError("counting modes disagree at the degree >= 2 ideals")
 
 
 def character_sum(
@@ -409,10 +434,8 @@ def character_sum(
     if n == 0 or exact_lth_root(n, l) is not None:
         raise ValueError(f"{n} is an exact {l}-th power; the sum would be trivial")
     exclude = frozenset(factorize(abs(n)).primes()) | {l}
-    scan = _scan(l, norm_bound, exclude, (n,), threads)
-    cum = np.concatenate(([0], np.cumsum(scan.logs[0] != 0)))
-    rows = []
-    for c in _checkpoint_bounds(norm_bound):
-        split, high = scan.upto(c)
-        rows.append(_char_stat(n, c, l, split, int(cum[split]), high))
-    return CharSumReport(l, n, norm_bound, tuple(rows))
+    rows = tuple(
+        _char_stat(n, sc.bound, l, sc.split, sc.nontrivial[0], sc.high)
+        for sc in _scan(l, norm_bound, exclude, (n,), threads)
+    )
+    return CharSumReport(l, n, norm_bound, rows)

@@ -1,8 +1,9 @@
 """Array kernels for the hot per-prime loops.
 
-One vectorized numpy implementation of each kernel: the odd-only prime
-sieve, elementwise modular exponentiation, the nontrivial l-th roots of unity
-mod p, and the discrete log inside the order-l subgroup.  The density scan
+One vectorized numpy implementation of each kernel: the prime sieve over a
+window of the progression 1 mod step, elementwise modular exponentiation,
+the nontrivial l-th roots of unity mod p, and the discrete log inside the
+order-l subgroup.  The density scan
 uses ``sieve_primes``, ``powmod`` and ``exponent_lookup``; ``unity_roots``
 serves the tests (as the oracle for ``exponent_lookup``) and the benchmarks.
 
@@ -13,6 +14,7 @@ product of two reduced residues fits in int64 without overflow.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -22,22 +24,70 @@ BACKEND = "numpy"
 # One product of two residues must fit in int64: (2**31)**2 < 2**63.
 MAX_MODULUS = 1 << 31
 
+# Largest sieving prime any limit below MAX_MODULUS needs.
+_ROOT = math.isqrt(MAX_MODULUS - 1)
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an ascending int64 array (odd-only boolean sieve)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1
+
+@cache
+def _sieving_primes() -> np.ndarray:
+    """The odd primes <= _ROOT (odd-only boolean sieve)."""
+    odd = np.ones(_ROOT // 2 + 1, dtype=bool)  # odd[i] stands for 2*i + 1
     odd[0] = False
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
+    for i in range(1, (math.isqrt(_ROOT) + 1) // 2):
         if odd[i]:
             p = 2 * i + 1
             odd[p * p // 2 :: p] = False
-    idx = np.flatnonzero(odd)
-    out = np.empty(idx.size + 1, dtype=np.int64)
-    out[0] = 2
-    np.multiply(idx, 2, out=out[1:])
-    out[1:] += 1
+    return 2 * np.flatnonzero(odd) + 1
+
+
+@cache
+def _strike_table(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sieving data for the progression 1 + s*i, s even: the primes q <= _ROOT
+    prime to s, the residue r = -(s^-1) mod q of the indices whose value q
+    divides, and the first such index whose value is at least q*q."""
+    q = _sieving_primes()
+    q = q[s % q != 0]
+    r = np.array([-pow(s, -1, x) % x for x in q.tolist()], dtype=np.int64)
+    lowest = (q * q - 1 + s - 1) // s  # the first index whose value is >= q*q
+    first = lowest + (r - lowest) % q
+    for a in (q, r, first):
+        a.setflags(write=False)  # shared by every caller
+    return q, r, first
+
+
+def sieve_primes(limit: int, lo: int = 0, step: int = 1) -> np.ndarray:
+    """Ascending int64 array of the primes p with lo <= p <= limit and
+    p % step == 1; with the defaults, every prime up to limit.
+
+    The sieve covers only the indices of [lo, limit] in the odd progression
+    1 + s*i, s = lcm(2, step), so a scan can take its range window by window.
+    Each prime q <= sqrt(limit) prime to s strikes the indices
+    i == -(s^-1) mod q whose value is at least q*q, never q itself.
+    """
+    if step < 1:
+        raise ValueError(f"step must be positive, got {step}")
+    if limit >= MAX_MODULUS:
+        raise ValueError(f"sieve limit must be below {MAX_MODULUS}, got {limit}")
+    head = [2] if step == 1 and lo <= 2 <= limit else []
+    s = step if step % 2 == 0 else 2 * step
+    i0 = max(0, -(-(lo - 1) // s))  # the first index whose value is >= lo
+    size = (limit - 1) // s + 1 - i0 if limit >= 1 else 0
+    if size <= 0:
+        return np.array(head, dtype=np.int64)
+    keep = np.ones(size, dtype=bool)
+    if i0 == 0:
+        keep[0] = False  # 1 is not prime
+    q, r, first = _strike_table(s)
+    k = int(np.searchsorted(q, math.isqrt(limit), side="right"))
+    start = np.maximum(first[:k], i0 + (r[:k] - i0) % q[:k]) - i0
+    live = start < size
+    for p, i in zip(q[:k][live].tolist(), start[live].tolist()):
+        keep[i::p] = False
+    idx = np.flatnonzero(keep)
+    out = np.empty(len(head) + idx.size, dtype=np.int64)
+    out[: len(head)] = head
+    np.multiply(idx, s, out=out[len(head) :])
+    out[len(head) :] += 1 + s * i0
     return out
 
 

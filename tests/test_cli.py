@@ -262,6 +262,56 @@ def test_batch_caps_l_and_threads(capsys, no_heavy_work):
     assert out[3]["result"]["degree"] == "25"
 
 
+def test_batch_rejects_bools_and_floats_for_typed_keys(capsys):
+    lines = "\n".join(
+        [
+            json.dumps({"command": "degree", "l": 3, "radicands": [2, 3], "oracle": "false"}),
+            json.dumps({"command": "degree", "l": 3.9, "radicands": [2]}),
+            json.dumps({"command": "check", "l": 3, "radicands": [2], "targets": [True]}),
+            json.dumps({"command": "density", "l": 3, "radicands": [2], "targets": [0],
+                        "norm_bound": 1e5}),
+            json.dumps({"command": "degree", "l": "3", "radicands": ["2", 3], "oracle": False}),
+        ]
+    )
+    code = _run_batch(io.StringIO(lines))
+    out = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert code == 2
+    assert len(out) == 5
+    for line_no, key in enumerate(["oracle", "l", "targets", "norm_bound"], 1):
+        record = out[line_no - 1]
+        assert set(record) == {"error", "line"} and record["line"] == str(line_no)
+        assert record["error"].startswith(f"bad value for config key '{key}'")
+    assert out[4]["result"]["degree"] == "9"  # decimal strings still read as integers
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(radsym.density.kernels, "sieve_primes", _no_memory)
+    code, out, err = run_cli(capsys, "density", "-l", "3", "-x", "100000", "--targets", "0", "2")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+    code, out, err = run_cli(capsys, "charsum", "-l", "3", "-x", "100000", "2")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_batch_memory_error_keeps_the_stream(capsys, monkeypatch):
+    monkeypatch.setattr(radsym.density.kernels, "sieve_primes", _no_memory)
+    lines = "\n".join(
+        [
+            json.dumps({"command": "density", "l": 3, "radicands": [2], "targets": [0],
+                        "norm_bound": 10**5}),
+            json.dumps({"command": "degree", "l": 3, "radicands": [2, 3, 6]}),
+        ]
+    )
+    code = _run_batch(io.StringIO(lines))
+    out = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert code == 2
+    assert out == [{"error": "out of memory", "line": "1"}, out[1]]
+    assert out[1]["result"]["degree"] == "9"
+
+
 def test_batch_all_good_exits_zero(capsys):
     lines = json.dumps({"command": "degree", "l": 3, "radicands": [2]}) + "\n"
     assert _run_batch(io.StringIO(lines)) == 0

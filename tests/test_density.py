@@ -1,18 +1,22 @@
 import math
+import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radsym.density
 import radsym.radical
 from radsym import kernels
+from radsym.arith import exact_lth_root
 from radsym.cyclotomic import SymbolUndefinedError, residue_symbol
 from radsym.density import (
     character_sum,
     density_experiment,
     enumerate_prime_ideals,
 )
-from radsym.radical import normalize_inputs
+from radsym.radical import consistency_check, normalize_inputs
 
 
 def is_prime_naive(n):
@@ -127,8 +131,6 @@ def test_density_matches_generic_ideal_walk(l, radicands, targets):
 
 
 def test_density_translation_equivalence_debug_mode():
-    from radsym.radical import consistency_check
-
     s = normalize_inputs(3, [12, 18])
     for targets in [(0, 0), (1, 2), (2, 1)]:
         rep = density_experiment(s, targets, 5000, verify_translation=True)
@@ -154,7 +156,7 @@ def test_density_translation_check_catches_wrong_translation(monkeypatch):
 
 @pytest.mark.parametrize("bound", [kernels.MAX_MODULUS, 10**15])
 def test_out_of_range_bounds_rejected_before_sieving(monkeypatch, bound):
-    def no_sieve(limit):
+    def no_sieve(limit, *args, **kwargs):
         raise AssertionError(f"sieved up to {limit}")
 
     monkeypatch.setattr(kernels, "sieve_primes", no_sieve)
@@ -310,3 +312,127 @@ def test_character_sum_matches_generic_walk_higher_l(n, l, bound):
         tallies[residue_symbol(n, I)] += 1
     assert rep.final.tallies == tuple(tallies)
     assert rep.final.ideals == sum(tallies)
+
+
+# ---------------------------------------------------------------------------
+# Property-based differential tests: the windowed scan against the walk over
+# every prime ideal with the exact per-ideal symbol.
+
+_WALK_BOUND = 3000
+
+
+@cache
+def _ideals(l):
+    """Every prime ideal of norm <= _WALK_BOUND, ascending by norm."""
+    return tuple(enumerate_prime_ideals(l, _WALK_BOUND))
+
+
+def _walk(l, radicands, targets, bound):
+    """(ideals, matches) over the ideals of norm <= bound prime to l and to
+    every radicand, matching where each raw radicand has its target symbol."""
+    ideals = matches = 0
+    for I in _ideals(l):
+        if I.norm > bound:
+            break
+        if I.p == l or any(a % I.p == 0 for a in radicands):
+            continue
+        ideals += 1
+        matches += all(residue_symbol(a, I) == t for a, t in zip(radicands, targets))
+    return ideals, matches
+
+
+def _char_walk(n, l, bound):
+    tallies = [0] * l
+    for I in _ideals(l):
+        if I.norm <= bound and I.p != l and n % I.p:
+            tallies[residue_symbol(n, I)] += 1
+    return tuple(tallies)
+
+
+@st.composite
+def _radicands(draw, l):
+    """Up to three nonzero radicands over a few shared primes, with signs,
+    exact l-th powers and +-1 among them."""
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["product", "product", "power", "unit"]))
+        if kind == "unit":
+            a = 1
+        elif kind == "power":
+            a = draw(st.sampled_from(primes)) ** l
+        else:
+            a = math.prod(q ** draw(st.integers(0, l + 1)) for q in primes)
+        out.append(a * draw(st.sampled_from([1, -1])))
+    return out
+
+
+@st.composite
+def _studies(draw):
+    l = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    radicands = draw(_radicands(l))
+    targets = tuple(draw(st.integers(0, l - 1)) for _ in radicands)
+    return l, radicands, targets, draw(st.integers(2, _WALK_BOUND))
+
+
+def _check_study(l, radicands, targets, bound):
+    s = normalize_inputs(l, radicands)
+    reps = [density_experiment(s, targets, bound, threads=t) for t in (1, 2)]
+    assert reps[0] == reps[1]
+    rep = reps[0]
+    if rep.consistent:
+        assert [(row.ideals, row.matches) for row in rep.checkpoints] == [
+            _walk(l, radicands, targets, row.bound) for row in rep.checkpoints
+        ]
+        assert density_experiment(s, targets, bound, verify_translation=True) == rep
+    else:
+        assert _walk(l, radicands, targets, bound)[1] == 0
+        assert not consistency_check(s, targets)
+    n = next((a for a in radicands if exact_lth_root(a, l) is None), None)
+    if n is not None:
+        reports = [character_sum(n, l, bound, threads=t) for t in (1, 2)]
+        assert reports[0] == reports[1]
+        assert [row.tallies for row in reports[0].checkpoints] == [
+            _char_walk(n, l, row.bound) for row in reports[0].checkpoints
+        ]
+
+
+@settings(deadline=None, max_examples=60)
+@given(_studies())
+def test_scan_matches_ideal_walk(study):
+    _check_study(*study)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_studies())
+def test_scan_matches_ideal_walk_across_small_windows(study):
+    """Windows of a few dozen progression terms and blocks of five primes put
+    window, block and checkpoint edges inside every scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radsym.density, "_WINDOW_SCALE", 1)
+        mp.setattr(radsym.density, "_BLOCK", 5)
+        _check_study(*study)
+
+
+def test_windows_tile_the_range():
+    for l, bound in [(3, 2), (3, 1000), (7, 10**6), (13, 2**31 - 1)]:
+        windows = radsym.density._windows(l, bound)
+        assert windows[0][0] == 1 and windows[-1][1] == bound
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
+
+
+def _peak_traced_bytes(bound):
+    s = normalize_inputs(3, [2, 5])
+    tracemalloc.start()
+    try:
+        density_experiment(s, (0, 0), bound)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_does_not_grow_with_the_bound():
+    """The scan keeps one window of primes at a time, so raising the bound
+    eightfold may grow its peak allocation only through the window size
+    (sqrt(8) < 3), not in proportion to the bound."""
+    assert _peak_traced_bytes(8 * 10**6) < 3 * _peak_traced_bytes(10**6)

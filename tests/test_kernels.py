@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,38 @@ def test_sieve_matches_trial_division():
     assert kernels.sieve_primes(1000).tolist() == naive(1000)
     assert kernels.sieve_primes(1).tolist() == []
     assert kernels.sieve_primes(2).tolist() == [2]
+
+
+@pytest.mark.parametrize("l", [3, 5, 7, 11, 13])
+def test_progression_sieve_matches_filtered_sieve(l):
+    """sieve_primes(hi, lo, l) is the slice of the full sieve at p % l == 1,
+    on and next to the edges of the scan's windows, and keeps every small
+    prime of the progression (7 at l = 3, 11 at l = 5, 29 at l = 7, ...)."""
+    full = kernels.sieve_primes(400_000)
+    split = full[full % l == 1]
+    span = 2 * l * 300  # a window of 300 progression terms
+    small = int(split[0])
+    edges = [0, 1, 2, small - 1, small, small + 1, small * small, 2 * l + 1]
+    edges += [k * span + d for k in (1, 2, 40) for d in (-1, 0, 1, 2)]
+    for lo in edges:
+        for hi in edges + [400_000]:
+            want = split[(split >= lo) & (split <= hi)]
+            assert np.array_equal(kernels.sieve_primes(hi, lo, l), want), (lo, hi)
+    windows = [kernels.sieve_primes(min(lo + span - 1, 400_000), lo, l)
+               for lo in range(1, 400_001, span)]
+    assert np.array_equal(np.concatenate(windows), split)
+    assert np.array_equal(kernels.sieve_primes(400_000, 0, 2 * l), split)
+
+
+def test_sieve_rejects_bad_limits_and_steps():
+    with pytest.raises(ValueError):
+        kernels.sieve_primes(kernels.MAX_MODULUS)
+    with pytest.raises(ValueError):
+        kernels.sieve_primes(100, 0, 0)
+    assert kernels.sieve_primes(kernels.MAX_MODULUS - 1, kernels.MAX_MODULUS - 100).tolist() == [
+        p for p in range(kernels.MAX_MODULUS - 100, kernels.MAX_MODULUS)
+        if all(p % d for d in range(2, math.isqrt(p) + 1))
+    ]
 
 
 def test_powmod_against_python_pow():
