@@ -14,7 +14,7 @@ product of two reduced residues fits in int64 without overflow.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -40,19 +40,23 @@ def _sieving_primes() -> np.ndarray:
     return 2 * np.flatnonzero(odd) + 1
 
 
-@cache
-def _strike_table(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=16)  # one table per progression, about 77 KB each
+def _strike_table(s: int) -> tuple[np.ndarray, np.ndarray]:
     """Sieving data for the progression 1 + s*i, s even: the primes q <= _ROOT
-    prime to s, the residue r = -(s^-1) mod q of the indices whose value q
-    divides, and the first such index whose value is at least q*q."""
+    prime to s, and for each the index of q*k, the least multiple of q in
+    the progression with k >= q.  q strikes every q-th index from there."""
     q = _sieving_primes()
     q = q[s % q != 0]
-    r = np.array([-pow(s, -1, x) % x for x in q.tolist()], dtype=np.int64)
-    lowest = (q * q - 1 + s - 1) // s  # the first index whose value is >= q*q
-    first = lowest + (r - lowest) % q
-    for a in (q, r, first):
+    inverse = np.zeros(s, dtype=np.int64)  # inverse[x] * x == 1 mod s for units x
+    for x in range(1, s, 2):
+        if math.gcd(x, s) == 1:
+            inverse[x] = pow(x, -1, s)
+    k = inverse[q % s]  # q*k == 1 mod s
+    k += (q - k + s - 1) // s * s  # the least such k >= q
+    first = (q * k - 1) // s
+    for a in (q, first):
         a.setflags(write=False)  # shared by every caller
-    return q, r, first
+    return q, first
 
 
 def sieve_primes(limit: int, lo: int = 0, step: int = 1) -> np.ndarray:
@@ -62,7 +66,8 @@ def sieve_primes(limit: int, lo: int = 0, step: int = 1) -> np.ndarray:
     The sieve covers only the indices of [lo, limit] in the odd progression
     1 + s*i, s = lcm(2, step), so a scan can take its range window by window.
     Each prime q <= sqrt(limit) prime to s strikes the indices
-    i == -(s^-1) mod q whose value is at least q*q, never q itself.
+    i == -(s^-1) mod q whose value is at least q*q, never q itself; the
+    first of them in the window is found for every q in one array step.
     """
     if step < 1:
         raise ValueError(f"step must be positive, got {step}")
@@ -77,9 +82,9 @@ def sieve_primes(limit: int, lo: int = 0, step: int = 1) -> np.ndarray:
     keep = np.ones(size, dtype=bool)
     if i0 == 0:
         keep[0] = False  # 1 is not prime
-    q, r, first = _strike_table(s)
+    q, first = _strike_table(s)
     k = int(np.searchsorted(q, math.isqrt(limit), side="right"))
-    start = np.maximum(first[:k], i0 + (r[:k] - i0) % q[:k]) - i0
+    start = np.maximum(first[:k], i0 + (first[:k] - i0) % q[:k]) - i0
     live = start < size
     for p, i in zip(q[:k][live].tolist(), start[live].tolist()):
         keep[i::p] = False
