@@ -25,6 +25,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
+
 REPO = Path(__file__).resolve().parent.parent
 
 CONFIGS = [
@@ -84,8 +86,6 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=REPO / "BENCH_density.json")
     args = parser.parse_args()
     src = args.src.resolve()
-
-    import numpy  # the child imports the same numpy
 
     results = []
     for l, bound, threads in CONFIGS:
