@@ -284,27 +284,20 @@ def poly_mul(a, b, p: int) -> tuple[int, ...]:
     return poly_trim(out)
 
 
-def poly_divmod(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def poly_rem(a, b, p: int) -> tuple[int, ...]:
+    """a mod b over GF(p); b's leading coefficient must be a unit mod p."""
     b = poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(poly_mod(a, p))
+    r = [c % p for c in a]
     inv = pow(b[-1], -1, p)
     db = len(b) - 1
-    if len(a) - 1 < db:
-        return (), poly_trim(a)
-    quot = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv % p
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * inv % p
         if c:
-            quot[i - db] = c
             for j, bj in enumerate(b):
-                a[i - db + j] = (a[i - db + j] - c * bj) % p
-    return poly_trim(quot), poly_trim(a)
-
-
-def poly_rem(a, b, p: int) -> tuple[int, ...]:
-    return poly_divmod(a, b, p)[1]
+                r[i - db + j] = (r[i - db + j] - c * bj) % p
+    return poly_trim(r)
 
 
 def poly_monic(a, p: int) -> tuple[int, ...]:
@@ -322,31 +315,51 @@ def poly_gcd(a, b, p: int) -> tuple[int, ...]:
     return poly_monic(a, p)
 
 
-def poly_powmod(base, e: int, modulus, p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    acc = poly_rem(base, modulus, p)
-    while e > 0:
-        if e & 1:
-            result = poly_rem(poly_mul(result, acc, p), modulus, p)
-        e >>= 1
-        if e:
-            acc = poly_rem(poly_mul(acc, acc, p), modulus, p)
+def _mulmod(a, b, g, p: int) -> tuple[int, ...]:
+    """a * b mod (g, p) for residues of the monic g of degree f: exactly f
+    coefficients in [0, p), as a FiniteFieldElement holds them.  Products are
+    summed unreduced; each coefficient is taken mod p once."""
+    f = len(g) - 1
+    out = [0] * (2 * f - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    for k in range(2 * f - 2, f - 1, -1):
+        c = out[k] % p
+        if c:
+            for j in range(f):
+                out[k - f + j] -= c * g[j]
+    return tuple(c % p for c in out[:f])
+
+
+def _powmod(a, e: int, g, p: int) -> tuple[int, ...]:
+    """a**e mod (g, p) for a residue a of the monic g and e >= 0, by
+    left-to-right square-and-multiply."""
+    if e == 0:
+        return (1,) + (0,) * (len(g) - 2)
+    result = a
+    for bit in bin(e)[3:]:
+        result = _mulmod(result, result, g, p)
+        if bit == "1":
+            result = _mulmod(a, result, g, p)
     return result
 
 
 def poly_is_irreducible(h, p: int) -> bool:
-    """Rabin's test: X**(p**d) == X mod h, and no proper subfield traps X."""
-    h = poly_mod(h, p)
+    """Rabin's test: X**(p**d) == X mod h, and no proper subfield traps X.
+    h need not be monic; it is scaled to be."""
+    h = poly_monic(poly_mod(h, p), p)
     d = len(h) - 1
     if d < 1:
         return False
     if d == 1:
         return True
-    x: tuple[int, ...] = (0, 1)
-    if poly_powmod(x, p**d, h, p) != poly_rem(x, h, p):
+    x = (0, 1) + (0,) * (d - 2)
+    if _powmod(x, p**d, h, p) != x:
         return False
     for q in {f for f, _ in factorize(d).factors}:
-        xp = poly_powmod(x, p ** (d // q), h, p)
+        xp = _powmod(x, p ** (d // q), h, p)
         if len(poly_gcd(poly_sub(xp, x, p), h, p)) > 1:
             return False
     return True
@@ -359,10 +372,6 @@ class FiniteFieldElement:
     p: int
     modulus: tuple[int, ...]
     coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.modulus) - 1
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -407,31 +416,28 @@ class FiniteFieldElement:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = poly_rem(poly_mul(self.coeffs, other.coeffs, self.p), self.modulus, self.p)
-        return ff_from_poly(self.p, self.modulus, prod)
+        return FiniteFieldElement(
+            self.p, self.modulus, _mulmod(self.coeffs, other.coeffs, self.modulus, self.p)
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "FiniteFieldElement":
         if e < 0:
             raise ValueError("negative exponents not supported")
-        result = ff_from_int(self.p, self.modulus, 1)
-        acc = self
-        while e > 0:
-            if e & 1:
-                result = result * acc
-            e >>= 1
-            if e:
-                acc = acc * acc
-        return result
+        return FiniteFieldElement(
+            self.p, self.modulus, _powmod(self.coeffs, e, self.modulus, self.p)
+        )
 
 
 def ff_from_poly(p: int, modulus: tuple[int, ...], coeffs) -> FiniteFieldElement:
-    f = len(modulus) - 1
-    reduced = poly_rem(poly_mod(coeffs, p), modulus, p)
-    padded = tuple(reduced) + (0,) * (f - len(reduced))
-    return FiniteFieldElement(p, tuple(modulus), padded)
+    """coeffs mod (modulus, p); the modulus must be monic of degree >= 1 mod p."""
+    modulus = tuple(modulus)
+    if len(modulus) < 2 or modulus[-1] % p != 1:
+        raise ValueError(f"the modulus must be monic of degree >= 1 mod {p}, got {modulus}")
+    reduced = poly_rem(coeffs, modulus, p)
+    return FiniteFieldElement(p, modulus, reduced + (0,) * (len(modulus) - 1 - len(reduced)))
 
 
 def ff_from_int(p: int, modulus: tuple[int, ...], n: int) -> FiniteFieldElement:
-    return ff_from_poly(p, modulus, (n % p,))
+    return ff_from_poly(p, modulus, (n,))

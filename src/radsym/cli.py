@@ -208,9 +208,7 @@ def _cmd_density(cfg: RunConfig) -> dict:
     if cfg.norm_bound is None:
         raise ValueError("density requires -x/--norm-bound")
     s = normalize_inputs(cfg.l, cfg.radicands)
-    rep = density_experiment(
-        s, cfg.targets, cfg.norm_bound, seed=cfg.seed, threads=cfg.threads
-    )
+    rep = density_experiment(s, cfg.targets, cfg.norm_bound, threads=cfg.threads)
     result = {
         "consistent": rep.consistent,
         "t": rep.t,
@@ -239,9 +237,7 @@ def _cmd_charsum(cfg: RunConfig) -> dict:
         raise ValueError("charsum requires an integer argument")
     if cfg.norm_bound is None:
         raise ValueError("charsum requires -x/--norm-bound")
-    rep = character_sum(
-        cfg.n, cfg.l, cfg.norm_bound, seed=cfg.seed, threads=cfg.threads
-    )
+    rep = character_sum(cfg.n, cfg.l, cfg.norm_bound, threads=cfg.threads)
     return _report(
         cfg,
         _char_sum_dict(rep.final),
@@ -396,21 +392,26 @@ def _int_tuple(value) -> tuple[int, ...]:
     return tuple(_int(x) for x in value)
 
 
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError("not a bool")
-    return value
+def _exactly(kind: type):
+    """A converter that accepts only JSON values of ``kind``, unchanged."""
+
+    def convert(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"not a {kind.__name__}")
+        return value
+
+    return convert
 
 
 # Batch JSON converters for the fields that are not integers; every other
 # field goes through _int().  null is kept only where it is the default.
 _FROM_JSON = {
-    "command": str,
+    "command": _exactly(str),
     "radicands": _int_tuple,
     "targets": _int_tuple,
-    "format": str,
-    "oracle": _bool,
-    "ideal": str,
+    "format": _exactly(str),
+    "oracle": _exactly(bool),
+    "ideal": _exactly(str),
 }
 
 

@@ -26,7 +26,6 @@ from .arith import (
     poly_is_irreducible,
     poly_mod,
     poly_mul,
-    poly_rem,
     poly_trim,
 )
 

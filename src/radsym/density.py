@@ -331,9 +331,7 @@ def density_experiment(
     targets,
     norm_bound: int,
     *,
-    seed: int = 0,
     threads: int = 1,
-    include_char_sums: bool = True,
     verify_translation: bool = False,
 ) -> DensityReport:
     """Count prime ideals realizing the target exponents for every radicand.
@@ -341,8 +339,7 @@ def density_experiment(
     Inconsistent targets short-circuit: nothing is scanned and the report
     carries exactly zero matches.  Otherwise the count runs over all prime
     ideals of norm <= norm_bound outside the primes dividing the radicands,
-    with cumulative checkpoints at powers of ten.  ``seed`` is kept for
-    callers that echo it into reports; it no longer affects the scan.
+    with cumulative checkpoints at powers of ten.
     """
     l = input_set.l
     targets = tuple(int(r) % l for r in targets)
@@ -377,13 +374,11 @@ def density_experiment(
         matches = sc.matches + (sc.high if high_match else 0)
         rows.append(CheckpointStat(sc.bound, ideals, matches, matches / ideals if ideals else 0.0))
     final = rows[-1]
-    char_sums = ()
-    if include_char_sums:
-        last = scans[-1]
-        char_sums = tuple(
-            _char_stat(b, norm_bound, l, last.split, last.nontrivial[j], last.high)
-            for j, b in enumerate(result.b)
-        )
+    last = scans[-1]
+    char_sums = tuple(
+        _char_stat(b, norm_bound, l, last.split, last.nontrivial[j], last.high)
+        for j, b in enumerate(result.b)
+    )
     return DensityReport(
         l, norm_bound, input_set.raw, targets, True, result.t, predicted,
         result.b, s_targets, final.ideals, final.matches, final.empirical,
@@ -417,16 +412,12 @@ def _assert_translation_equivalent(
         raise AssertionError("match counts depend on the choice of generator")
 
 
-def character_sum(
-    n: int, l: int, norm_bound: int, *, seed: int = 0, threads: int = 1
-) -> CharSumReport:
+def character_sum(n: int, l: int, norm_bound: int, *, threads: int = 1) -> CharSumReport:
     """Tally zeta**exponent(n) over all qualifying prime ideals.
 
     Rejects exact l-th powers (their sum would be trivially the ideal count).
     Ideals above primes dividing n are skipped; the normalized magnitude is
-    |sum| divided by the ideal count, 0.0 when no ideal qualifies.  ``seed``
-    is kept for callers that echo it into reports; it no longer affects the
-    scan.
+    |sum| divided by the ideal count, 0.0 when no ideal qualifies.
     """
     _check_l(l)
     _check_bound(norm_bound)

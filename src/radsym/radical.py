@@ -125,11 +125,12 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def _nullspace_mod(a: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the right nullspace of a over Z/p, one vector per free
-    column, ascending; each vector is scaled so its first nonzero entry is 1."""
-    rows, cols = a.shape
-    r, pivots = _rref_mod(a, p)
+def _nullspace_mod(r: np.ndarray, pivots: list[int], p: int) -> list[np.ndarray]:
+    """Basis of the right nullspace over Z/p of a matrix whose reduced row
+    echelon form and pivot columns ``_rref_mod`` gave as r and pivots: one
+    vector per free column, ascending, each scaled so its first nonzero
+    entry is 1."""
+    cols = r.shape[1]
     pivot_set = set(pivots)
     basis = []
     for free in range(cols):
@@ -146,9 +147,8 @@ def _nullspace_mod(a: np.ndarray, p: int) -> list[np.ndarray]:
 
 
 def rank_and_kernel(m: ExponentMatrix) -> KernelBasis:
-    transposed = m.entries.T % m.l
-    _, pivots = _rref_mod(transposed, m.l)
-    basis = _nullspace_mod(transposed, m.l)
+    r, pivots = _rref_mod(m.entries.T, m.l)
+    basis = _nullspace_mod(r, pivots, m.l)
     return KernelBasis(m.l, len(pivots), tuple(tuple(int(x) for x in v) for v in basis))
 
 

@@ -178,3 +178,48 @@ def test_ff_pow_distributes(p, modulus):
         assert (x * y) ** e == x**e * y**e
         if not x.is_zero():
             assert x**order == one
+
+
+GF9 = (1, 0, 1)  # X^2 + 1 over GF(3)
+GF343 = (5, 0, 0, 1)  # X^3 - 2 over GF(7): 2 is not a cube mod 7
+
+
+@pytest.mark.parametrize(
+    "p,modulus", [(3, GF9), (5, (2, 1, 1)), (2, (1, 1, 0, 1)), (7, GF343)]
+)
+def test_pow_matches_repeated_multiplication(p, modulus):
+    import random
+
+    assert poly_is_irreducible(modulus, p)
+    rng = random.Random(p * 100 + len(modulus))
+    f = len(modulus) - 1
+    for _ in range(8):
+        x = ff_from_poly(p, modulus, tuple(rng.randrange(p) for _ in range(f)))
+        product = ff_from_int(p, modulus, 1)
+        for e in range(p**f + 2):
+            assert x**e == product, (x, e)
+            product = product * x
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_irreducible_low_degree_iff_no_root(p):
+    from itertools import product
+
+    for d in (2, 3):
+        for lead in range(1, p):
+            for low in product(range(p), repeat=d):
+                h = low + (lead,)
+                has_root = any(
+                    sum(c * pow(r, i, p) for i, c in enumerate(h)) % p == 0 for r in range(p)
+                )
+                assert poly_is_irreducible(h, p) == (not has_root), h
+
+
+def test_field_elements_need_a_monic_modulus():
+    for p, modulus in [(5, (1, 1, 2)), (5, (1, 1, 5)), (7, (3,)), (7, ())]:
+        with pytest.raises(ValueError, match="monic"):
+            ff_from_poly(p, modulus, (1, 2))
+        with pytest.raises(ValueError, match="monic"):
+            ff_from_int(p, modulus, 3)
+    # monic mod p is enough: 6 == 1 mod 5
+    assert ff_from_poly(5, (2, 1, 6), (0, 0, 1)).coeffs == (3, 4)

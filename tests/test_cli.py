@@ -1,9 +1,11 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radsym.cli
 import radsym.density
@@ -270,18 +272,27 @@ def test_batch_rejects_bools_and_floats_for_typed_keys(capsys):
             json.dumps({"command": "check", "l": 3, "radicands": [2], "targets": [True]}),
             json.dumps({"command": "density", "l": 3, "radicands": [2], "targets": [0],
                         "norm_bound": 1e5}),
+            json.dumps({"command": "degree", "l": 3, "radicands": [2], "ideal": None}),
+            json.dumps({"command": "degree", "l": 3, "radicands": [2], "format": None}),
+            json.dumps({"command": None}),
+            json.dumps({"command": "symbol", "l": 3, "prime": 7, "radicands": [2],
+                        "ideal": 0}),
+            json.dumps({"command": ["degree"], "l": 3, "radicands": [2]}),
+            json.dumps({"command": "degree", "l": 3, "radicands": [2], "format": ["json"]}),
             json.dumps({"command": "degree", "l": "3", "radicands": ["2", 3], "oracle": False}),
         ]
     )
     code = _run_batch(io.StringIO(lines))
     out = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
     assert code == 2
-    assert len(out) == 5
-    for line_no, key in enumerate(["oracle", "l", "targets", "norm_bound"], 1):
+    assert len(out) == 11
+    keys = ["oracle", "l", "targets", "norm_bound", "ideal", "format", "command", "ideal",
+            "command", "format"]
+    for line_no, key in enumerate(keys, 1):
         record = out[line_no - 1]
         assert set(record) == {"error", "line"} and record["line"] == str(line_no)
         assert record["error"].startswith(f"bad value for config key '{key}'")
-    assert out[4]["result"]["degree"] == "9"  # decimal strings still read as integers
+    assert out[10]["result"]["degree"] == "9"  # decimal strings still read as integers
 
 
 def _no_memory(*args, **kwargs):
@@ -336,3 +347,80 @@ def test_json_determinism_subprocess():
     ra, rc = json.loads(a.stdout), json.loads(c.stdout)
     assert ra["result"] == rc["result"]
     assert ra["checkpoints"] == rc["checkpoints"]
+
+
+# Random batch lines: requests built from usable values, with up to two keys
+# (or an unknown one) replaced by junk: null, bools, floats, strings, ints far
+# outside any cap, and nesting; plus non-object JSON, deep nesting and text
+# that is not JSON.  Usable values stay small (bounds, l, radicand counts), so
+# no line does heavy work; huge ints are powers of ten, cheap to factor and
+# never prime.
+_HUGE = st.builds(lambda k, sign: sign * 10**k, st.integers(19, 80), st.sampled_from([1, -1]))
+_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(-20, 40),
+    _HUGE,
+    st.text(max_size=6),
+    st.sampled_from(["3", "7", "-1", "all", "1e5", "0x10"]),
+)
+_JUNK = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_SMALL_INTS = st.lists(st.integers(-40, 40), max_size=3)
+_USABLE = {
+    "command": st.sampled_from(
+        ["degree", "reduce", "symbol", "density", "charsum", "check", "batch", "nope"]
+    ),
+    "l": st.sampled_from([3, 5, 7, 11, 13, 2, 9, 1031, -3]),
+    "radicands": _SMALL_INTS,
+    "targets": _SMALL_INTS,
+    "norm_bound": st.integers(-2, 3000),
+    "seed": st.integers(-5, 5),
+    "format": st.sampled_from(["json", "text", "xml"]),
+    "threads": st.integers(0, 3),
+    "oracle": st.booleans(),
+    "prime": st.sampled_from([2, 3, 5, 7, 11, 13, 29, 31, 101, 4, 1, 0, -7]),
+    "ideal": st.sampled_from(["all", "0", "1", "5", "-1", "x"]),
+    "n": st.integers(-30, 30),
+}
+_REQUESTS = st.builds(
+    lambda usable, junk: {**usable, **junk},
+    st.fixed_dictionaries(
+        {key: _USABLE[key] for key in ("command", "l", "radicands")},
+        optional={key: v for key, v in _USABLE.items() if key not in ("command", "l", "radicands")},
+    ),
+    st.dictionaries(st.sampled_from([*_USABLE, "bogus"]), _JUNK, max_size=2),
+)
+_LINES = st.one_of(
+    _REQUESTS.map(json.dumps),
+    _REQUESTS.map(json.dumps),
+    _REQUESTS.map(json.dumps),
+    _JUNK.map(json.dumps),
+    st.integers(1, 100_000).map(lambda depth: "[" * depth + "]" * depth),
+    st.text(alphabet=st.characters(blacklist_categories=("Cc", "Zl", "Zp")), min_size=1,
+            max_size=20).filter(str.strip),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_LINES, min_size=1, max_size=5))
+def test_batch_answers_every_random_line(lines):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _run_batch(io.StringIO("\n".join(lines)))
+    replies = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert len(replies) == len(lines)
+    codes = []
+    for line_no, reply in enumerate(replies, 1):
+        if "error" in reply:
+            assert set(reply) == {"error", "line"} and reply["line"] == str(line_no)
+            codes.append(3 if reply["error"].startswith("internal:") else 2)
+        else:
+            assert set(reply) == {"config", "result", "checkpoints", "warnings"}
+            codes.append(0)
+    assert code == max(codes)
+    assert err.getvalue() == ""

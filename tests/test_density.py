@@ -4,12 +4,12 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import radsym.density
 import radsym.radical
 from radsym import kernels
-from radsym.arith import exact_lth_root
+from radsym.arith import DEFAULT_FACTOR_BOUND, exact_lth_root
 from radsym.cyclotomic import SymbolUndefinedError, residue_symbol
 from radsym.density import (
     character_sum,
@@ -363,6 +363,8 @@ def _radicands(draw, l):
             a = draw(st.sampled_from(primes)) ** l
         else:
             a = math.prod(q ** draw(st.integers(0, l + 1)) for q in primes)
+            # larger products are refused by factorize, before any scan
+            assume(a <= DEFAULT_FACTOR_BOUND)
         out.append(a * draw(st.sampled_from([1, -1])))
     return out
 

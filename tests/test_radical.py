@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import radsym.radical
 from radsym.arith import exact_lth_root, factorize
 from radsym.radical import (
     InconsistentTargetsError,
@@ -70,6 +71,20 @@ def test_rank_and_kernel_examples():
 
     kb = rank_and_kernel(exponent_matrix(normalize_inputs(3, [])))
     assert kb.rank == 0 and kb.basis == ()
+
+
+def test_rank_and_kernel_row_reduces_once(monkeypatch):
+    calls = []
+    real = radsym.radical._rref_mod
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(radsym.radical, "_rref_mod", counted)
+    kb = rank_and_kernel(exponent_matrix(normalize_inputs(3, [2, 3, 6])))
+    assert kb.rank == 2 and kb.basis == ((1, 1, 2),)
+    assert len(calls) == 1
 
 
 def test_kernel_soundness_and_completeness():
