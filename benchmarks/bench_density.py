@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Record wall time and peak RSS of fixed density scans in BENCH_density.json.
+"""Record wall time and peak RSS of fixed scans in BENCH_density.json.
 
 Each config runs in a fresh Python process that imports radsym from the
-given source tree, times one ``density_experiment`` call and reports its own
-peak resident set size (``ru_maxrss``, which includes the interpreter and
+given source tree, times one ``density_experiment`` or ``character_sum``
+call and reports its own peak resident set size (``ru_maxrss``, which includes the interpreter and
 numpy).  One invocation appends one row, labelled by ``--label``, with the
 results of every config plus nproc, the Python and numpy versions and the
 git SHA of the source tree (null outside a git checkout):
@@ -11,9 +11,12 @@ git SHA of the source tree (null outside a git checkout):
     python3 benchmarks/bench_density.py --label change
     python3 benchmarks/bench_density.py --src ../parent/src --label parent
 
-The configs are fixed so that rows of different commits compare: l=3,
-radicands (2, 5), targets (0, 0) at 1e7, 1e8 and 1e9, and l=7 with the same
-radicands and targets at 1e8, each with 1 and 2 threads.
+The configs are fixed so that rows of different commits compare:
+density with l=3, radicands (2, 5), targets (0, 0) at 1e7, 1e8 and 1e9, and
+l=7 with the same radicands and targets at 1e8, each with 1 and 2 threads;
+``character_sum(2, 3, 10**7)`` with 1 and 2 threads; and density with l=101,
+radicands (2, 3), targets (1, 2) at 1e9 on 1 thread, whose nonzero targets
+exercise the match of a single ideal per prime.
 """
 
 import argparse
@@ -29,26 +32,34 @@ import numpy
 
 REPO = Path(__file__).resolve().parent.parent
 
+# (study, l, radicands, targets, norm bound, threads); a charsum config sums
+# over its single radicand and has no targets.
 CONFIGS = [
-    (l, bound, threads)
+    ("density", l, (2, 5), (0, 0), bound, threads)
     for l, bound in ((3, 10**7), (3, 10**8), (3, 10**9), (7, 10**8))
     for threads in (1, 2)
+] + [
+    ("charsum", 3, (2,), (), 10**7, 1),
+    ("charsum", 3, (2,), (), 10**7, 2),
+    ("density", 101, (2, 3), (1, 2), 10**9, 1),
 ]
-RADICANDS = (2, 5)
-TARGETS = (0, 0)
 
 # Runs in the child: one study, then its wall time, peak RSS and counts.
 CHILD = """
 import json, resource, sys, time
-from radsym import density_experiment, normalize_inputs
-l, bound, threads, radicands, targets = json.loads(sys.argv[1])
+from radsym import character_sum, density_experiment, normalize_inputs
+study, l, radicands, targets, bound, threads = json.loads(sys.argv[1])
 s = normalize_inputs(l, radicands)
 t0 = time.perf_counter()
-rep = density_experiment(s, targets, bound, threads=threads)
+if study == "density":
+    rep = density_experiment(s, targets, bound, threads=threads)
+    counts = {"ideals": rep.ideals_scanned, "matches": rep.matches}
+else:
+    rep = character_sum(radicands[0], l, bound, threads=threads).final
+    counts = {"ideals": rep.ideals, "tallies": list(rep.tallies)}
 wall = time.perf_counter() - t0
 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"wall_s": wall, "peak_rss_mb": rss_kb / 1024,
-                  "ideals": rep.ideals_scanned, "matches": rep.matches}))
+print(json.dumps({"wall_s": wall, "peak_rss_mb": rss_kb / 1024, **counts}))
 """
 
 
@@ -66,15 +77,16 @@ def git_sha(src: Path):
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
-def run_config(src: Path, l: int, bound: int, threads: int) -> dict:
+def run_config(src: Path, study: str, l: int, radicands: tuple, targets: tuple,
+               bound: int, threads: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    arg = json.dumps([l, bound, threads, RADICANDS, TARGETS])
+    arg = json.dumps([study, l, radicands, targets, bound, threads])
     out = subprocess.run(
         [sys.executable, "-c", CHILD, arg], env=env, capture_output=True, text=True,
         check=True,
     )
     result = json.loads(out.stdout)
-    return {"l": l, "radicands": list(RADICANDS), "targets": list(TARGETS),
+    return {"study": study, "l": l, "radicands": list(radicands), "targets": list(targets),
             "norm_bound": bound, "threads": threads, **result}
 
 
@@ -88,15 +100,17 @@ def main() -> None:
     src = args.src.resolve()
 
     results = []
-    for l, bound, threads in CONFIGS:
-        row = run_config(src, l, bound, threads)
-        print(f"l={l} X={bound:.0e} threads={threads}: {row['wall_s']:.2f} s, "
+    for config in CONFIGS:
+        row = run_config(src, *config)
+        study, l, _, _, bound, threads = config
+        print(f"{study} l={l} X={bound:.0e} threads={threads}: {row['wall_s']:.2f} s, "
               f"{row['peak_rss_mb']:.0f} MB", flush=True)
         results.append(row)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {
-        "about": "density_experiment wall time (one call, import excluded) and "
-                 "peak RSS of its process (ru_maxrss, import included); one "
-                 "fresh process per config, one run each",
+        "about": "density_experiment or character_sum wall time (one call, "
+                 "import excluded) and peak RSS of its process (ru_maxrss, "
+                 "import included); one fresh process per config, one run "
+                 "each; results without a study are density",
         "rows": [],
     }
     doc["rows"].append({

@@ -155,7 +155,7 @@ def _cmd_symbol(cfg: RunConfig) -> dict:
         raise ValueError("symbol requires -p/--prime")
     if not is_prime(cfg.prime):
         raise ValueError(f"{cfg.prime} is not prime")
-    ideals = primes_above(cfg.prime, cfg.l, seed=cfg.seed)
+    ideals = primes_above(cfg.prime, cfg.l)
     ideal_count = len(ideals)
     if cfg.ideal != "all":
         try:

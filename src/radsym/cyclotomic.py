@@ -228,13 +228,13 @@ def _random_irreducible(p: int, f: int, rng: random.Random) -> tuple[int, ...]:
             return cand
 
 
-def primes_above(p: int, l: int, seed: int = 0) -> list[PrimeIdeal]:
+def primes_above(p: int, l: int) -> list[PrimeIdeal]:
     """All (l-1)/f prime ideals of Z[zeta_l] above p, canonically sorted.
 
     The factors of Phi_l mod p all share degree f = ord(p mod l).  They are
     found as minimal polynomials of the powers of one element of exact
     multiplicative order l in GF(p**f); the random searches are seeded per
-    (p, l, seed), so repeated calls agree.
+    (p, l), so repeated calls agree.
     """
     _check_l(l)
     if p == l:
@@ -244,7 +244,7 @@ def primes_above(p: int, l: int, seed: int = 0) -> list[PrimeIdeal]:
     if f == l - 1:
         return [PrimeIdeal(l, p, f, phi)]
 
-    rng = random.Random(p * 1_000_003 + l * 1_009 + seed * 7_919)
+    rng = random.Random(p * 1_000_003 + l * 1_009)
     factors: list[tuple[int, ...]] = []
     if f == 1:
         e = (p - 1) // l

@@ -10,11 +10,13 @@ Only counts per norm are reported, never which ideal matched, so the scan
 never builds the ideals themselves:
 
 * The degree-1 ideals above a split prime p == 1 mod l correspond to the
-  primitive l-th roots of unity mod p.  With v_j = b_j**((p-1)/l) and g the
-  first v_j != 1, they are the ideals of root g**k for k = 1 .. l-1, and
-  the symbol of b_j at the one of root g**k is c_j / k mod l, where
-  c_j = log_g v_j.  One discrete log per radicand and prime therefore
-  yields the number of matching ideals above p: #{k : c_j == s_j * k}.
+  primitive l-th roots of unity w mod p, and b_j has symbol s at the ideal
+  of root w exactly when v_j = b_j**((p-1)/l) == w**s mod p.  When every
+  target is 0, all l-1 ideals match if every v_j is 1 and none does
+  otherwise.  Else the first nonzero target s_i pins the only candidate,
+  w = v_i**(1/s_i), which matches when v_i != 1 and v_j == w**s_j for every
+  j.  So one powmod per radicand and prime, plus two with exponents below
+  l, count the matching ideals above p: l-1, 1 or 0.
 * At an ideal of inertia degree f >= 2, (p**f - 1)/l is a multiple of
   p - 1, so every rational argument has symbol 0 there.  These ideals are
   counted in closed form, (l-1)/f of norm p**f above each such p, and
@@ -143,7 +145,7 @@ def _checkpoint_bounds(norm_bound: int) -> tuple[int, ...]:
     return tuple(sorted(bounds))
 
 
-def enumerate_prime_ideals(l: int, norm_bound: int, *, seed: int = 0):
+def enumerate_prime_ideals(l: int, norm_bound: int):
     """Yield every prime ideal of Z[zeta_l] with norm <= norm_bound, each
     exactly once, ordered by (norm, p, canonical factor order).  The prime
     above l is excluded."""
@@ -159,7 +161,7 @@ def enumerate_prime_ideals(l: int, norm_bound: int, *, seed: int = 0):
             items.append((norm, p))
     items.sort()
     for _, p in items:
-        yield from primes_above(p, l, seed=seed)
+        yield from primes_above(p, l)
 
 
 def _bases(radicands: tuple[int, ...], primes: np.ndarray) -> np.ndarray:
@@ -174,35 +176,30 @@ def _bases(radicands: tuple[int, ...], primes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_prime_logs(l: int, primes: np.ndarray, radicands: tuple[int, ...]) -> np.ndarray:
-    """Discrete logs of the radicands' power residues at the given split primes.
-
-    Returns logs of shape (len(radicands), len(primes)): at p = primes[i],
-    logs[j, i] = c with v_j == g**c mod p, where v_j = radicands[j]**((p-1)/l)
-    and g is the first v_j != 1 (g = 1 and every log 0 when there is none).
-    The symbol of radicands[j] at the ideal above p whose root of unity is
-    g**k is c / k mod l.
-    """
+def _residues(l: int, primes: np.ndarray, radicands: tuple[int, ...]) -> np.ndarray:
+    """The power residues v[j, i] = radicands[j]**((p-1)/l) mod p at
+    p = primes[i], shape (len(radicands), len(primes)).  Each must lie in the
+    order-l subgroup, so v**l == 1 mod p; a residue that does not (0, when p
+    divides a radicand) means corruption and raises AssertionError."""
     vals = kernels.powmod(_bases(radicands, primes), (primes - 1) // l, primes)
-    gen = np.ones_like(primes)
-    for v in vals[::-1]:
-        gen = np.where(v != 1, v, gen)
-    logs = kernels.exponent_lookup(vals, gen, primes, l)
-    if logs.size and logs.min() < 0:
+    if not (kernels.powmod(vals, l, primes) == 1).all():
         raise AssertionError("symbol value fell outside the root-of-unity subgroup")
-    return logs
+    return vals
 
 
-def _match_mask(logs: np.ndarray, targets: tuple[int, ...], l: int) -> np.ndarray:
-    """(n, l-1) bool array: entry (i, k-1) says whether every radicand takes
-    its target at the ideal of root g**k above the i-th split prime."""
-    cols = []
-    for k in range(1, l):
-        col = np.ones(logs.shape[1], dtype=bool)
-        for c, s in zip(logs, targets):
-            col &= c == s * k % l
-        cols.append(col)
-    return np.stack(cols, axis=1)
+def _matched_roots(l: int, primes: np.ndarray, vals: np.ndarray, targets) -> np.ndarray:
+    """Per split prime, the root of unity w whose ideal is the only one where
+    every radicand takes its target; 1 when every ideal above p matches and 0
+    when none does.  Radicand j has symbol s at the ideal of root w exactly
+    when v_j == w**s, so with s_i the first nonzero target the candidate is
+    w = v_i**(1/s_i), which matches when v_i != 1 and v_j == w**s_j for all j.
+    """
+    if not any(targets):
+        return (vals == 1).all(axis=0).astype(np.int64)
+    i = next(j for j, s in enumerate(targets) if s)
+    w = kernels.powmod(vals[i], pow(targets[i], -1, l), primes)
+    powers = kernels.powmod(w, np.array(targets, dtype=np.int64).reshape(-1, 1), primes)
+    return np.where((vals[i] != 1) & (powers == vals).all(axis=0), w, 0)
 
 
 def _high_degree_norms(l: int, norm_bound: int, exclude: frozenset[int]) -> list[int]:
@@ -250,7 +247,7 @@ def _scan(
     """Counts at every checkpoint bound up to norm_bound.
 
     Each window sieves its split primes, drops the excluded ones and feeds
-    blocks of them through powmod and the discrete log, then adds per
+    blocks of them through powmod and ``_matched_roots``, then adds per
     checkpoint bound its split primes, the matches for ``targets`` (none
     counted when None) and the nontrivial residues per radicand.  Only these
     integer sums outlive a window, and they do not depend on the order in
@@ -269,13 +266,15 @@ def _scan(
         out = np.zeros((bounds.size, 2 + len(radicands)), dtype=np.int64)
         for start in range(0, primes.size, _BLOCK):
             chunk = primes[start : start + _BLOCK]
-            logs = _split_prime_logs(l, chunk, radicands)
-            cols = np.empty((2 + len(radicands), chunk.size), dtype=np.int64)
+            vals = _residues(l, chunk, radicands)
+            cols = np.zeros((2 + len(radicands), chunk.size), dtype=np.int64)
             cols[0] = 1
-            cols[1] = 0 if targets is None else _match_mask(logs, targets, l).sum(axis=1)
-            cols[2:] = logs != 0
-            if verify is not None:
-                _assert_translation_equivalent(l, chunk, radicands, targets, cols[1], *verify)
+            if targets is not None:
+                roots = _matched_roots(l, chunk, vals, targets)
+                cols[1] = np.where(roots == 1, l - 1, roots != 0)
+                if verify is not None:
+                    _assert_translation_equivalent(l, chunk, roots, *verify)
+            cols[2:] = vals != 1
             for row, k in enumerate(np.searchsorted(chunk, bounds, side="right").tolist()):
                 if k:
                     out[row] += cols[:, :k].sum(axis=1)
@@ -296,12 +295,10 @@ def _scan(
 
 
 def _excluded_primes(s: InputSet) -> frozenset[int]:
-    """l and the primes dividing the raw radicands.  Every reduced b_j is a
-    product of these primes, so it needs no factorization of its own."""
-    bad = {s.l}
-    for a in s.raw:
-        bad.update(factorize(a).primes())
-    return frozenset(bad)
+    """l and the primes dividing the raw radicands, from their stored
+    factorizations.  Every reduced b_j is a product of these primes, so it
+    needs no factorization of its own."""
+    return frozenset({s.l}.union(*(f.primes() for f in s.factorizations)))
 
 
 def _zeta_complex(l: int) -> list[complex]:
@@ -387,29 +384,18 @@ def density_experiment(
 
 
 def _assert_translation_equivalent(
-    l: int,
-    primes: np.ndarray,
-    reduced_b: tuple[int, ...],
-    s_targets: tuple[int, ...],
-    per_prime: np.ndarray,
-    cores: tuple[int, ...],
-    r_norm: tuple[int, ...],
+    l: int, primes: np.ndarray, roots: np.ndarray, cores: tuple[int, ...], r_norm
 ) -> None:
     """Debug mode: counting through the raw radicands must select exactly the
     same ideals above ``primes`` as counting through the reduced basis.
 
-    One pass over the raw cores and the reduced basis together gives both
-    sets the same generator g at each split prime, so their match masks
-    index the same ideals and are compared entry by entry; the scan's own
-    per-prime counts, taken with g from the reduced basis alone, must agree.
+    A matched root names the ideals it selects (all, none or the one of root
+    w), so the raw cores' matched roots must equal the reduced basis's
+    ``roots`` prime by prime.
     """
-    logs = _split_prime_logs(l, primes, cores + reduced_b)
-    match_raw = _match_mask(logs[: len(cores)], r_norm, l)
-    match_reduced = _match_mask(logs[len(cores) :], s_targets, l)
-    if not np.array_equal(match_raw, match_reduced):
+    raw = _matched_roots(l, primes, _residues(l, primes, cores), r_norm)
+    if not np.array_equal(raw, roots):
         raise AssertionError("raw-target and reduced-target counts differ per ideal")
-    if not np.array_equal(match_reduced.sum(axis=1), per_prime):
-        raise AssertionError("match counts depend on the choice of generator")
 
 
 def character_sum(n: int, l: int, norm_bound: int, *, threads: int = 1) -> CharSumReport:

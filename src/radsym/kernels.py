@@ -3,9 +3,10 @@
 One vectorized numpy implementation of each kernel: the prime sieve over a
 window of the progression 1 mod step, elementwise modular exponentiation,
 the nontrivial l-th roots of unity mod p, and the discrete log inside the
-order-l subgroup.  The density scan
-uses ``sieve_primes``, ``powmod`` and ``exponent_lookup``; ``unity_roots``
-serves the tests (as the oracle for ``exponent_lookup``) and the benchmarks.
+order-l subgroup.  The density scan uses only ``sieve_primes`` and
+``powmod``; ``unity_roots`` and ``exponent_lookup`` give the tests an
+independent route to the symbol exponents (the oracle for the scan's
+matched roots) and are timed by the benchmarks.
 
 All kernels operate on int64 arrays.  Moduli must stay below 2**31 so that a
 product of two reduced residues fits in int64 without overflow.

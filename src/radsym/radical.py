@@ -10,12 +10,13 @@ third, slower oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import exact_lth_root, factorize, is_prime, lth_power_free
+from .arith import PrimeFactorization, exact_lth_root, factorize, is_prime
 
 
 class DegreeMismatchError(RuntimeError):
@@ -36,13 +37,15 @@ class InputSet:
 
     ``index_map[i]`` is the position of raw entry i among the normalized
     cores, or None when the entry is an exact l-th power (core 1) and was
-    dropped.  Duplicates are kept as distinct entries.
+    dropped.  Duplicates are kept as distinct entries.  ``factorizations[i]``
+    factors raw entry i, once for the exponent matrix and the density scan.
     """
 
     l: int
     raw: tuple[int, ...]
     normalized: tuple[int, ...]
     index_map: tuple[int | None, ...]
+    factorizations: tuple[PrimeFactorization, ...]
 
 
 def normalize_inputs(l: int, radicands) -> InputSet:
@@ -51,16 +54,18 @@ def normalize_inputs(l: int, radicands) -> InputSet:
     raw = tuple(int(a) for a in radicands)
     cores: list[int] = []
     index_map: list[int | None] = []
+    facts = []
     for a in raw:
         if a == 0:
             raise ValueError("radicands must be nonzero")
-        core, _ = lth_power_free(a, l)
+        facts.append(factorize(a))
+        core = math.prod(p ** (e % l) for p, e in facts[-1].factors)
         if core == 1:
             index_map.append(None)
         else:
             index_map.append(len(cores))
             cores.append(core)
-    return InputSet(l, raw, tuple(cores), tuple(index_map))
+    return InputSet(l, raw, tuple(cores), tuple(index_map), tuple(facts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +82,15 @@ class ExponentMatrix:
 
 
 def exponent_matrix(s: InputSet) -> ExponentMatrix:
-    facts = [factorize(a) for a in s.normalized]
-    primes = sorted({p for f in facts for p in f.primes()})
+    """From the raw factorizations: a core's primes are those of nonzero exponent mod l."""
+    rows = [[(p, e % s.l) for p, e in f.factors if e % s.l] for f in s.factorizations]
+    rows = [row for row, pos in zip(rows, s.index_map) if pos is not None]
+    primes = sorted({p for row in rows for p, _ in row})
     index = {p: j for j, p in enumerate(primes)}
-    entries = np.zeros((len(s.normalized), len(primes)), dtype=np.int64)
-    for i, f in enumerate(facts):
-        for p, e in f.factors:
-            entries[i, index[p]] = e % s.l
+    entries = np.zeros((len(rows), len(primes)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for p, e in row:
+            entries[i, index[p]] = e
     return ExponentMatrix(s.l, entries, tuple(primes))
 
 

@@ -5,6 +5,7 @@ criterion.  Tolerances and runtime budgets are asserted here, not in the
 library.
 """
 
+import functools
 import json
 import math
 import random
@@ -230,8 +231,12 @@ def test_criterion_6_character_sum_decay():
 # -- 7: primary criterion vs membership oracle ---------------------------------
 
 
-def _in_pi_squared(beta: CyclotomicInt) -> bool:
-    l = beta.l
+@functools.cache
+def _pi_squared_test(l: int) -> tuple[CyclotomicInt, int]:
+    """(cofactor, norm) with gamma = (1 - zeta)**2, norm = N(gamma) = l**2
+    and cofactor = prod of the other conjugates of gamma: beta lies in
+    (gamma) exactly when every coefficient of beta * cofactor is divisible
+    by the norm."""
     pi = CyclotomicInt.from_int(l, 1) - CyclotomicInt.zeta(l)
     gamma = pi * pi
     cofactor = CyclotomicInt.from_int(l, 1)
@@ -239,6 +244,11 @@ def _in_pi_squared(beta: CyclotomicInt) -> bool:
         cofactor = cofactor * gamma.conjugate(k)
     norm = cyclo_norm(gamma)
     assert norm == l * l
+    return cofactor, norm
+
+
+def _in_pi_squared(beta: CyclotomicInt) -> bool:
+    cofactor, norm = _pi_squared_test(beta.l)
     prod = beta * cofactor
     return all(c % norm == 0 for c in prod.coeffs)
 

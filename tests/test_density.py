@@ -201,10 +201,12 @@ def test_density_computes_each_factorization_once(monkeypatch):
             if hasattr(module, name):
                 counted(module, name)
     s = normalize_inputs(3, [12, 18, 5])
+    assert calls == {"exponent_matrix": 0, "factorize": 3}  # once per raw radicand
+    calls.update(exponent_matrix=0, factorize=0)
     rep = density_experiment(s, (0, 0, 1), 1000)
     assert rep.consistent
-    # one matrix of the three cores, then the three raw radicands' primes
-    assert calls == {"exponent_matrix": 1, "factorize": 6}
+    # one matrix and the excluded primes, both from the stored factorizations
+    assert calls == {"exponent_matrix": 1, "factorize": 0}
 
 
 @pytest.mark.parametrize("threads", [0, -1, radsym.density.MAX_THREADS + 1, 10**6])
@@ -414,6 +416,44 @@ def test_scan_matches_ideal_walk_across_small_windows(study):
         mp.setattr(radsym.density, "_WINDOW_SCALE", 1)
         mp.setattr(radsym.density, "_BLOCK", 5)
         _check_study(*study)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_matched_roots_count_the_matching_exponents(data):
+    """Against discrete logs c_j of v_j base a fixed root g: the ideal of
+    root g**k matches when c_j == s_j * k mod l for every j, so the matched
+    root is 1 when every k in 1 .. l-1 does, 0 when none does, and g**k for
+    the one k that does."""
+    l = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+    radicands = tuple(data.draw(_radicands(l)))
+    zeros = (0,) * len(radicands)
+    targets = data.draw(st.one_of(
+        st.just(zeros), st.tuples(*[st.integers(0, l - 1) for _ in radicands])
+    ))
+    lo = data.draw(st.integers(1, 10**6))
+    primes = kernels.sieve_primes(lo + 400 * l, lo, l)
+    primes = primes[[all(a % p for a in radicands) for p in primes.tolist()]]
+    vals = radsym.density._residues(l, primes, radicands)
+    roots = radsym.density._matched_roots(l, primes, vals, targets)
+    g = np.ascontiguousarray(kernels.unity_roots(primes, l)[:, 0])
+    logs = kernels.exponent_lookup(vals, g, primes, l)
+    assert (logs >= 0).all()
+    for i, p in enumerate(primes.tolist()):
+        ks = [k for k in range(1, l) if all(c == s * k % l for c, s in zip(logs[:, i], targets))]
+        if len(ks) == l - 1:
+            assert roots[i] == 1
+        elif not ks:
+            assert roots[i] == 0
+        else:
+            assert len(ks) == 1 and roots[i] == pow(int(g[i]), ks[0], p)
+
+
+def test_scan_refuses_a_residue_outside_the_subgroup(monkeypatch):
+    """With 7 left in the scan, 7**((7-1)/3) == 0 mod 7 is no root of unity."""
+    monkeypatch.setattr(radsym.density, "_excluded_primes", lambda s: frozenset({s.l}))
+    with pytest.raises(AssertionError, match="subgroup"):
+        density_experiment(normalize_inputs(3, [7]), (1,), 1000)
 
 
 def test_windows_tile_the_range():
