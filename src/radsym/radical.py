@@ -83,8 +83,8 @@ class ExponentMatrix:
 
 def exponent_matrix(s: InputSet) -> ExponentMatrix:
     """From the raw factorizations: a core's primes are those of nonzero exponent mod l."""
-    rows = [[(p, e % s.l) for p, e in f.factors if e % s.l] for f in s.factorizations]
-    rows = [row for row, pos in zip(rows, s.index_map) if pos is not None]
+    rows = [[(p, e % s.l) for p, e in f.factors if e % s.l]
+            for f, pos in zip(s.factorizations, s.index_map) if pos is not None]
     primes = sorted({p for row in rows for p, _ in row})
     index = {p: j for j, p in enumerate(primes)}
     entries = np.zeros((len(rows), len(primes)), dtype=np.int64)
