@@ -6,7 +6,9 @@ Python per-element ``pow`` loop, and optionally an end-to-end density
 experiment in the same process.  ``powmod`` is also timed both ways the scan
 could call it for three radicands, block by block as the scan does: one
 stacked (3, n) call per block against shared exponents and moduli, and three
-1-D calls per block.
+1-D calls per block.  The small-exponent ``powmod`` calls the scan makes per
+block on those residues v are timed one row each, at targets (0, 1, 2): the
+guard v**l, the matched root w = v_1**(1/1) and its powers w**s.
 
     python3 benchmarks/bench_kernels.py --bound 2000000 --end-to-end
 """
@@ -18,6 +20,8 @@ import numpy as np
 
 from radsym import density_experiment, kernels, normalize_inputs
 from radsym.density import _BLOCK
+
+TARGETS = (0, 1, 2)  # per radicand (2, 5, 7); the scan's matched-root calls
 
 
 def timeit(fn, repeats=3):
@@ -40,20 +44,33 @@ def bench_kernels(bound: int, l: int) -> None:
     stacked = np.stack([np.full(primes.size, b, dtype=np.int64) for b in (2, 5, 7)])
     print(f"split primes <= {bound}: {primes.size} lanes (l = {l})")
 
-    def per_block(stack: bool) -> None:
+    def per_block(call) -> None:
         for lo in range(0, primes.size, _BLOCK):
-            block = np.s_[lo : lo + _BLOCK]
-            rows = [stacked[:, block]] if stack else stacked[:, block]
-            for row in rows:
-                kernels.powmod(row, exps[block], primes[block])
+            call(np.s_[lo : lo + _BLOCK])
+
+    def one_d(block) -> None:
+        for row in stacked[:, block]:
+            kernels.powmod(row, exps[block], primes[block])
 
     roots = kernels.unity_roots(primes, l)
     col = np.ascontiguousarray(roots[:, 0])
     values = kernels.powmod(base, exps, primes)
+    residues = kernels.powmod(stacked, exps, primes)
+    i = next(j for j, s in enumerate(TARGETS) if s)  # the scan's first nonzero target
+    inverse = pow(TARGETS[i], -1, l)
+    w = kernels.powmod(residues[i], inverse, primes)
+    target_col = np.array(TARGETS, dtype=np.int64).reshape(-1, 1)
     rows = [
         ("powmod", timeit(lambda: kernels.powmod(base, exps, primes))),
-        ("powmod (2,5,7) stacked", timeit(lambda: per_block(True))),
-        ("powmod (2,5,7) 3 x 1-D", timeit(lambda: per_block(False))),
+        ("powmod (2,5,7) stacked", timeit(lambda: per_block(
+            lambda b: kernels.powmod(stacked[:, b], exps[b], primes[b])))),
+        ("powmod (2,5,7) 3 x 1-D", timeit(lambda: per_block(one_d))),
+        ("powmod guard v**l", timeit(lambda: per_block(
+            lambda b: kernels.powmod(residues[:, b], l, primes[b])))),
+        (f"powmod root v_{i}**(1/{TARGETS[i]})", timeit(lambda: per_block(
+            lambda b: kernels.powmod(residues[i, b], inverse, primes[b])))),
+        (f"powmod w**s, s={TARGETS}", timeit(lambda: per_block(
+            lambda b: kernels.powmod(w[b], target_col, primes[b])))),
         ("unity_roots", timeit(lambda: kernels.unity_roots(primes, l))),
         ("exponent_lookup", timeit(lambda: kernels.exponent_lookup(values, col, primes, l))),
         ("powmod/python", timeit(lambda: python_powmod(base, exps, primes), 1)),

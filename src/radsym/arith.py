@@ -236,13 +236,17 @@ def order_table(l: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+def _check_l(l: int) -> None:
+    if l == 2 or not is_prime(l):
+        raise ValueError(f"l must be an odd prime, got {l}")
+
+
 def multiplicative_order(p: int, l: int) -> int:
     """Smallest f >= 1 with p**f == 1 mod l; divides l - 1.
 
     Requires odd prime l and prime p != l; p == l raises RamifiedPrimeError.
     """
-    if not is_prime(l) or l == 2:
-        raise ValueError(f"l must be an odd prime, got {l}")
+    _check_l(l)
     if p == l:
         raise RamifiedPrimeError(f"p = l = {l} is ramified; it has no inertia degree")
     if not is_prime(p):

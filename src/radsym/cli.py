@@ -36,8 +36,6 @@ EXIT_OK = 0
 EXIT_USER = 2
 EXIT_INTERNAL = 3
 
-_ORACLE_GUARD = 10**7
-
 # Largest accepted l (exclusive).  Finding the ideals above p costs a search
 # for an irreducible polynomial of degree up to l - 1 in pure Python, which
 # takes seconds near this cap and grows quickly beyond it.
@@ -105,21 +103,19 @@ def _cmd_degree(cfg: RunConfig) -> dict:
     value = checked_degree(red, kernel)
     warnings = []
     oracle = None
-    m = len(s.normalized)
-    if cfg.l**m <= _ORACLE_GUARD:
+    try:
         relations = brute_force_kernel(s)
-        cross = cfg.l**m // relations
+    except OracleScaleError as exc:
+        if cfg.oracle:
+            raise OracleScaleError(f"--oracle requested but {exc}") from None
+        warnings.append("brute-force cross-check skipped: beyond the scale guard")
+    else:
+        cross = cfg.l ** len(s.normalized) // relations
         if cross != value:
             raise DegreeMismatchError(
                 f"exhaustive oracle gives {cross}, methods give {value}"
             )
         oracle = {"relation_count": relations, "degree": cross}
-    elif cfg.oracle:
-        raise OracleScaleError(
-            f"--oracle requested but l**{m} exceeds the scale guard {_ORACLE_GUARD}"
-        )
-    else:
-        warnings.append("brute-force cross-check skipped: beyond the scale guard")
     result = {
         "degree": value,
         "rank": kernel.rank,

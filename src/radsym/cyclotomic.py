@@ -18,10 +18,10 @@ from functools import lru_cache
 from .arith import (
     FiniteFieldElement,
     RamifiedPrimeError,
+    _check_l,
     factorize,
     ff_from_int,
     ff_from_poly,
-    is_prime,
     multiplicative_order,
     poly_is_irreducible,
     poly_mod,
@@ -36,11 +36,6 @@ class SymbolUndefinedError(ValueError):
 
 class UnsupportedModulusError(ValueError):
     """The reciprocity check only accepts moduli generating a prime ideal."""
-
-
-def _check_l(l: int) -> None:
-    if l == 2 or not is_prime(l):
-        raise ValueError(f"l must be an odd prime, got {l}")
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .arith import exact_lth_root, factorize, order_table
-from .cyclotomic import _check_l, primes_above
+from .arith import _check_l, exact_lth_root, factorize, order_table
+from .cyclotomic import primes_above
 from .radical import (
     InputSet,
     consistency_check,
@@ -115,14 +115,6 @@ class CharSumReport:
     @property
     def final(self) -> CharSumStat:
         return self.checkpoints[-1]
-
-    @property
-    def value(self) -> complex:
-        return self.final.value
-
-    @property
-    def normalized(self) -> float:
-        return self.final.normalized
 
 
 def _check_bound(norm_bound: int) -> None:
@@ -340,10 +332,6 @@ def density_experiment(
     """
     l = input_set.l
     targets = tuple(int(r) % l for r in targets)
-    if len(targets) != len(input_set.raw):
-        raise ValueError(
-            f"need one target per radicand: got {len(targets)} for {len(input_set.raw)}"
-        )
     _check_bound(norm_bound)
     _check_threads(threads)
     matrix = exponent_matrix(input_set)

@@ -1,10 +1,10 @@
 """Degree of Q(a_1**(1/l), ..., a_m**(1/l)) over Q for an odd prime l.
 
 Two independent routes are implemented and always cross-asserted: successive
-elimination of shared primes (producing radicands with pairwise-exclusive
-prime divisors), and the rank over Z/l of the matrix of prime exponents.  An
-exhaustive big-integer enumeration of multiplicative relations serves as a
-third, slower oracle.
+elimination of shared primes in one pass over the rows of the exponent matrix
+(producing radicands with pairwise-exclusive prime divisors), and the rank
+over Z/l of that matrix by its own row reduction.  An exhaustive big-integer
+enumeration of multiplicative relations serves as a third, slower oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import PrimeFactorization, exact_lth_root, factorize, is_prime
+from .arith import PrimeFactorization, _check_l, exact_lth_root, factorize
 
 
 class DegreeMismatchError(RuntimeError):
@@ -49,8 +49,7 @@ class InputSet:
 
 
 def normalize_inputs(l: int, radicands) -> InputSet:
-    if l == 2 or not is_prime(l):
-        raise ValueError(f"l must be an odd prime, got {l}")
+    _check_l(l)
     raw = tuple(int(a) for a in radicands)
     cores: list[int] = []
     index_map: list[int | None] = []
@@ -173,68 +172,60 @@ class ReductionResult:
 
 
 def reduce_basis(s: InputSet, matrix: ExponentMatrix | None = None) -> ReductionResult:
-    """Successive elimination on exponent vectors mod l.
+    """Successive elimination on exponent vectors mod l, in one pass.
 
-    Repeatedly take the first unprocessed row, pick its smallest prime q not
-    yet used as a pivot, and clear q's column from every other live row by
-    adding the right multiple of the pivot row; rows that become zero are
-    exact l-th powers and are dropped.  Working on exponent vectors keeps the
-    intermediate numbers bounded; the integers b_j are rebuilt at the end.
-    ``matrix`` is ``exponent_matrix(s)`` when the caller has it.
+    Each row of the exponent matrix, extended by an identity tail that tracks
+    it as a product of the cores, is first reduced against every kept row,
+    clearing that row's pivot column.  If its prime part is then zero it is an
+    exact l-th power and is dropped.  Otherwise its first nonzero column
+    becomes its pivot, its prime q_j, and that column is cleared from the kept
+    rows, so every kept row owns a prime no other kept row has.
+
+    Reducing a new row against the kept rows lazily gives the same row as
+    clearing each pivot column from all later rows as soon as it is picked:
+    restricted to their pivot columns the kept rows form an invertible
+    diagonal, so exactly one vector of the new row plus their span is zero
+    there, and its tail and first nonzero column follow.  Working on exponent
+    vectors keeps the intermediate numbers bounded; the integers b_j are
+    rebuilt at the end.  ``matrix`` is ``exponent_matrix(s)`` when the caller
+    has it.
     """
     l = s.l
     mat = exponent_matrix(s) if matrix is None else matrix
-    m_norm = len(s.normalized)
-    rows = [[mat.entries[i].copy(), _unit_vector(m_norm, i)] for i in range(m_norm)]
-    pending = list(range(m_norm))
-    processed: list[int] = []
-    pivot_col: dict[int, int] = {}
+    n = len(mat.primes)
+    m = len(s.normalized)
+    kept: list[list[int]] = []
+    pivots: list[int] = []
+    for i, entries in enumerate(mat.entries.tolist()):
+        row = entries + [int(k == i) for k in range(m)]
+        for col, pivot_row in zip(pivots, kept):
+            if row[col]:
+                row = _clear(row, pivot_row, col, l)
+        col = next((c for c in range(n) if row[c]), None)
+        if col is None:
+            continue
+        kept = [_clear(old, row, col, l) if old[col] else old for old in kept]
+        kept.append(row)
+        pivots.append(col)
 
-    while pending:
-        idx = pending.pop(0)
-        vec, evec = rows[idx]
-        col = int(np.flatnonzero(vec)[0])
-        inv = pow(int(vec[col]), -1, l)
-        survivors = []
-        for other in pending + processed:
-            ovec, oevec = rows[other]
-            r_other = int(ovec[col])
-            if r_other:
-                factor = (-r_other) * inv % l
-                rows[other][0] = (ovec + factor * vec) % l
-                rows[other][1] = (oevec + factor * evec) % l
-        for other in pending:
-            if rows[other][0].any():
-                survivors.append(other)
-        pending = survivors
-        pivot_col[idx] = col
-        processed.append(idx)
-
-    b_values = []
-    exclusive = []
-    transform = np.zeros((len(processed), len(s.raw)), dtype=np.int64)
-    for j, idx in enumerate(processed):
-        vec, evec = rows[idx]
-        value = 1
-        for c, e in zip(mat.primes, vec):
-            value *= int(c) ** int(e)
-        b_values.append(value)
-        exclusive.append(mat.primes[pivot_col[idx]])
-        for i, pos in enumerate(s.index_map):
-            if pos is not None:
-                transform[j, i] = evec[pos]
-    _assert_exclusive(
-        [rows[idx][0] for idx in processed], [pivot_col[idx] for idx in processed]
-    )
+    transform = np.zeros((len(kept), len(s.raw)), dtype=np.int64)
+    for i, pos in enumerate(s.index_map):
+        if pos is not None:
+            transform[:, i] = [row[n + pos] for row in kept]
+    _assert_exclusive(kept, pivots)
     return ReductionResult(
-        l, len(processed), tuple(b_values), tuple(exclusive), transform
+        l,
+        len(kept),
+        tuple(math.prod(q**e for q, e in zip(mat.primes, row[:n])) for row in kept),
+        tuple(mat.primes[col] for col in pivots),
+        transform,
     )
 
 
-def _unit_vector(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.int64)
-    v[i] = 1
-    return v
+def _clear(row: list[int], pivot_row: list[int], col: int, l: int) -> list[int]:
+    """row plus the multiple of pivot_row that zeroes column col, mod l."""
+    factor = -row[col] * pow(pivot_row[col], -1, l) % l
+    return [(x + factor * y) % l for x, y in zip(row, pivot_row)]
 
 
 def _assert_exclusive(vecs, cols) -> None:
@@ -266,7 +257,7 @@ def brute_force_kernel(s: InputSet, *, limit: int = 10**7) -> int:
     l = s.l
     m = len(s.normalized)
     if l**m > limit:
-        raise OracleScaleError(f"l**{m} exceeds the oracle scale guard {limit}")
+        raise OracleScaleError(f"l**{m} exceeds the scale guard {limit}")
     count = 0
     for lam in itertools.product(range(l), repeat=m):
         prod = 1

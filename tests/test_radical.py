@@ -136,6 +136,38 @@ def test_reduce_basis_exclusive_after_backward_elimination():
             assert (b % q == 0) == (j == k)
 
 
+# (l, radicands, t, b, exclusive_primes, transform), which the reduce and
+# degree reports print.  In [12, 18, 5, 45], 18 drops once 12 clears its 2,
+# and 45's pivot 3 then clears 12's 3; in [6, 2] and [30, 42, 70, 105] later
+# pivots clear earlier kept rows.  At l = 5, -32 is an l-th power dropped
+# before the elimination, and 96 (core 3) and the second 3 drop against the
+# first 3.
+PINNED_REDUCTIONS = [
+    (3, [12, 18, 5, 45], 3, (4, 5, 9), (2, 5, 3),
+     [[1, 0, 2, 1], [0, 0, 1, 0], [0, 0, 2, 1]]),
+    (3, [6, 2], 2, (2, 9), (2, 3), [[0, 1], [2, 1]]),
+    (5, [6, 2], 2, (2, 81), (2, 3), [[0, 1], [4, 1]]),
+    (3, [2, 4, 3, 6, 10], 3, (2, 3, 5), (2, 3, 5),
+     [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [2, 0, 0, 0, 1]]),
+    (5, [2, 4, 3, 6, 10], 3, (2, 3, 5), (2, 3, 5),
+     [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [4, 0, 0, 0, 1]]),
+    (3, [-2, 8, -27, 12], 2, (2, 3), (2, 3), [[1, 0, 0, 0], [1, 0, 0, 1]]),
+    (5, [-32, 3, 96, -7, 3], 2, (3, 7), (3, 7),
+     [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0]]),
+    (5, [12, 18, 50, 75], 3, (4, 81, 25), (2, 3, 5),
+     [[3, 1, 0, 0], [2, 1, 0, 0], [1, 2, 1, 0]]),
+    (3, [30, 42, 70, 105], 3, (98, 175, 63), (2, 5, 3),
+     [[2, 1, 1, 0], [2, 1, 0, 0], [2, 0, 1, 0]]),
+]
+
+
+@pytest.mark.parametrize("l, radicands, t, b, exclusive, transform", PINNED_REDUCTIONS)
+def test_reduce_basis_pinned_output(l, radicands, t, b, exclusive, transform):
+    r = reduce_basis(normalize_inputs(l, radicands))
+    assert (r.t, r.b, r.exclusive_primes) == (t, b, exclusive)
+    assert r.transform.tolist() == transform
+
+
 def test_reduce_basis_invariants_random():
     rng = random.Random(777)
     for l in (3, 5):
