@@ -2,11 +2,12 @@
 """Record wall time and peak RSS of fixed scans in BENCH_density.json.
 
 Each config runs in a fresh Python process that imports radsym from the
-given source tree, times one ``density_experiment`` or ``character_sum``
-call and reports its own peak resident set size (``ru_maxrss``, which includes the interpreter and
-numpy).  One invocation appends one row, labelled by ``--label``, with the
-results of every config plus nproc, the Python and numpy versions and the
-git SHA of the source tree (null outside a git checkout):
+given source tree, times one ``density_experiment``, ``character_sum`` or
+``brute_force_kernel`` call and reports its own peak resident set size
+(``ru_maxrss``, which includes the interpreter and numpy).  One invocation
+appends one row, labelled by ``--label``, with the results of every config
+plus nproc, the Python and numpy versions and the git SHA of the source tree
+(null outside a git checkout):
 
     python3 benchmarks/bench_density.py --label change
     python3 benchmarks/bench_density.py --src ../parent/src --label parent
@@ -16,7 +17,9 @@ density with l=3, radicands (2, 5), targets (0, 0) at 1e7, 1e8 and 1e9, and
 l=7 with the same radicands and targets at 1e8, each with 1 and 2 threads;
 ``character_sum(2, 3, 10**7)`` with 1 and 2 threads; and density with l=101,
 radicands (2, 3), targets (1, 2) at 1e9 on 1 thread, whose nonzero targets
-exercise the match of a single ideal per prime.
+exercise the match of a single ideal per prime.  The oracle study counts the
+relations of the first m primes with ``brute_force_kernel`` at (l, m) =
+(3, 7), (5, 5) and (3, 12), i.e. 2187, 3125 and 531441 exponent tuples.
 """
 
 import argparse
@@ -33,7 +36,9 @@ import numpy
 REPO = Path(__file__).resolve().parent.parent
 
 # (study, l, radicands, targets, norm bound, threads); a charsum config sums
-# over its single radicand and has no targets.
+# over its single radicand and has no targets, an oracle config has neither
+# targets nor a bound and runs on 1 thread.
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 CONFIGS = [
     ("density", l, (2, 5), (0, 0), bound, threads)
     for l, bound in ((3, 10**7), (3, 10**8), (3, 10**9), (7, 10**8))
@@ -42,18 +47,28 @@ CONFIGS = [
     ("charsum", 3, (2,), (), 10**7, 1),
     ("charsum", 3, (2,), (), 10**7, 2),
     ("density", 101, (2, 3), (1, 2), 10**9, 1),
+] + [
+    ("oracle", l, SMALL_PRIMES[:m], (), None, 1) for l, m in ((3, 7), (5, 5), (3, 12))
 ]
+
+ABOUT = ("density_experiment, character_sum or brute_force_kernel wall time "
+         "(one call, import excluded) and peak RSS of its process (ru_maxrss, "
+         "import included); one fresh process per config, one run each; "
+         "results without a study are density; an oracle result counts the "
+         "relations of its radicands and has no norm bound")
 
 # Runs in the child: one study, then its wall time, peak RSS and counts.
 CHILD = """
 import json, resource, sys, time
-from radsym import character_sum, density_experiment, normalize_inputs
+from radsym import brute_force_kernel, character_sum, density_experiment, normalize_inputs
 study, l, radicands, targets, bound, threads = json.loads(sys.argv[1])
 s = normalize_inputs(l, radicands)
 t0 = time.perf_counter()
 if study == "density":
     rep = density_experiment(s, targets, bound, threads=threads)
     counts = {"ideals": rep.ideals_scanned, "matches": rep.matches}
+elif study == "oracle":
+    counts = {"relations": brute_force_kernel(s)}
 else:
     rep = character_sum(radicands[0], l, bound, threads=threads).final
     counts = {"ideals": rep.ideals, "tallies": list(rep.tallies)}
@@ -102,17 +117,13 @@ def main() -> None:
     results = []
     for config in CONFIGS:
         row = run_config(src, *config)
-        study, l, _, _, bound, threads = config
-        print(f"{study} l={l} X={bound:.0e} threads={threads}: {row['wall_s']:.2f} s, "
+        study, l, radicands, _, bound, threads = config
+        size = f"m={len(radicands)}" if bound is None else f"X={bound:.0e}"
+        print(f"{study} l={l} {size} threads={threads}: {row['wall_s']:.2f} s, "
               f"{row['peak_rss_mb']:.0f} MB", flush=True)
         results.append(row)
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {
-        "about": "density_experiment or character_sum wall time (one call, "
-                 "import excluded) and peak RSS of its process (ru_maxrss, "
-                 "import included); one fresh process per config, one run "
-                 "each; results without a study are density",
-        "rows": [],
-    }
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
+    doc["about"] = ABOUT
     doc["rows"].append({
         "label": args.label,
         "git_sha": git_sha(src),

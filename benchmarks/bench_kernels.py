@@ -8,7 +8,9 @@ could call it for three radicands, block by block as the scan does: one
 stacked (3, n) call per block against shared exponents and moduli, and three
 1-D calls per block.  The small-exponent ``powmod`` calls the scan makes per
 block on those residues v are timed one row each, at targets (0, 1, 2): the
-guard v**l, the matched root w = v_1**(1/1) and its powers w**s.
+guard v**l, the matched root w = v_1**(1/1) and its powers w**s.  The scan
+skips the root call when the inverse exponent is 1, as here, and takes
+w = v_1, so that row times a call the scan no longer makes.
 
     python3 benchmarks/bench_kernels.py --bound 2000000 --end-to-end
 """

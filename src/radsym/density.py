@@ -15,8 +15,8 @@ never builds the ideals themselves:
   target is 0, all l-1 ideals match if every v_j is 1 and none does
   otherwise.  Else the first nonzero target s_i pins the only candidate,
   w = v_i**(1/s_i), which matches when v_i != 1 and v_j == w**s_j for every
-  j.  So one powmod per radicand and prime, plus two with exponents below
-  l, count the matching ideals above p: l-1, 1 or 0.
+  j.  So one powmod per radicand and prime, plus at most two with exponents
+  below l, count the matching ideals above p: l-1, 1 or 0.
 * At an ideal of inertia degree f >= 2, (p**f - 1)/l is a multiple of
   p - 1, so every rational argument has symbol 0 there.  These ideals are
   counted in closed form, (l-1)/f of norm p**f above each such p, and
@@ -184,12 +184,14 @@ def _matched_roots(l: int, primes: np.ndarray, vals: np.ndarray, targets) -> np.
     every radicand takes its target; 1 when every ideal above p matches and 0
     when none does.  Radicand j has symbol s at the ideal of root w exactly
     when v_j == w**s, so with s_i the first nonzero target the candidate is
-    w = v_i**(1/s_i), which matches when v_i != 1 and v_j == w**s_j for all j.
+    w = v_i**(1/s_i) (v_i itself when s_i = 1), which matches when v_i != 1
+    and v_j == w**s_j for all j.
     """
     if not any(targets):
         return (vals == 1).all(axis=0).astype(np.int64)
     i = next(j for j, s in enumerate(targets) if s)
-    w = kernels.powmod(vals[i], pow(targets[i], -1, l), primes)
+    root = pow(targets[i], -1, l)
+    w = vals[i] if root == 1 else kernels.powmod(vals[i], root, primes)
     powers = kernels.powmod(w, np.array(targets, dtype=np.int64).reshape(-1, 1), primes)
     return np.where((vals[i] != 1) & (powers == vals).all(axis=0), w, 0)
 

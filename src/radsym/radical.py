@@ -3,20 +3,21 @@
 Two independent routes are implemented and always cross-asserted: successive
 elimination of shared primes in one pass over the rows of the exponent matrix
 (producing radicands with pairwise-exclusive prime divisors), and the rank
-over Z/l of that matrix by its own row reduction.  An exhaustive big-integer
-enumeration of multiplicative relations serves as a third, slower oracle.
+over Z/l of that matrix by its own row reduction.  A third, slower oracle
+counts the multiplicative relations exhaustively: l-th power residue symbols
+at a few small primes reject almost every exponent tuple, and each tuple it
+counts is confirmed by an exact big-integer l-th root.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import PrimeFactorization, _check_l, exact_lth_root, factorize
+from .arith import PrimeFactorization, _check_l, exact_lth_root, factorize, is_prime
 
 
 class DegreeMismatchError(RuntimeError):
@@ -251,20 +252,79 @@ def degree(s: InputSet) -> int:
     return checked_degree(reduce_basis(s, mat), rank_and_kernel(mat))
 
 
+# Tuples per step of the oracle's enumeration, which bounds its memory.
+_ORACLE_CHUNK = 1 << 16
+
+
+def _filter_primes(cores: tuple[int, ...], l: int, k: int) -> list[int]:
+    """The first k primes q = 1 + 2l*i that divide no core."""
+    out: list[int] = []
+    q = 1
+    while len(out) < k:
+        q += 2 * l
+        if is_prime(q) and all(a % q for a in cores):
+            out.append(q)
+    return out
+
+
+def _symbol_exponents(cores: tuple[int, ...], l: int, q: int) -> list[int]:
+    """Each core's l-th power residue symbol mod q as an exponent c in Z/l:
+    a**((q-1)/l) == zeta**c mod q for one fixed zeta of order l, found by
+    baby-step giant-step.  q must be 1 mod l and divide no core."""
+    e = (q - 1) // l
+    zeta = next(z for z in (pow(x, e, q) for x in range(2, q)) if z != 1)
+    step = math.isqrt(l) + 1
+    baby = {pow(zeta, j, q): j for j in range(step)}
+    giant = pow(zeta, -step, q)
+    out = []
+    for a in cores:
+        v = pow(a, e, q)
+        for i in range(step):
+            if v in baby:
+                out.append(i * step + baby[v])
+                break
+            v = v * giant % q
+        else:
+            raise AssertionError(f"{q} divides the core {a}")
+    return out
+
+
 def brute_force_kernel(s: InputSet, *, limit: int = 10**7) -> int:
-    """Exhaustive count of exponent tuples whose product is an exact l-th
-    power, using big-integer arithmetic only.  Guards at l**m <= limit."""
+    """Exhaustive count of the exponent tuples lam in [0, l)**m whose product
+    prod a_i**lam_i of the cores is an exact l-th power.  Guards at
+    l**m <= limit.
+
+    A filtered enumeration, independent of the factorizations: at m small
+    primes q = 1 mod l dividing no core, an l-th power P has
+    P**((q-1)/l) == 1 mod q, so a tuple is dropped as soon as
+    sum lam_i c_i != 0 mod l for the cores' symbol exponents c_i at some q.
+    Every tuple that passes all of them is counted only once its big-integer
+    product has an exact l-th root.  The tuples are enumerated in numpy
+    chunks of _ORACLE_CHUNK, so memory does not grow with l**m.
+    """
     l = s.l
-    m = len(s.normalized)
-    if l**m > limit:
+    cores = s.normalized
+    m = len(cores)
+    total = l**m
+    if total > limit:
         raise OracleScaleError(f"l**{m} exceeds the scale guard {limit}")
+    weights = [l ** (m - 1 - i) for i in range(m)]  # lam_i = t // weights[i] % l
+    symbols = [_symbol_exponents(cores, l, q) for q in _filter_primes(cores, l, m)]
     count = 0
-    for lam in itertools.product(range(l), repeat=m):
-        prod = 1
-        for a, e in zip(s.normalized, lam):
-            prod *= a**e
-        if exact_lth_root(prod, l) is not None:
-            count += 1
+    for start in range(0, total, _ORACLE_CHUNK):
+        t = np.arange(start, min(start + _ORACLE_CHUNK, total), dtype=np.int64)
+        for c in symbols:
+            acc = np.zeros_like(t)
+            for w, ci in zip(weights, c):
+                if ci:
+                    acc += t // w % l * ci
+            t = t[acc % l == 0]
+        for index in t.tolist():
+            prod = 1
+            for a, w in zip(cores, weights):
+                prod *= a ** (index // w % l)
+            if exact_lth_root(prod, l) is not None:
+                count += 1
     return count
 
 

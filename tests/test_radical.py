@@ -1,7 +1,11 @@
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import radsym.radical
 from radsym.arith import exact_lth_root, factorize
@@ -21,7 +25,8 @@ from radsym.radical import (
 
 
 def brute_count(l, values):
-    """Independent relation count: enumerate all exponent tuples directly."""
+    """Reference relation count: every exponent tuple's big-integer product
+    is tested for an exact l-th root, with no filter."""
     import itertools
 
     count = 0
@@ -212,6 +217,65 @@ def test_brute_force_kernel_examples():
     assert brute_force_kernel(normalize_inputs(3, [])) == 1
     with pytest.raises(OracleScaleError):
         brute_force_kernel(normalize_inputs(3, [2, 3, 5]), limit=10)
+
+
+# The first primes 1 + 2l*i, which the oracle's filter would take unless
+# they divide a core.
+FIRST_FILTER_PRIMES = {3: (7, 13, 19), 5: (11, 31, 41), 7: (29, 43, 71)}
+MERSENNE_61 = 2**61 - 1
+
+
+@st.composite
+def oracle_inputs(draw):
+    """(l, radicands) with m <= 6: signs, +-1, exact l-th powers, shared
+    primes, duplicates, radicands above 2**62 and the first filter primes."""
+    l = draw(st.sampled_from(sorted(FIRST_FILTER_PRIMES)))
+    primes = st.sampled_from((2, 3, 5) + FIRST_FILTER_PRIMES[l])
+    magnitude = st.one_of(
+        st.just(1),
+        st.integers(2, 9).map(lambda c: c**l),
+        st.lists(primes, min_size=1, max_size=4).map(math.prod),
+        st.tuples(primes, primes).map(lambda pq: MERSENNE_61 * pq[0] * pq[1]),
+    )
+    values = draw(st.lists(
+        st.tuples(magnitude, st.sampled_from((1, -1))).map(math.prod), max_size=6
+    ))
+    if len(values) >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, len(values) - 1), min_size=2, max_size=2))
+        values[i] = values[j]
+    return l, values
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_inputs())
+@example((3, []))
+@example((3, [7, 13, 19, 7 * 13 * 19, 2]))
+@example((5, [11, 31, 41, 11**2 * 31, -(11**5)]))
+@example((3, [MERSENNE_61 * 4, MERSENNE_61 * 2, 2, 1, -1]))
+def test_brute_force_kernel_matches_plain_enumeration(inputs):
+    l, values = inputs
+    s = normalize_inputs(l, values)
+    m = len(s.normalized)
+    rank = rank_and_kernel(exponent_matrix(s)).rank
+    assert brute_force_kernel(s) == brute_count(l, s.normalized) == l ** (m - rank)
+
+
+def test_brute_force_kernel_memory_is_bounded():
+    s = normalize_inputs(3, [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])  # 3**11 tuples
+    too_big = normalize_inputs(3, list(range(2, 40)))  # 3**36 tuples
+    tracemalloc.start()
+    try:
+        assert brute_force_kernel(s) == 1
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(OracleScaleError):
+            brute_force_kernel(too_big)
+        _, refused_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # chunks of 2**16 tuples; one int64 array over all 177147 is 1.4 MB
+    assert peak < 3 * 2**20
+    assert refused_peak < 2**16
 
 
 def test_consistency_check_examples():
