@@ -351,19 +351,21 @@ def _powmod(a, e: int, g, p: int) -> tuple[int, ...]:
 
 
 def poly_is_irreducible(h, p: int) -> bool:
-    """Rabin's test: X**(p**d) == X mod h, and no proper subfield traps X.
-    h need not be monic; it is scaled to be."""
+    """Distinct-degree test: h of degree d >= 1 is reducible iff it has an
+    irreducible factor of some degree i <= d/2, i.e. iff
+    gcd(X**(p**i) - X, h) != 1 for some 1 <= i <= d // 2, since X**(p**i) - X
+    is the product of the monic irreducibles of degree dividing i.  Each step
+    raises the last power to the p-th, so the test takes at most d // 2
+    Frobenius powers and stops at the first factor found.  h need not be
+    monic; it is scaled to be."""
     h = poly_monic(poly_mod(h, p), p)
     d = len(h) - 1
     if d < 1:
         return False
-    if d == 1:
-        return True
     x = (0, 1) + (0,) * (d - 2)
-    if _powmod(x, p**d, h, p) != x:
-        return False
-    for q in {f for f, _ in factorize(d).factors}:
-        xp = _powmod(x, p ** (d // q), h, p)
+    xp = x
+    for _ in range(d // 2):
+        xp = _powmod(xp, p, h, p)
         if len(poly_gcd(poly_sub(xp, x, p), h, p)) > 1:
             return False
     return True

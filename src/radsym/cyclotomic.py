@@ -6,6 +6,14 @@ rational prime p != l are represented by the monic irreducible factors of the
 l-th cyclotomic polynomial mod p; the residue symbol is computed by raising
 to (p**f - 1)/l in the residue field GF(p)[X]/(g) and matching the result
 against the images of the powers of zeta.
+
+A rational integer a prime to p needs no such power at an ideal of inertia
+degree f >= 2: its symbol there is 0.  Since f = ord(p mod l) > 1, l does not
+divide p - 1, yet it divides p**f - 1 = (p - 1)(1 + p + ... + p**(f-1)); so l
+divides the second factor and (p**f - 1)/l is a multiple of p - 1.  The image
+of a lies in GF(p)*, where a**(p - 1) = 1, hence a**((p**f - 1)/l) = 1 =
+zeta**0.  ``residue_symbol`` answers plain ints at f >= 2 this way; a
+``CyclotomicInt`` argument, rational or not, always takes the field power.
 """
 
 from __future__ import annotations
@@ -267,7 +275,9 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
         while cur not in subgroup:
             subgroup.add(cur)
             cur = cur * p % l
-        theta_pow = {j: theta**j for j in range(1, l)}
+        theta_pow = [one]
+        for _ in range(1, l):
+            theta_pow.append(theta_pow[-1] * theta)
         seen: set[int] = set()
         for j in range(1, l):
             if j in seen:
@@ -306,10 +316,8 @@ def _zeta_int_images(ideal: PrimeIdeal) -> tuple[int, ...]:
     return tuple(pow(root, i, ideal.p) for i in range(ideal.l))
 
 
-def _embed(alpha: "CyclotomicInt | int", ideal: PrimeIdeal) -> FiniteFieldElement:
+def _embed(alpha: CyclotomicInt, ideal: PrimeIdeal) -> FiniteFieldElement:
     """Image of alpha in the residue field GF(p)[X]/(g), sending zeta to X."""
-    if isinstance(alpha, int):
-        return ff_from_int(ideal.p, ideal.g, alpha)
     if alpha.l != ideal.l:
         raise ValueError("cyclotomic order mismatch")
     return ff_from_poly(ideal.p, ideal.g, alpha.coeffs)
@@ -318,8 +326,17 @@ def _embed(alpha: "CyclotomicInt | int", ideal: PrimeIdeal) -> FiniteFieldElemen
 def residue_symbol(alpha: "CyclotomicInt | int", ideal: PrimeIdeal) -> int:
     """Exponent i in [0, l) with alpha**((p**f - 1)/l) == zeta**i mod the ideal.
 
-    Raises SymbolUndefinedError when alpha lies in the ideal.
+    Raises SymbolUndefinedError when alpha lies in the ideal.  A plain int
+    prime to p has exponent 0 at every ideal of inertia degree f >= 2 without
+    any field arithmetic: l divides p**f - 1 but not p - 1, so it divides
+    1 + p + ... + p**(f-1) and (p**f - 1)/l is a multiple of p - 1, while
+    a**(p - 1) == 1 mod p.  A CyclotomicInt takes the power in GF(p**f) even
+    when it is rational, so the exact path stays reachable.
     """
+    if ideal.f >= 2 and isinstance(alpha, int):
+        if alpha % ideal.p == 0:
+            raise SymbolUndefinedError(f"argument lies in {ideal}; symbol undefined")
+        return 0
     e = (ideal.norm - 1) // ideal.l
     if ideal.f == 1:
         # the residue field is GF(p) itself; work with plain integers

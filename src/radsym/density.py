@@ -25,8 +25,10 @@ never builds the ideals themselves:
 The split primes are sieved window by window along the progression
 1 + 2l*i, and each window leaves only integer tallies per checkpoint bound,
 so memory stays flat as the bound grows and the tallies do not depend on
-the thread count.  ``primes_above`` and ``residue_symbol`` remain the exact
-per-ideal path for single queries and the oracle the tests compare against.
+the thread count.  ``primes_above`` and ``residue_symbol`` remain the
+per-ideal path for single queries.  ``residue_symbol`` answers a plain int at
+f >= 2 by the same identity, so the tests compare the scan against it with
+``CyclotomicInt`` arguments, which always take the residue-field power.
 """
 
 from __future__ import annotations

@@ -215,6 +215,73 @@ def test_irreducible_low_degree_iff_no_root(p):
                 assert poly_is_irreducible(h, p) == (not has_root), h
 
 
+def mobius(n):
+    out, q = 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            out = -out
+        q += 1
+    return -out if n > 1 else out
+
+
+def gauss_count(p, d):
+    """N(d) = (1/d) * sum over k | d of mu(k) * p**(d/k): the number of monic
+    irreducibles of degree d over GF(p)."""
+    return sum(mobius(k) * p ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
+
+
+def monic_polys(p, d):
+    from itertools import product
+
+    return [low + (1,) for low in product(range(p), repeat=d)]
+
+
+def local_polymul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 4)])
+def test_irreducible_exactly_the_non_products(p, top):
+    """Every monic h of degree d <= top: reducible exactly when it is a
+    product of two monic factors of lower degree (squares included), and the
+    irreducibles number Gauss's N(d)."""
+    polys = {d: monic_polys(p, d) for d in range(1, top + 1)}
+    for d in range(1, top + 1):
+        products = {
+            local_polymul(a, b, p)
+            for i in range(1, d // 2 + 1)
+            for a in polys[i]
+            for b in polys[d - i]
+        }
+        irreducible = {h for h in polys[d] if poly_is_irreducible(h, p)}
+        assert irreducible == set(polys[d]) - products, (p, d)
+        assert len(irreducible) == gauss_count(p, d), (p, d)
+
+
+def test_irreducible_scales_and_small_degrees():
+    # a unit multiple answers like the monic polynomial; coefficients are
+    # read mod p, and trailing zeros mod p lower the degree
+    for p in (3, 5):
+        for h in monic_polys(p, 3):
+            want = poly_is_irreducible(h, p)
+            for c in range(2, p):
+                assert poly_is_irreducible(tuple(c * x for x in h), p) == want
+                assert poly_is_irreducible(tuple(c * x + p for x in h) + (p,), p) == want
+    for p in (2, 7, 1_000_003):
+        for h in [(), (0,), (3,), (p,), (0, p), (1, 0, p)]:
+            assert not poly_is_irreducible(h, p), h  # degree < 1 mod p
+        for h in [(0, 1), (5, 3), (1, 1 + p)]:
+            assert poly_is_irreducible(h, p), h  # degree 1
+    assert gauss_count(2, 6) == 9 and gauss_count(5, 4) == 150
+
+
 def test_field_elements_need_a_monic_modulus():
     for p, modulus in [(5, (1, 1, 2)), (5, (1, 1, 5)), (7, (3,)), (7, ())]:
         with pytest.raises(ValueError, match="monic"):

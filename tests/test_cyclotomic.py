@@ -1,10 +1,12 @@
 import cmath
 import math
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from radsym.arith import RamifiedPrimeError, ff_from_poly, multiplicative_order
+from radsym.arith import RamifiedPrimeError, ff_from_poly, is_prime, multiplicative_order
 from radsym.cyclotomic import (
     CyclotomicInt,
     SymbolUndefinedError,
@@ -192,6 +194,50 @@ def test_residue_symbol_degree1_agrees_with_field_machinery():
                 acc = acc * x
             assert want is not None
             assert residue_symbol(a, I) == want
+
+
+def assert_same_symbol(a, I):
+    """residue_symbol of the plain int a (closed form at f >= 2) equals that
+    of the same value as a CyclotomicInt (the residue-field power), and both
+    raise SymbolUndefinedError, with the same message, when p divides a."""
+    exact = CyclotomicInt.from_int(I.l, a)
+    if a % I.p:
+        assert residue_symbol(a, I) == residue_symbol(exact, I), (a, I)
+        return
+    with pytest.raises(SymbolUndefinedError) as closed:
+        residue_symbol(a, I)
+    with pytest.raises(SymbolUndefinedError) as field:
+        residue_symbol(exact, I)
+    assert str(closed.value) == str(field.value)
+
+
+@pytest.mark.parametrize("l", [3, 5, 7])
+def test_rational_closed_form_matches_field_power(l):
+    from radsym.density import enumerate_prime_ideals
+
+    degrees = set()
+    for I in enumerate_prime_ideals(l, 2000):
+        degrees.add(I.f)
+        for a in range(-60, 61):
+            assert_same_symbol(a, I)
+    assert degrees == {f for f in range(1, l) if (l - 1) % f == 0}  # every inertia degree
+
+
+@cache
+def inert_primes(l):
+    """The primes below 2000 of inertia degree f >= 2 in Q(zeta_l)."""
+    return tuple(p for p in range(2, 2000) if p != l and is_prime(p) and multiplicative_order(p, l) >= 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_rational_closed_form_matches_field_power_at_random_primes(data):
+    l = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+    p = data.draw(st.sampled_from(inert_primes(l)))
+    I = data.draw(st.sampled_from(primes_above(p, l)))
+    a = data.draw(st.integers(-(10**12), 10**12) | st.integers(-50, 50).map(lambda k: k * p))
+    assert I.f >= 2
+    assert_same_symbol(a, I)
 
 
 def sample_elements(l, rng, count):
