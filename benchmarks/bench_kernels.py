@@ -6,7 +6,9 @@ Python per-element ``pow`` loop, and optionally an end-to-end density
 experiment in the same process.  ``powmod`` is also timed both ways the scan
 could call it for three radicands, block by block as the scan does: one
 stacked (3, n) call per block against shared exponents and moduli, and three
-1-D calls per block.  The small-exponent ``powmod`` calls the scan makes per
+1-D calls per block.  Below the float64 limit of about 1.9e8 these take
+``powmod``'s float64 reduction, so the stacked call is timed once more on
+the split primes of [2**30, 2**30 + bound), which take the int64 path.  The small-exponent ``powmod`` calls the scan makes per
 block on those residues v are timed one row each, at targets (0, 1, 2): the
 guard v**l, the matched root w = v_1**(1/1) and its powers w**s.  The scan
 skips the root call when the inverse exponent is 1, as here, and takes
@@ -46,13 +48,18 @@ def bench_kernels(bound: int, l: int) -> None:
     stacked = np.stack([np.full(primes.size, b, dtype=np.int64) for b in (2, 5, 7)])
     print(f"split primes <= {bound}: {primes.size} lanes (l = {l})")
 
-    def per_block(call) -> None:
-        for lo in range(0, primes.size, _BLOCK):
-            call(np.s_[lo : lo + _BLOCK])
-
     def one_d(block) -> None:
         for row in stacked[:, block]:
             kernels.powmod(row, exps[block], primes[block])
+
+    high = kernels.sieve_primes(2**30 + bound - 1, 2**30, l)  # the int64 path
+    high_exps = (high - 1) // l
+    high_stacked = stacked[:, :1].repeat(high.size, axis=1)
+    print(f"split primes in [2**30, 2**30 + {bound}): {high.size} lanes")
+
+    def per_block(call, size=primes.size) -> None:
+        for lo in range(0, size, _BLOCK):
+            call(np.s_[lo : lo + _BLOCK])
 
     roots = kernels.unity_roots(primes, l)
     col = np.ascontiguousarray(roots[:, 0])
@@ -67,6 +74,8 @@ def bench_kernels(bound: int, l: int) -> None:
         ("powmod (2,5,7) stacked", timeit(lambda: per_block(
             lambda b: kernels.powmod(stacked[:, b], exps[b], primes[b])))),
         ("powmod (2,5,7) 3 x 1-D", timeit(lambda: per_block(one_d))),
+        ("powmod (2,5,7) stacked, p near 2**30", timeit(lambda: per_block(
+            lambda b: kernels.powmod(high_stacked[:, b], high_exps[b], high[b]), high.size))),
         ("powmod guard v**l", timeit(lambda: per_block(
             lambda b: kernels.powmod(residues[:, b], l, primes[b])))),
         (f"powmod root v_{i}**(1/{TARGETS[i]})", timeit(lambda: per_block(

@@ -8,8 +8,12 @@ order-l subgroup.  The density scan uses only ``sieve_primes`` and
 independent route to the symbol exponents (the oracle for the scan's
 matched roots) and are timed by the benchmarks.
 
-All kernels operate on int64 arrays.  Moduli must stay below 2**31 so that a
-product of two reduced residues fits in int64 without overflow.
+All kernels take and return int64 arrays.  Moduli must stay below 2**31 so
+that a product of two reduced residues fits in int64 without overflow.
+``powmod`` reduces in float64 instead when every product it forms is an
+integer below 2**53, which float64 holds exactly: for exponents above 4
+bits and moduli below about 1.9e8, so every scan up to 1e8 and about a
+fifth of the split primes of a scan to 1e9.  Its docstring gives the proof.
 """
 
 from __future__ import annotations
@@ -100,6 +104,8 @@ def sieve_primes(limit: int, lo: int = 0, step: int = 1) -> np.ndarray:
 def _check_moduli(mod: np.ndarray) -> None:
     if mod.size and int(mod.max()) >= MAX_MODULUS:
         raise ValueError(f"modulus exceeds {MAX_MODULUS}; int64 kernels would overflow")
+    if mod.size and int(mod.min()) < 1:
+        raise ValueError("moduli must be positive")
 
 
 def _check_exponents(exp: np.ndarray) -> None:
@@ -107,26 +113,64 @@ def _check_exponents(exp: np.ndarray) -> None:
         raise ValueError("exponents must be non-negative")
 
 
+# Every integer of absolute value below 2**53 is exact in float64.
+_EXACT = 1 << 53
+
+# Exponents of at most this many bits stay on the int64 path, where one or
+# two square-and-multiply steps cost less than the float64 conversions.
+_INT64_BITS = 4
+
+# Elements per chunk of the float64 path: its five arrays of this size stay
+# in a 2 MB L2 cache.  A scan block of 3 x 16384 lanes runs as two chunks.
+_FLOAT_CHUNK = 1 << 15
+
+
 def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """Elementwise base**exp % mod by left-to-right square-and-multiply.
 
     Shapes broadcast, so an (m, n) block of bases against (n,) exponents and
     moduli raises m rows per lane in one pass over the exponent bits.  Each
-    bit squares and then multiplies by the base or by 1.  When the largest
-    modulus squared times the largest reduced base fits in int64, the two
-    products share one reduction; otherwise each is reduced on its own.
+    bit squares and then multiplies by the base or by 1.  The result is an
+    int64 array of residues in [0, mod).  One of two reductions is chosen
+    per call from its moduli, bases and exponents; both give the same
+    residues, lane for lane.
+
+    float64, for exponents above 4 bits when every p >= 5 and
+    (p//2 + 2)**2 + p < 2**53, i.e. p < 189,812,526:  a product x is reduced
+    to x - rint(x * (1/p)) * p.  The float quotient is less than |x|/p *
+    2**-52 from x/p, so while |x| + p < 2**53 every step is exact and the
+    new residue is balanced, |r| <= p//2 + 2.  The square and the multiply
+    share one reduction when max(p//2 + 2, |base|)**2 * |base| + p < 2**53
+    for the largest p and |base| (bases up to 7: p < 71,742,390).  Otherwise
+    the bases are balanced too, |b| <= p//2, and each product is reduced on
+    its own.  The last step adds p to the negative residues.
+
+    int64, for every other call:  bases are reduced into [0, p), and the two
+    products share one ``%`` when the largest p squared times the largest
+    base is below 2**63; otherwise each is reduced on its own.
     """
     mod = np.asarray(mod, dtype=np.int64)
     e = np.asarray(exp, dtype=np.int64)
+    base = np.asarray(base, dtype=np.int64)
     _check_moduli(mod)
     _check_exponents(e)
-    b = np.mod(np.asarray(base, dtype=np.int64), mod)
-    shape = np.broadcast_shapes(b.shape, e.shape)
+    shape = np.broadcast_shapes(base.shape, e.shape, mod.shape)
     one = 1 % mod
     bits = int(e.max()).bit_length() if e.size else 0
-    if bits == 0 or b.size == 0:
+    if bits == 0 or math.prod(shape) == 0:
         return np.broadcast_to(one, shape).copy()
-    fused = int(mod.max()) ** 2 * int(b.max()) < 1 << 63
+    lo, hi, low, high = int(base.min()), int(base.max()), int(mod.min()), int(mod.max())
+    top = high // 2 + 2  # the largest balanced float residue
+    if bits > _INT64_BITS and low >= 5 and top * top + high < _EXACT:
+        largest = max(-lo, hi)
+        fused = max(top, largest) ** 2 * largest + high < _EXACT
+        b = base
+        if not fused and largest > low // 2:
+            b = _reduced(base, mod, lo, hi, low)
+            b = np.where(2 * b > mod, b - mod, b)
+        return _powmod_float(b, e, mod, shape, bits, fused)
+    b = _reduced(base, mod, lo, hi, low)
+    fused = high**2 * int(b.max()) < 1 << 63
     r = np.where((e >> (bits - 1)) & 1 == 1, b, one)
     b_minus_1 = b - 1
     mult = np.empty(shape, dtype=np.int64)
@@ -139,6 +183,54 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         r *= mult
         np.remainder(r, mod, out=r)
     return r
+
+
+def _reduced(base: np.ndarray, mod: np.ndarray, lo: int, hi: int, low: int) -> np.ndarray:
+    """base mod p, skipping the int64 % when every base already lies in
+    [0, p): at once when they lie below the smallest modulus, else after
+    one comparison against each lane's modulus."""
+    if lo >= 0 and (hi < low or bool((base < mod).all())):
+        return base
+    return np.mod(base, mod)
+
+
+def _powmod_float(
+    b: np.ndarray, e: np.ndarray, mod: np.ndarray, shape: tuple, bits: int, fused: bool
+) -> np.ndarray:
+    """powmod's float64 path, see there, in chunks of about _FLOAT_CHUNK
+    elements along the last axis."""
+    out = np.empty(shape, dtype=np.int64)
+    step = max(1, _FLOAT_CHUNK * shape[-1] // math.prod(shape))
+    for i in range(0, shape[-1], step):
+        lanes = np.s_[..., i : i + step]
+        bc, ec, mc = (a if a.ndim == 0 or a.shape[-1] == 1 else a[lanes] for a in (b, e, mod))
+        p = mc.astype(np.float64)
+        inv = 1.0 / p
+        bf = bc.astype(np.float64)
+        r = np.ones(out[lanes].shape)
+        np.copyto(r, bf, where=(ec >> (bits - 1)) & 1 == 1)
+        b_minus_1 = bf - 1
+        mult = np.empty_like(r)
+        q = np.empty_like(r)
+        for k in range(bits - 2, -1, -1):
+            np.multiply(b_minus_1, ((ec >> k) & 1).astype(np.float64), out=mult)
+            mult += 1  # b where bit k is set, 1 elsewhere
+            r *= r
+            if not fused:
+                _reduce(r, p, inv, q)
+            r *= mult
+            _reduce(r, p, inv, q)
+        np.add(r, p, out=r, where=r < 0)  # into [0, p), as |r| <= p//2 + 2 < p
+        out[lanes] = r
+    return out
+
+
+def _reduce(r: np.ndarray, p: np.ndarray, inv: np.ndarray, q: np.ndarray) -> None:
+    """r -= rint(r * inv) * p in place, with q as scratch."""
+    np.multiply(r, inv, out=q)
+    np.rint(q, out=q)
+    np.multiply(q, p, out=q)
+    np.subtract(r, q, out=r)
 
 
 def unity_roots(primes: np.ndarray, l: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radsym import kernels
 
@@ -107,27 +108,157 @@ def _python_pow_rows(base, exp, mod):
     )
 
 
-@pytest.mark.parametrize("fused", [True, False])
-def test_powmod_stacked_against_python_pow(fused):
-    """An (m, n) base block against shared (n,) exponents and moduli, on the
-    one-reduction path (small bases, p < 2**25) and on the two-reduction path
-    (p near 2**31, bases at or above p)."""
+def _limit(fits) -> int:
+    """The largest modulus p < 2**31 with fits(p), by bisection."""
+    lo, hi = 1, 2**31 - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid - 1)
+    return lo
+
+
+# The proven limits of powmod's float64 path: a balanced residue is at most
+# p//2 + 2, and every product plus p must stay below 2**53.
+FLOAT_LIMIT = _limit(lambda p: (p // 2 + 2) ** 2 + p < 2**53)
+FUSED_LIMIT = _limit(lambda p: (p // 2 + 2) ** 2 * 7 + p < 2**53)  # bases up to 7
+
+
+def test_float_limits_match_the_documented_values():
+    assert FLOAT_LIMIT == 189_812_525  # about 1.9e8
+    assert FUSED_LIMIT == 71_742_389  # about 7.1e7
+
+
+def _powmod_and_regime(monkeypatch, base, exp, mod):
+    """powmod's result and the reduction it took: "float fused", "float"
+    (square and multiply reduced one at a time) or "int64"."""
+    seen = []
+    real = kernels._powmod_float
+
+    def spy(b, e, m, shape, bits, fused):
+        seen.append("float fused" if fused else "float")
+        return real(b, e, m, shape, bits, fused)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_powmod_float", spy)
+        got = kernels.powmod(base, exp, mod)
+    return got, seen[0] if seen else "int64"
+
+
+def _python_pow(base, exp, mod):
+    b, e, m = np.broadcast_arrays(base, exp, mod)
+    want = [pow(int(x), int(y), int(z)) for x, y, z in zip(b.flat, e.flat, m.flat)]
+    return np.array(want, dtype=np.int64).reshape(b.shape)
+
+
+# Moduli in [low, high], the bases (a (5, 1) column of small ones, or 3 rows
+# drawn from [-bound, bound]) and the regime the call must take.
+SMALL = np.array([2, 5, 7, -7, -3], dtype=np.int64).reshape(-1, 1)
+ANY = 2**63 - 1
+REGIMES = [
+    (FUSED_LIMIT - 3000, FUSED_LIMIT, SMALL, "float fused"),
+    (FUSED_LIMIT + 1, FUSED_LIMIT + 3000, SMALL, "float"),
+    (FLOAT_LIMIT - 3000, FLOAT_LIMIT, ANY, "float"),
+    (FLOAT_LIMIT + 1, FLOAT_LIMIT + 3000, SMALL, "int64"),
+    (FLOAT_LIMIT + 1, FLOAT_LIMIT + 3000, ANY, "int64"),
+    (2**31 - 3000, 2**31 - 1, ANY, "int64"),
+    (5, 3000, ANY, "float"),
+    (5, 3000, 2**28, "float"),  # bases above p//2 + 2 whose cube overflows 2**53
+    (5, 3000, 2**17, "float fused"),  # ... and whose cube fits
+    (5, 3000, SMALL, "float fused"),
+    (1, 3000, SMALL, "int64"),  # moduli below 5 keep the int64 path
+]
+
+
+@pytest.mark.parametrize("low, high, bases, regime", REGIMES)
+def test_powmod_regime_boundaries_against_python_pow(monkeypatch, low, high, bases, regime):
+    """Lanes on both sides of each proven limit, with moduli up to the limit
+    itself, give Python's pow in the regime the limits call for."""
+    rng = np.random.default_rng(low)
+    n = 1200
+    mod = rng.integers(low, high, size=n, endpoint=True).astype(np.int64)
+    mod[:2] = low, high
+    if isinstance(bases, int):
+        base = rng.integers(-bases, bases, size=(3, n), endpoint=True, dtype=np.int64)
+        base[:, :4] = [[-bases], [bases], [0]]
+        base[:, 4:8] = [mod[4:8] // 2, -(mod[4:8] // 2), mod[4:8] - 1]  # the extreme residues
+    else:
+        base = bases
+    exp = rng.integers(0, 2**40, size=n).astype(np.int64)
+    exp[:3] = 0, 1, 2**40 - 1
+    got, took = _powmod_and_regime(monkeypatch, base, exp, mod)
+    assert took == regime
+    assert np.array_equal(got, _python_pow(base, exp, mod))
+
+
+@pytest.mark.parametrize("regime", ["float fused", "float", "int64 fused", "int64"])
+def test_powmod_stacked_against_python_pow(monkeypatch, regime):
+    """An (m, n) base block against shared (n,) exponents and moduli in each
+    regime: small bases and p < 2**25 (one float reduction per bit); bases
+    at or above p below the float limit (two float reductions); small bases
+    above it (one int64 % per bit); bases at or above p near 2**31 (two)."""
     rng = np.random.default_rng(5)
     n = 400
-    if fused:
-        mod = rng.integers(2, 2**25, size=n).astype(np.int64)
-        base = rng.integers(0, 2**13, size=(3, n)).astype(np.int64)
+    if regime == "float fused":
+        mod = rng.integers(5, 2**25, size=n).astype(np.int64)
+        base = rng.integers(0, 8, size=(3, n)).astype(np.int64)
+    elif regime == "float":
+        mod = rng.integers(5, FLOAT_LIMIT, size=n).astype(np.int64)
+        base = rng.integers(2**31, 2**40, size=(3, n)).astype(np.int64)
+    elif regime == "int64 fused":
+        mod = rng.integers(FLOAT_LIMIT + 1, 2**28, size=n).astype(np.int64)
+        base = rng.integers(0, 2**7, size=(3, n)).astype(np.int64)
     else:
         mod = rng.integers(2**31 - 2**20, 2**31, size=n).astype(np.int64)
         base = rng.integers(2**31, 2**40, size=(3, n)).astype(np.int64)
     exp = rng.integers(0, 2**31, size=n).astype(np.int64)
     reduced = np.mod(base, mod)
-    assert (int(mod.max()) ** 2 * int(reduced.max()) < 2**63) == fused
-    got = kernels.powmod(base, exp, mod)
+    if regime.startswith("int64"):
+        fused = int(mod.max()) ** 2 * int(reduced.max()) < 2**63
+        assert fused == (regime == "int64 fused")
+    got, took = _powmod_and_regime(monkeypatch, base, exp, mod)
+    assert took == regime.removesuffix(" fused") if regime.startswith("int64") else regime
     assert got.shape == (3, n)
     assert np.array_equal(got, _python_pow_rows(base, exp, mod))
     rows = np.stack([kernels.powmod(row, exp, mod) for row in base])
     assert np.array_equal(got, rows)
+
+
+@pytest.mark.parametrize("mod", [1, 2, 3, 4, 5])
+def test_powmod_tiny_moduli(mod):
+    """Moduli 1 to 5, alone and in a call with large moduli, 1-D and
+    stacked, with exponents long enough for the float path."""
+    rng = np.random.default_rng(mod)
+    base = rng.integers(-(2**62), 2**62, size=(2, 300)).astype(np.int64)
+    base[:, :3] = [-1, 0, 1]
+    exp = rng.integers(0, 2**20, size=300).astype(np.int64)
+    for moduli in (np.full(300, mod), np.where(np.arange(300) % 2, mod, 10**6 + 3)):
+        moduli = moduli.astype(np.int64)
+        assert np.array_equal(kernels.powmod(base, exp, moduli), _python_pow(base, exp, moduli))
+        assert np.array_equal(
+            kernels.powmod(base[0], exp, moduli), _python_pow(base[0], exp, moduli)
+        )
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_powmod_random_calls_against_python_pow(data):
+    """Any int64 bases, moduli in [1, 2**31) and exponents up to 2**40, in
+    1-D and stacked calls, some moduli bunched near one scale so that every
+    regime is reached."""
+    n = data.draw(st.integers(1, 40))
+    m = data.draw(st.integers(1, 3))
+    scale = data.draw(st.sampled_from([2**31 - 1, FLOAT_LIMIT, FUSED_LIMIT, 2**16, 8]))
+    moduli = st.integers(1, scale)
+    mod = np.array(data.draw(st.lists(moduli, min_size=n, max_size=n)), dtype=np.int64)
+    ints = st.integers(-(2**63), 2**63 - 1) | st.integers(-8, 8)
+    base = np.array(
+        data.draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)),
+        dtype=np.int64,
+    )
+    exps = st.integers(0, 2**40) | st.integers(0, 40)
+    exp = np.array(data.draw(st.lists(exps, min_size=n, max_size=n)), dtype=np.int64)
+    assert np.array_equal(kernels.powmod(base, exp, mod), _python_pow(base, exp, mod))
+    assert np.array_equal(kernels.powmod(base[0], exp, mod), _python_pow(base[0], exp, mod))
 
 
 def test_powmod_zero_exponents_and_empty_blocks():
