@@ -120,8 +120,10 @@ _EXACT = 1 << 53
 # two square-and-multiply steps cost less than the float64 conversions.
 _INT64_BITS = 4
 
-# Elements per chunk of the float64 path: its five arrays of this size stay
-# in a 2 MB L2 cache.  A scan block of 3 x 16384 lanes runs as two chunks.
+# Elements per chunk of the float64 path, which makes more passes per bit
+# than the int64 path and wins only while its arrays (up to five of this
+# size) stay in a 2 MB L2 cache.  A scan block of 3 x 16384 lanes runs as
+# two chunks.
 _FLOAT_CHUNK = 1 << 15
 
 
@@ -137,13 +139,15 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
 
     float64, for exponents above 4 bits when every p >= 5 and
     (p//2 + 2)**2 + p < 2**53, i.e. p < 189,812,526:  a product x is reduced
-    to x - rint(x * (1/p)) * p.  The float quotient is less than |x|/p *
-    2**-52 from x/p, so while |x| + p < 2**53 every step is exact and the
-    new residue is balanced, |r| <= p//2 + 2.  The square and the multiply
-    share one reduction when max(p//2 + 2, |base|)**2 * |base| + p < 2**53
-    for the largest p and |base| (bases up to 7: p < 71,742,390).  Otherwise
-    the bases are balanced too, |b| <= p//2, and each product is reduced on
-    its own.  The last step adds p to the negative residues.
+    to x - rint(x * (1/p)) * p.  The float quotient is within
+    |x|/p * 2**-52 * (1 + 2**-54) of x/p, which is below 2/p while
+    |x| + p < 2**53; then every step is exact and the new residue is
+    balanced, |r| <= p//2 + 2.  The square and the multiply share one
+    reduction when max(p//2 + 2, |base|)**2 * |base| + p < 2**53 for the
+    largest p and |base| (bases up to 7: p < 71,742,390).  Otherwise the
+    bases are balanced too, |b| <= p//2, and each product is reduced on its
+    own.  As p >= 5 keeps p//2 + 2 below p, adding p to the negative
+    residues at the end gives [0, p).
 
     int64, for every other call:  bases are reduced into [0, p), and the two
     products share one ``%`` when the largest p squared times the largest
