@@ -120,11 +120,12 @@ _EXACT = 1 << 53
 # two square-and-multiply steps cost less than the float64 conversions.
 _INT64_BITS = 4
 
-# Elements per chunk of the float64 path, which makes more passes per bit
-# than the int64 path and wins only while its arrays (up to five of this
-# size) stay in a 2 MB L2 cache.  A scan block of 3 x 16384 lanes runs as
-# two chunks.
-_FLOAT_CHUNK = 1 << 15
+# Elements per chunk of the float64 path.  It makes more passes per bit
+# than the int64 path and wins only while its working arrays stay in a
+# core's 2 MB L2 cache; a scan block of up to 4 x 16384 lanes is one chunk,
+# whose array passes are long enough for a second scan thread to run
+# numpy while this one does.
+_FLOAT_CHUNK = 1 << 16
 
 
 def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -211,8 +212,8 @@ def _powmod_float(
         p = mc.astype(np.float64)
         inv = 1.0 / p
         bf = bc.astype(np.float64)
-        r = np.ones(out[lanes].shape)
-        np.copyto(r, bf, where=(ec >> (bits - 1)) & 1 == 1)
+        r = np.empty(out[lanes].shape)
+        r[...] = np.where((ec >> (bits - 1)) & 1 == 1, bf, 1.0)
         b_minus_1 = bf - 1
         mult = np.empty_like(r)
         q = np.empty_like(r)
@@ -224,7 +225,7 @@ def _powmod_float(
                 _reduce(r, p, inv, q)
             r *= mult
             _reduce(r, p, inv, q)
-        np.add(r, p, out=r, where=r < 0)  # into [0, p), as |r| <= p//2 + 2 < p
+        r += p * (r < 0)  # into [0, p), as |r| <= p//2 + 2 < p
         out[lanes] = r
     return out
 
