@@ -59,8 +59,11 @@ DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 # window, and threads beyond the core count only add switching.
 MAX_THREADS = 64
 
-# Split primes per kernel call: a block's working arrays stay cache-resident.
-_BLOCK = 1 << 14
+# Split primes per kernel call.  powmod cuts a block into cache-sized chunks
+# itself; a block this long keeps each numpy pass over it long enough (tens
+# of microseconds) for a second scan thread to run while this one is inside
+# numpy, which shorter float64 passes did not.
+_BLOCK = 1 << 15
 
 # Sieve window, in terms of the progression 1 + 2l*i per unit of
 # sqrt(norm bound).  A window loops in Python over the sieving primes (about

@@ -120,11 +120,9 @@ _EXACT = 1 << 53
 # two square-and-multiply steps cost less than the float64 conversions.
 _INT64_BITS = 4
 
-# Elements per chunk of the float64 path.  It makes more passes per bit
-# than the int64 path and wins only while its working arrays stay in a
-# core's 2 MB L2 cache; a scan block of up to 4 x 16384 lanes is one chunk,
-# whose array passes are long enough for a second scan thread to run
-# numpy while this one does.
+# Most elements per chunk of the float64 path.  It makes more passes per
+# bit than the int64 path and wins only while its working arrays stay in a
+# core's 2 MB L2 cache.
 _FLOAT_CHUNK = 1 << 16
 
 
@@ -205,7 +203,8 @@ def _powmod_float(
     """powmod's float64 path, see there, in chunks of about _FLOAT_CHUNK
     elements along the last axis."""
     out = np.empty(shape, dtype=np.int64)
-    step = max(1, _FLOAT_CHUNK * shape[-1] // math.prod(shape))
+    parts = -(-math.prod(shape) // _FLOAT_CHUNK)
+    step = -(-shape[-1] // parts)  # equal chunks along the last axis
     for i in range(0, shape[-1], step):
         lanes = np.s_[..., i : i + step]
         bc, ec, mc = (a if a.ndim == 0 or a.shape[-1] == 1 else a[lanes] for a in (b, e, mod))
