@@ -8,7 +8,8 @@ could call it for three radicands, block by block as the scan does: one
 stacked (3, n) call per block against shared exponents and moduli, and three
 1-D calls per block.  Below the float64 limit of about 1.9e8 these take
 ``powmod``'s float64 reduction, so the stacked call is timed once more on
-the split primes of [2**30, 2**30 + bound), which take the int64 path.  The small-exponent ``powmod`` calls the scan makes per
+the split primes of [2**30, 2**30 + bound), which take the int64 path.
+The small-exponent ``powmod`` calls the scan makes per
 block on those residues v are timed one row each, at targets (0, 1, 2): the
 guard v**l, the matched root w = v_1**(1/1) and its powers w**s.  The scan
 skips the root call when the inverse exponent is 1, as here, and takes
