@@ -27,7 +27,8 @@ l=7 with the same radicands and targets at 1e8, each with 1 and 2 threads;
 radicands (2, 3), targets (1, 2) at 1e9 on 1 thread, whose nonzero targets
 exercise the match of a single ideal per prime.  The oracle study counts the
 relations of the first m primes with ``brute_force_kernel`` at (l, m) =
-(3, 7), (5, 5) and (3, 12), i.e. 2187, 3125 and 531441 exponent tuples.
+(3, 7), (5, 5) and (3, 12), i.e. 2187, 3125 and 531441 exponent tuples, and
+of 12 copies of 2 at l=3, whose 3**11 relations fill a subgroup of rank 11.
 The symbol study follows the ``symbol`` requests of the radbench ``queries``
 deck at inertia degree f >= 2: for each (l, f, bits) of (3, 2, 20),
 (5, 2, 17), (5, 4, 14), (7, 3, 14) and (7, 6, 14) it takes the first 40
@@ -64,6 +65,8 @@ CONFIGS = [
     ("density", 101, (2, 3), (1, 2), 10**9, 1),
 ] + [
     ("oracle", l, SMALL_PRIMES[:m], (), None, 1) for l, m in ((3, 7), (5, 5), (3, 12))
+] + [
+    ("oracle", 3, (2,) * 12, (), None, 1),
 ] + [
     ("symbol", l, (2, 5), (), (f, bits), 1)
     for l, f, bits in ((3, 2, 20), (5, 2, 17), (5, 4, 14), (7, 3, 14), (7, 6, 14))

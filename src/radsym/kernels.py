@@ -242,7 +242,8 @@ def unity_roots(primes: np.ndarray, l: int) -> np.ndarray:
 
     Every p must satisfy p % l == 1; the result has shape (len(primes), l-1).
     Bases z = 2, 3, ... are tried in order until z**((p-1)/l) falls outside
-    {0, 1}, which yields an element of exact order l.
+    {0, 1}, which yields an element of exact order l.  ValueError once every
+    z below some p has been tried in vain.
     """
     _check_moduli(primes)
     n = primes.shape[0]
@@ -251,6 +252,9 @@ def unity_roots(primes: np.ndarray, l: int) -> np.ndarray:
     bad = np.ones(n, dtype=bool)
     z = 2
     while bad.any():
+        p = int(primes[bad].min())
+        if z >= p:
+            raise ValueError(f"no element of order {l} mod {p}")
         cand = powmod(np.full(int(bad.sum()), z, dtype=np.int64), exp[bad], primes[bad])
         w[bad] = cand
         bad = w <= 1

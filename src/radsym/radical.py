@@ -4,16 +4,16 @@ Two independent routes are implemented and always cross-asserted: successive
 elimination of shared primes in one pass over the rows of the exponent matrix
 (producing radicands with pairwise-exclusive prime divisors), and the rank
 over Z/l of that matrix by its own row reduction.  A third, slower oracle
-counts the multiplicative relations exhaustively: l-th power residue symbols
-at a few small primes reject almost every exponent tuple, and each tuple it
-counts is confirmed by an exact big-integer l-th root.
+counts the multiplicative relations from a certified basis: the relations
+lie in the kernel over Z/l of the cores' l-th power residue symbols at a few
+small primes, and that kernel is the group of relations once each vector of
+its basis has an exact big-integer l-th root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class DegreeMismatchError(RuntimeError):
 
 
 class OracleScaleError(ValueError):
-    """The exhaustive oracle was asked to enumerate too large a space."""
+    """The oracle's l**m relation space exceeds its scale guard."""
 
 
 class InconsistentTargetsError(ValueError):
@@ -252,10 +252,6 @@ def degree(s: InputSet) -> int:
     return checked_degree(reduce_basis(s, mat), rank_and_kernel(mat))
 
 
-# Tuples per step of the oracle's enumeration, which bounds its memory.
-_ORACLE_CHUNK = 1 << 16
-
-
 def _filter_primes(cores: tuple[int, ...], l: int, k: int) -> list[int]:
     """The first k primes q = 1 + 2l*i that divide no core."""
     out: list[int] = []
@@ -290,42 +286,36 @@ def _symbol_exponents(cores: tuple[int, ...], l: int, q: int) -> list[int]:
 
 
 def brute_force_kernel(s: InputSet, *, limit: int = 10**7) -> int:
-    """Exhaustive count of the exponent tuples lam in [0, l)**m whose product
+    """Certified count of the exponent tuples lam in [0, l)**m whose product
     prod a_i**lam_i of the cores is an exact l-th power.  Guards at
     l**m <= limit.
 
-    A filtered enumeration, independent of the factorizations: at m small
-    primes q = 1 mod l dividing no core, an l-th power P has
-    P**((q-1)/l) == 1 mod q, so a tuple is dropped as soon as
-    sum lam_i c_i != 0 mod l for the cores' symbol exponents c_i at some q.
-    Every tuple that passes all of them is counted only once its big-integer
-    product has an exact l-th root.  The tuples are enumerated in numpy
-    chunks of _ORACLE_CHUNK, so memory does not grow with l**m.
+    Independent of the factorizations: at k small primes q = 1 mod l dividing
+    no core, an l-th power P has P**((q-1)/l) == 1 mod q, so every relation
+    lies in the kernel over Z/l of the k x m matrix C of the cores' symbol
+    exponents.  Once each vector of a basis of ker C has a big-integer
+    product with an exact l-th root, ker C is the group of relations, since
+    products of l-th powers are l-th powers, and the count is l**dim.
+    Otherwise k doubles: by Chebotarev a product that is no l-th power has a
+    nontrivial symbol at a positive density of q.  The cost does not grow
+    with l**m.
     """
     l = s.l
     cores = s.normalized
     m = len(cores)
-    total = l**m
-    if total > limit:
+    if l**m > limit:
         raise OracleScaleError(f"l**{m} exceeds the scale guard {limit}")
-    weights = [l ** (m - 1 - i) for i in range(m)]  # lam_i = t // weights[i] % l
-    symbols = [_symbol_exponents(cores, l, q) for q in _filter_primes(cores, l, m)]
-    count = 0
-    for start in range(0, total, _ORACLE_CHUNK):
-        t = np.arange(start, min(start + _ORACLE_CHUNK, total), dtype=np.int64)
-        for c in symbols:
-            acc = np.zeros_like(t)
-            for w, ci in zip(weights, c):
-                if ci:
-                    acc += t // w % l * ci
-            t = t[acc % l == 0]
-        for index in t.tolist():
-            prod = 1
-            for a, w in zip(cores, weights):
-                prod *= a ** (index // w % l)
-            if exact_lth_root(prod, l) is not None:
-                count += 1
-    return count
+    k = m
+    while True:
+        symbols = [_symbol_exponents(cores, l, q) for q in _filter_primes(cores, l, k)]
+        r, pivots = _rref_mod(np.array(symbols, dtype=np.int64).reshape(k, m), l)
+        basis = _nullspace_mod(r, pivots, l)
+        if all(
+            exact_lth_root(math.prod(a ** int(e) for a, e in zip(cores, v)), l) is not None
+            for v in basis
+        ):
+            return l ** len(basis)
+        k *= 2
 
 
 def consistency_check(s: InputSet, targets, kernel: KernelBasis | None = None) -> bool:
@@ -369,12 +359,3 @@ def translate_targets(
         raise InconsistentTargetsError("targets violate a multiplicative relation")
     r = np.array(targets, dtype=np.int64)
     return tuple(int(x) for x in (result.transform @ r) % result.l)
-
-
-def transform_quotient(s: InputSet, result: ReductionResult, j: int) -> Fraction:
-    """prod raw_i**E_ji divided by b_j, as an exact rational (test hook:
-    this quotient must always be an l-th power of a rational)."""
-    num = Fraction(1)
-    for a, e in zip(s.raw, result.transform[j]):
-        num *= Fraction(a) ** int(e)
-    return num / result.b[j]

@@ -75,6 +75,12 @@ def test_unity_roots_properties():
                 assert pow(w, l, p) == 1
 
 
+def test_unity_roots_raises_when_no_base_works(monkeypatch):
+    monkeypatch.setattr(kernels, "powmod", lambda base, exp, mod: np.ones_like(base))
+    with pytest.raises(ValueError, match="mod 7"):
+        kernels.unity_roots(np.array([7, 13], dtype=np.int64), 3)
+
+
 def test_exponent_lookup_roundtrip():
     rng = np.random.default_rng(11)
     l = 5

@@ -19,7 +19,6 @@ from radsym.radical import (
     normalize_inputs,
     rank_and_kernel,
     reduce_basis,
-    transform_quotient,
     translate_targets,
 )
 
@@ -37,6 +36,15 @@ def brute_count(l, values):
         if exact_lth_root(prod, l) is not None:
             count += 1
     return count
+
+
+def transform_quotient(s, result, j):
+    """prod raw_i**E_ji divided by b_j, as an exact rational, which must
+    always be an l-th power of a rational."""
+    num = Fraction(1)
+    for a, e in zip(s.raw, result.transform[j]):
+        num *= Fraction(a) ** int(e)
+    return num / result.b[j]
 
 
 def test_normalize_inputs():
@@ -215,6 +223,10 @@ def test_brute_force_kernel_examples():
     assert brute_force_kernel(normalize_inputs(3, [2, 3, 6])) == 3
     assert brute_force_kernel(normalize_inputs(3, [2, 3])) == 1
     assert brute_force_kernel(normalize_inputs(3, [])) == 1
+    # 29 = 1 mod 7 is a cube residue at the first filter prime 7 but no
+    # cube, so the count must add filter primes before it can certify.
+    assert brute_force_kernel(normalize_inputs(3, [29])) == 1
+    assert brute_force_kernel(normalize_inputs(3, [2] * 12)) == 3**11
     with pytest.raises(OracleScaleError):
         brute_force_kernel(normalize_inputs(3, [2, 3, 5]), limit=10)
 
@@ -273,7 +285,8 @@ def test_brute_force_kernel_memory_is_bounded():
         _, refused_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # chunks of 2**16 tuples; one int64 array over all 177147 is 1.4 MB
+    # a k x m symbol matrix and at most m products; one int64 array over
+    # all 177147 tuples would be 1.4 MB
     assert peak < 3 * 2**20
     assert refused_peak < 2**16
 
