@@ -335,7 +335,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degree", parents=[common], help="degree of the radical extension")
     p.add_argument("-l", type=int, required=True)
     p.add_argument("radicands", type=int, nargs="+")
-    p.add_argument("--oracle", action="store_true", help="force the certified relation-count cross-check")
+    p.add_argument(
+        "--oracle", action="store_true", help="force the certified relation-count cross-check"
+    )
 
     p = sub.add_parser("reduce", parents=[common], help="exclusive-prime reduction basis")
     p.add_argument("-l", type=int, required=True)
