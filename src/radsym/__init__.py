@@ -39,7 +39,6 @@ from .density import (
 from .radical import (
     DegreeMismatchError,
     ExponentMatrix,
-    InconsistentTargetsError,
     InputSet,
     KernelBasis,
     OracleScaleError,
@@ -64,7 +63,6 @@ __all__ = [
     "ExponentMatrix",
     "FactorizationError",
     "FiniteFieldElement",
-    "InconsistentTargetsError",
     "InputSet",
     "KernelBasis",
     "OracleScaleError",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from .arith import FactorizationError, is_prime
 from .cyclotomic import poly_str, primes_above, residue_symbol
-from .density import MAX_THREADS, character_sum, density_experiment
+from .density import _check_threads, character_sum, density_experiment
 from .radical import (
     DegreeMismatchError,
     OracleScaleError,
@@ -72,8 +72,7 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ValueError(
             f"got {len(cfg.targets)} targets for {len(cfg.radicands)} radicands"
         )
-    if not 1 <= cfg.threads <= MAX_THREADS:
-        raise ValueError(f"threads must be between 1 and {MAX_THREADS}, got {cfg.threads}")
+    _check_threads(cfg.threads)
     if cfg.format not in ("text", "json"):
         raise ValueError(f"unknown format {cfg.format!r}")
 
@@ -113,7 +112,7 @@ def _cmd_degree(cfg: RunConfig) -> dict:
         cross = cfg.l ** len(s.normalized) // relations
         if cross != value:
             raise DegreeMismatchError(
-                f"exhaustive oracle gives {cross}, methods give {value}"
+                f"certified oracle gives {cross}, methods give {value}"
             )
         oracle = {"relation_count": relations, "degree": cross}
     result = {

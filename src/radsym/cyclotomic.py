@@ -135,14 +135,6 @@ def _from_exponent_dict(l: int, powers: dict[int, int]) -> CyclotomicInt:
     return CyclotomicInt(l, tuple(powers.get(i, 0) - top for i in range(l - 1)))
 
 
-def as_cyclotomic(value: "CyclotomicInt | int", l: int) -> CyclotomicInt:
-    if isinstance(value, CyclotomicInt):
-        if value.l != l:
-            raise ValueError("cyclotomic order mismatch")
-        return value
-    return CyclotomicInt.from_int(l, value)
-
-
 def cyclo_norm(alpha: CyclotomicInt) -> int:
     """Field norm down to Q: the product of all Galois conjugates."""
     prod = alpha
@@ -367,18 +359,14 @@ def residue_symbol(alpha: "CyclotomicInt | int", ideal: PrimeIdeal) -> int:
     raise AssertionError("residue power is not a root of unity image")
 
 
-def symbol_over_integer(alpha: "CyclotomicInt | int", n: int, *, l: int | None = None) -> int:
+def symbol_over_integer(alpha: CyclotomicInt, n: int) -> int:
     """Symbol exponent of alpha over the ideal (n): summed over primes above n.
 
     n must be coprime to both l and the norm of alpha.  Each prime q | n is
     unramified, so (q) contributes every ideal above q with the multiplicity
     of q in n.
     """
-    if isinstance(alpha, CyclotomicInt):
-        l = alpha.l
-    elif l is None:
-        raise ValueError("l is required when alpha is a rational integer")
-    alpha = as_cyclotomic(alpha, l)
+    l = alpha.l
     if n == 0:
         raise ValueError("modulus must be nonzero")
     if math.gcd(n, l) != 1:

@@ -241,7 +241,6 @@ def _scan(
     radicands: tuple[int, ...],
     threads: int,
     targets: tuple[int, ...] | None = None,
-    verify: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> tuple[_Scan, ...]:
     """Counts at every checkpoint bound up to norm_bound.
 
@@ -250,9 +249,8 @@ def _scan(
     checkpoint bound its split primes, the matches for ``targets`` (none
     counted when None) and the nontrivial residues per radicand.  Only these
     integer sums outlive a window, and they do not depend on the order in
-    which threads take windows.  ``verify`` = (raw cores, their targets)
-    checks every block against the translation, see
-    ``_assert_translation_equivalent``.
+    which threads take windows.  The degree >= 2 ideals are counted per
+    bound in closed form, by ``_high_degree_norms``.
     """
     bounds = np.array(_checkpoint_bounds(norm_bound), dtype=np.int64)
     skip = np.array(sorted(p for p in exclude if p % l == 1), dtype=np.int64)
@@ -271,8 +269,6 @@ def _scan(
             if targets is not None:
                 roots = _matched_roots(l, chunk, vals, targets)
                 cols[1] = np.where(roots == 1, l - 1, roots != 0)
-                if verify is not None:
-                    _assert_translation_equivalent(l, chunk, roots, *verify)
             cols[2:] = vals != 1
             for row, k in enumerate(np.searchsorted(chunk, bounds, side="right").tolist()):
                 if k:
@@ -328,7 +324,6 @@ def density_experiment(
     norm_bound: int,
     *,
     threads: int = 1,
-    verify_translation: bool = False,
 ) -> DensityReport:
     """Count prime ideals realizing the target exponents for every radicand.
 
@@ -350,16 +345,9 @@ def density_experiment(
             result.b, (), 0, 0, 0.0, (), (),
         )
     s_targets = translate_targets(result, targets)
-    exclude = _excluded_primes(input_set)
-    verify = None
-    if verify_translation:
-        r_norm = tuple(t for t, pos in zip(targets, input_set.index_map) if pos is not None)
-        verify = (input_set.normalized, r_norm)
-    scans = _scan(l, norm_bound, exclude, result.b, threads, s_targets, verify)
+    scans = _scan(l, norm_bound, _excluded_primes(input_set), result.b, threads, s_targets)
     # every symbol is 0 at degree >= 2, so those ideals match iff all targets are 0
     high_match = not any(s_targets)
-    if verify and scans[-1].high and any(verify[1]) != any(s_targets):
-        raise AssertionError("counting modes disagree at the degree >= 2 ideals")
     rows = []
     for sc in scans:
         ideals = sc.split * (l - 1) + sc.high
@@ -376,21 +364,6 @@ def density_experiment(
         result.b, s_targets, final.ideals, final.matches, final.empirical,
         tuple(rows), char_sums,
     )
-
-
-def _assert_translation_equivalent(
-    l: int, primes: np.ndarray, roots: np.ndarray, cores: tuple[int, ...], r_norm
-) -> None:
-    """Debug mode: counting through the raw radicands must select exactly the
-    same ideals above ``primes`` as counting through the reduced basis.
-
-    A matched root names the ideals it selects (all, none or the one of root
-    w), so the raw cores' matched roots must equal the reduced basis's
-    ``roots`` prime by prime.
-    """
-    raw = _matched_roots(l, primes, _residues(l, primes, cores), r_norm)
-    if not np.array_equal(raw, roots):
-        raise AssertionError("raw-target and reduced-target counts differ per ideal")
 
 
 def character_sum(n: int, l: int, norm_bound: int, *, threads: int = 1) -> CharSumReport:

@@ -28,10 +28,6 @@ class OracleScaleError(ValueError):
     """The oracle's l**m relation space exceeds its scale guard."""
 
 
-class InconsistentTargetsError(ValueError):
-    """The requested symbol targets violate a multiplicative relation."""
-
-
 @dataclass(frozen=True)
 class InputSet:
     """Raw radicands plus their positive l-th-power-free cores.
@@ -104,59 +100,50 @@ class KernelBasis:
     basis: tuple[tuple[int, ...], ...]
 
 
-def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over Z/p; pivots take the first nonzero
-    column with the smallest row index."""
-    m = a.copy() % p
-    rows, cols = m.shape
+def _rref_mod(a: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over Z/p of the rows a; pivots take the first
+    nonzero column with the smallest row index."""
+    m = [[x % p for x in row] for row in a]
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i, c] % p:
-                pivot_row = i
-                break
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            m[[r, pivot_row]] = m[[pivot_row, r]]
-        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = pow(m[r][c], -1, p)
+        top = m[r] = [x * inv % p for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                factor = row[c]
+                m[i] = [(x - factor * y) % p for x, y in zip(row, top)]
         pivots.append(c)
-        r += 1
     return m, pivots
 
 
-def _nullspace_mod(r: np.ndarray, pivots: list[int], p: int) -> list[np.ndarray]:
-    """Basis of the right nullspace over Z/p of a matrix whose reduced row
-    echelon form and pivot columns ``_rref_mod`` gave as r and pivots: one
-    vector per free column, ascending, each scaled so its first nonzero
-    entry is 1."""
-    cols = r.shape[1]
+def _nullspace_mod(r: list[list[int]], pivots: list[int], cols: int, p: int) -> list[list[int]]:
+    """Basis of the right nullspace over Z/p of a matrix with ``cols`` columns
+    whose reduced row echelon form and pivot columns ``_rref_mod`` gave as r
+    and pivots: one vector per free column, ascending, each scaled so its
+    first nonzero entry is 1."""
     pivot_set = set(pivots)
     basis = []
     for free in range(cols):
         if free in pivot_set:
             continue
-        v = np.zeros(cols, dtype=np.int64)
+        v = [0] * cols
         v[free] = 1
-        for row, pc in enumerate(pivots):
-            v[pc] = (-r[row, free]) % p
-        first = int(v[np.flatnonzero(v)[0]])
-        v = v * pow(first, -1, p) % p
-        basis.append(v)
+        for row, pc in zip(r, pivots):
+            v[pc] = -row[free] % p
+        inv = pow(next(x for x in v if x), -1, p)
+        basis.append([x * inv % p for x in v])
     return basis
 
 
 def rank_and_kernel(m: ExponentMatrix) -> KernelBasis:
-    r, pivots = _rref_mod(m.entries.T, m.l)
-    basis = _nullspace_mod(r, pivots, m.l)
-    return KernelBasis(m.l, len(pivots), tuple(tuple(int(x) for x in v) for v in basis))
+    r, pivots = _rref_mod(m.entries.T.tolist(), m.l)
+    basis = _nullspace_mod(r, pivots, len(m.entries), m.l)
+    return KernelBasis(m.l, len(pivots), tuple(tuple(v) for v in basis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,10 +272,14 @@ def _symbol_exponents(cores: tuple[int, ...], l: int, q: int) -> list[int]:
     return out
 
 
-def brute_force_kernel(s: InputSet, *, limit: int = 10**7) -> int:
+# Largest l**m that brute_force_kernel accepts, read at each call.
+ORACLE_LIMIT = 10**7
+
+
+def brute_force_kernel(s: InputSet) -> int:
     """Certified count of the exponent tuples lam in [0, l)**m whose product
     prod a_i**lam_i of the cores is an exact l-th power.  Guards at
-    l**m <= limit.
+    l**m <= ORACLE_LIMIT.
 
     Independent of the factorizations: at k small primes q = 1 mod l dividing
     no core, an l-th power P has P**((q-1)/l) == 1 mod q, so every relation
@@ -303,15 +294,15 @@ def brute_force_kernel(s: InputSet, *, limit: int = 10**7) -> int:
     l = s.l
     cores = s.normalized
     m = len(cores)
-    if l**m > limit:
-        raise OracleScaleError(f"l**{m} exceeds the scale guard {limit}")
+    if l**m > ORACLE_LIMIT:
+        raise OracleScaleError(f"l**{m} exceeds the scale guard {ORACLE_LIMIT}")
     k = m
     while True:
         symbols = [_symbol_exponents(cores, l, q) for q in _filter_primes(cores, l, k)]
-        r, pivots = _rref_mod(np.array(symbols, dtype=np.int64).reshape(k, m), l)
-        basis = _nullspace_mod(r, pivots, l)
+        r, pivots = _rref_mod(symbols, l)
+        basis = _nullspace_mod(r, pivots, m, l)
         if all(
-            exact_lth_root(math.prod(a ** int(e) for a, e in zip(cores, v)), l) is not None
+            exact_lth_root(math.prod(a**e for a, e in zip(cores, v)), l) is not None
             for v in basis
         ):
             return l ** len(basis)
@@ -342,20 +333,16 @@ def consistency_check(s: InputSet, targets, kernel: KernelBasis | None = None) -
     return True
 
 
-def translate_targets(
-    result: ReductionResult, targets, *, input_set: InputSet | None = None
-) -> tuple[int, ...]:
+def translate_targets(result: ReductionResult, targets) -> tuple[int, ...]:
     """Map per-radicand targets r to per-b targets s via s_j = sum E_ji r_i.
 
-    When the originating InputSet is supplied the assignment is verified for
-    consistency first and InconsistentTargetsError is raised on failure.
+    The targets must pass ``consistency_check``: only then does an ideal give
+    every raw radicand its target exactly where it gives every b_j its s_j.
     """
     targets = tuple(int(r) % result.l for r in targets)
     if len(targets) != result.transform.shape[1]:
         raise ValueError(
             f"need {result.transform.shape[1]} targets, got {len(targets)}"
         )
-    if input_set is not None and not consistency_check(input_set, targets):
-        raise InconsistentTargetsError("targets violate a multiplicative relation")
     r = np.array(targets, dtype=np.int64)
     return tuple(int(x) for x in (result.transform @ r) % result.l)

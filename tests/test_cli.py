@@ -56,6 +56,13 @@ def test_degree_l5(capsys):
     assert "degree: 25" in out
 
 
+def test_degree_oracle_mismatch_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(radsym.cli, "brute_force_kernel", lambda s: 9)  # truly 3
+    code, out, err = run_cli(capsys, "degree", "-l", "3", "2", "3", "6")
+    assert (code, out) == (3, "")
+    assert err == "error: internal: certified oracle gives 3, methods give 9\n"
+
+
 def test_symbol_golden_order(capsys):
     code, out, _ = run_cli(capsys, "symbol", "-l", "3", "-p", "7", "--format", "json", "2")
     assert code == 0

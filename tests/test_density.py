@@ -16,7 +16,7 @@ from radsym.density import (
     density_experiment,
     enumerate_prime_ideals,
 )
-from radsym.radical import consistency_check, normalize_inputs
+from radsym.radical import consistency_check, normalize_inputs, reduce_basis
 
 
 def exact_symbol(a, I):
@@ -138,28 +138,50 @@ def test_density_matches_generic_ideal_walk(l, radicands, targets):
     assert matches == rep.matches
 
 
-def test_density_translation_equivalence_debug_mode():
+def _translation_misses(s, targets, ideals):
+    """The ideals among ``ideals`` outside the radicands' primes where the raw
+    radicands hitting their targets and reduce_basis(s).b hitting the
+    translated targets disagree, with the translation the scan counts with.
+    Counts alone cannot show a translation error that multiplies every target
+    by a unit, so the check goes ideal by ideal."""
+    red = reduce_basis(s)
+    s_targets = radsym.density.translate_targets(red, targets)
+    misses = []
+    for I in ideals:
+        if any(a % I.p == 0 for a in s.raw):
+            continue
+        raw = all(exact_symbol(a, I) == t % s.l for a, t in zip(s.raw, targets))
+        reduced = all(exact_symbol(b, I) == t for b, t in zip(red.b, s_targets))
+        if raw != reduced:
+            misses.append(I)
+    return misses
+
+
+def test_translation_agrees_per_ideal():
     s = normalize_inputs(3, [12, 18])
     for targets in [(0, 0), (1, 2), (2, 1)]:
-        rep = density_experiment(s, targets, 5000, verify_translation=True)
-        assert rep.consistent
-    s2 = normalize_inputs(3, [8, 2, 50])
-    for targets in [(0, 0, 0), (0, 1, 1), (0, 2, 2)]:
-        if consistency_check(s2, targets):
-            density_experiment(s2, targets, 3000, verify_translation=True)
+        assert consistency_check(s, targets)
+        assert _translation_misses(s, targets, enumerate_prime_ideals(3, 5000)) == []
+    s2 = normalize_inputs(3, [8, 2, 50])  # 8 is dropped, so its target must be 0
+    for targets in [(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 1, 2)]:
+        assert consistency_check(s2, targets)
+        assert _translation_misses(s2, targets, enumerate_prime_ideals(3, 3000)) == []
 
 
-def test_density_translation_check_catches_wrong_translation(monkeypatch):
+def test_translation_walk_catches_a_unit_multiple(monkeypatch):
+    s = normalize_inputs(3, [12, 18])
+    right = density_experiment(s, (1, 2), 5000)
     real = radsym.density.translate_targets
 
-    def shifted(result, targets, **kwargs):
-        return tuple((s + 1) % result.l for s in real(result, targets, **kwargs))
+    def doubled(result, targets):
+        return tuple(2 * t % result.l for t in real(result, targets))
 
-    monkeypatch.setattr(radsym.density, "translate_targets", shifted)
-    s = normalize_inputs(3, [12, 18])
-    density_experiment(s, (1, 2), 5000)  # unchecked: silently miscounts
-    with pytest.raises(AssertionError):
-        density_experiment(s, (1, 2), 5000, verify_translation=True)
+    monkeypatch.setattr(radsym.density, "translate_targets", doubled)
+    wrong = density_experiment(s, (1, 2), 5000)
+    assert wrong.translated != right.translated
+    # conjugate ideals swap the symbols 1 and 2, so every count is blind to it
+    assert wrong.checkpoints == right.checkpoints
+    assert _translation_misses(s, (1, 2), enumerate_prime_ideals(3, 5000))
 
 
 @pytest.mark.parametrize("bound", [kernels.MAX_MODULUS, 10**15])
@@ -397,7 +419,7 @@ def _check_study(l, radicands, targets, bound):
         assert [(row.ideals, row.matches) for row in rep.checkpoints] == [
             _walk(l, radicands, targets, row.bound) for row in rep.checkpoints
         ]
-        assert density_experiment(s, targets, bound, verify_translation=True) == rep
+        assert _translation_misses(s, targets, (I for I in _ideals(l) if I.norm <= bound)) == []
     else:
         assert _walk(l, radicands, targets, bound)[1] == 0
         assert not consistency_check(s, targets)

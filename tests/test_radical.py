@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import radsym.radical
 from radsym.arith import exact_lth_root, factorize
 from radsym.radical import (
-    InconsistentTargetsError,
     OracleScaleError,
+    _nullspace_mod,
+    _rref_mod,
     brute_force_kernel,
     consistency_check,
     degree,
@@ -219,7 +220,7 @@ def test_degree_examples():
     assert degree(normalize_inputs(3, [])) == 1
 
 
-def test_brute_force_kernel_examples():
+def test_brute_force_kernel_examples(monkeypatch):
     assert brute_force_kernel(normalize_inputs(3, [2, 3, 6])) == 3
     assert brute_force_kernel(normalize_inputs(3, [2, 3])) == 1
     assert brute_force_kernel(normalize_inputs(3, [])) == 1
@@ -227,8 +228,10 @@ def test_brute_force_kernel_examples():
     # cube, so the count must add filter primes before it can certify.
     assert brute_force_kernel(normalize_inputs(3, [29])) == 1
     assert brute_force_kernel(normalize_inputs(3, [2] * 12)) == 3**11
-    with pytest.raises(OracleScaleError):
-        brute_force_kernel(normalize_inputs(3, [2, 3, 5]), limit=10)
+    monkeypatch.setattr(radsym.radical, "ORACLE_LIMIT", 10)
+    with pytest.raises(OracleScaleError, match="l\\*\\*3 exceeds the scale guard 10"):
+        brute_force_kernel(normalize_inputs(3, [2, 3, 5]))
+    assert brute_force_kernel(normalize_inputs(3, [2, 3])) == 1  # 3**2 <= 10
 
 
 # The first primes 1 + 2l*i, which the oracle's filter would take unless
@@ -291,6 +294,44 @@ def test_brute_force_kernel_memory_is_bounded():
     assert refused_peak < 2**16
 
 
+@st.composite
+def matrices_mod_l(draw):
+    """(l, rows): k x m matrices over Z/l with k > m among them, as the
+    oracle's symbol matrices start with k = m rows and double k."""
+    l = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    m = draw(st.integers(0, 7))
+    k = draw(st.integers(0, 2 * m + 2))
+    # few distinct values, so rank deficiency and repeated rows are common
+    entry = st.one_of(st.just(0), st.integers(0, l - 1))
+    flat = draw(st.lists(entry, min_size=k * m, max_size=k * m))
+    return l, m, [flat[i * m : (i + 1) * m] for i in range(k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_mod_l())
+@example((3, 3, [[1, 1, 2], [2, 2, 1], [0, 0, 0], [1, 1, 2]]))
+@example((5, 2, []))
+@example((7, 0, [[], []]))
+def test_rref_and_nullspace_mod_l(case):
+    l, m, rows = case
+    r, pivots = _rref_mod(rows, l)
+    basis = _nullspace_mod(r, pivots, m, l)
+    assert len(pivots) + len(basis) == m
+    for v in basis:
+        assert len(v) == m
+        for row in rows:
+            assert sum(a * x for a, x in zip(row, v)) % l == 0
+        assert next(x for x in v if x) == 1
+    free = [c for c in range(m) if c not in pivots]
+    assert pivots == sorted(pivots)
+    # one vector per free column, ascending: vector i is nonzero at free[i]
+    # and 0 at every other free column
+    assert [[v[c] != 0 for c in free] for v in basis] == [
+        [c == d for c in free] for d in free
+    ]
+    assert r == _rref_mod(r, l)[0]  # reduced: a second pass changes nothing
+
+
 def test_consistency_check_examples():
     s = normalize_inputs(3, [2, 3, 6])
     assert consistency_check(s, (1, 1, 2))
@@ -312,16 +353,14 @@ def test_translate_targets():
     s = normalize_inputs(3, [12, 18])
     r = reduce_basis(s)
     assert consistency_check(s, (1, 2))
-    assert translate_targets(r, (1, 2), input_set=s) == (1,)
-    with pytest.raises(InconsistentTargetsError):
-        translate_targets(r, (1, 1), input_set=s)
+    assert translate_targets(r, (1, 2)) == (1,)
 
     s2 = normalize_inputs(3, [2, 3])
     r2 = reduce_basis(s2)
     assert translate_targets(r2, (2, 1)) == (2, 1)  # identity transform
 
     s3 = normalize_inputs(3, [8])
-    assert translate_targets(reduce_basis(s3), (0,), input_set=s3) == ()
+    assert translate_targets(reduce_basis(s3), (0,)) == ()
     with pytest.raises(ValueError):
         translate_targets(r2, (1,))
 
