@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
-"""Benchmark the numpy kernels against a pure-Python baseline.
+"""Benchmark the numpy ``powmod`` kernel against a pure-Python baseline.
 
-Times the three array kernels on the split primes below a bound, plus a pure
-Python per-element ``pow`` loop, and optionally an end-to-end density
-experiment in the same process.  ``powmod`` is also timed both ways the scan
-could call it for three radicands, block by block as the scan does: one
-stacked (3, n) call per block against shared exponents and moduli, and three
-1-D calls per block.  Below the float64 limit of about 1.9e8 these take
-``powmod``'s float64 reduction, so the stacked call is timed once more on
-the split primes of [2**30, 2**30 + bound), which take the int64 path.
-The small-exponent ``powmod`` calls the scan makes per
-block on those residues v are timed one row each, at targets (0, 1, 2): the
-guard v**l, the matched root w = v_1**(1/1) and its powers w**s.  The scan
-skips the root call when the inverse exponent is 1, as here, and takes
-w = v_1, so that row times a call the scan no longer makes.
+Times ``powmod`` on the split primes below a bound, plus a pure Python
+per-element ``pow`` loop, and optionally an end-to-end density experiment in
+the same process.  ``powmod`` is also timed both ways the scan could call it
+for three radicands, block by block as the scan does: one stacked (3, n) call
+per block against shared exponents and moduli, and three 1-D calls per block.
+Below the float64 limit of about 1.9e8 these take ``powmod``'s float64
+reduction, so the stacked call is timed once more on the split primes of
+[2**30, 2**30 + bound), which take the int64 path.  The small-exponent
+``powmod`` calls the scan makes per block on those residues v are timed one
+row each, at targets (0, 1, 2): the guard v**l, the matched root
+w = v_1**(1/1) and its powers w**s.  The scan skips the root call when the
+inverse exponent is 1, as here, and takes w = v_1, so that row times a call
+the scan no longer makes.
 
     python3 benchmarks/bench_kernels.py --bound 2000000 --end-to-end
 """
@@ -62,9 +62,6 @@ def bench_kernels(bound: int, l: int) -> None:
         for lo in range(0, size, _BLOCK):
             call(np.s_[lo : lo + _BLOCK])
 
-    roots = kernels.unity_roots(primes, l)
-    col = np.ascontiguousarray(roots[:, 0])
-    values = kernels.powmod(base, exps, primes)
     residues = kernels.powmod(stacked, exps, primes)
     i = next(j for j, s in enumerate(TARGETS) if s)  # the scan's first nonzero target
     inverse = pow(TARGETS[i], -1, l)
@@ -83,8 +80,6 @@ def bench_kernels(bound: int, l: int) -> None:
             lambda b: kernels.powmod(residues[i, b], inverse, primes[b])))),
         (f"powmod w**s, s={TARGETS}", timeit(lambda: per_block(
             lambda b: kernels.powmod(w[b], target_col, primes[b])))),
-        ("unity_roots", timeit(lambda: kernels.unity_roots(primes, l))),
-        ("exponent_lookup", timeit(lambda: kernels.exponent_lookup(values, col, primes, l))),
         ("powmod/python", timeit(lambda: python_powmod(base, exps, primes), 1)),
     ]
     width = max(len(name) for name, _ in rows)

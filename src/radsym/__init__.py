@@ -38,7 +38,6 @@ from .density import (
 )
 from .radical import (
     DegreeMismatchError,
-    ExponentMatrix,
     InputSet,
     KernelBasis,
     OracleScaleError,
@@ -46,7 +45,6 @@ from .radical import (
     brute_force_kernel,
     consistency_check,
     degree,
-    exponent_matrix,
     normalize_inputs,
     rank_and_kernel,
     reduce_basis,
@@ -60,7 +58,6 @@ __all__ = [
     "CyclotomicInt",
     "DegreeMismatchError",
     "DensityReport",
-    "ExponentMatrix",
     "FactorizationError",
     "FiniteFieldElement",
     "InputSet",
@@ -81,7 +78,6 @@ __all__ = [
     "eisenstein_check",
     "enumerate_prime_ideals",
     "exact_lth_root",
-    "exponent_matrix",
     "factorize",
     "is_prime",
     "is_primary",

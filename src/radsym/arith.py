@@ -14,8 +14,10 @@ from functools import cache
 
 from .kernels import sieve_primes
 
-DEFAULT_FACTOR_BOUND = 1 << 96
-DEFAULT_FACTOR_BUDGET = 4_000_000
+# Largest |n| that factorize accepts, and the cycle method's iteration budget;
+# both read at each call.
+FACTOR_BOUND = 1 << 96
+FACTOR_BUDGET = 4_000_000
 
 _TRIAL_LIMIT = 1_000_000
 
@@ -140,21 +142,16 @@ def _factor_into(n: int, out: dict[int, int], budget: list[int]) -> None:
     _factor_into(n // d, out, budget)
 
 
-def factorize(
-    n: int,
-    *,
-    bound: int = DEFAULT_FACTOR_BOUND,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-) -> PrimeFactorization:
+def factorize(n: int) -> PrimeFactorization:
     """Exact prime factorization of a nonzero integer.
 
-    Raises ValueError for n == 0 or |n| > bound, and FactorizationError if
-    the cycle method exceeds its iteration budget (never a wrong answer).
+    Raises ValueError for n == 0 or |n| > FACTOR_BOUND, and FactorizationError
+    if the cycle method exceeds FACTOR_BUDGET iterations (never a wrong answer).
     """
     if n == 0:
         raise ValueError("cannot factorize 0")
-    if abs(n) > bound:
-        raise ValueError(f"|n| exceeds the configured factorization bound {bound}")
+    if abs(n) > FACTOR_BOUND:
+        raise ValueError(f"|n| exceeds the configured factorization bound {FACTOR_BOUND}")
     sign = 1 if n > 0 else -1
     m = abs(n)
     powers: dict[int, int] = {}
@@ -168,7 +165,7 @@ def factorize(
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
             powers[m] = powers.get(m, 0) + 1
         else:
-            _factor_into(m, powers, [budget])
+            _factor_into(m, powers, [FACTOR_BUDGET])
     return PrimeFactorization(sign, tuple(sorted(powers.items())))
 
 

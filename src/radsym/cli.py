@@ -26,7 +26,6 @@ from .radical import (
     brute_force_kernel,
     checked_degree,
     consistency_check,
-    exponent_matrix,
     normalize_inputs,
     rank_and_kernel,
     reduce_basis,
@@ -96,9 +95,8 @@ def _report(cfg: RunConfig, result: dict, checkpoints=(), warnings=()) -> dict:
 
 def _cmd_degree(cfg: RunConfig) -> dict:
     s = normalize_inputs(cfg.l, cfg.radicands)
-    mat = exponent_matrix(s)
-    red = reduce_basis(s, mat)
-    kernel = rank_and_kernel(mat)
+    red = reduce_basis(s)
+    kernel = rank_and_kernel(s)
     value = checked_degree(red, kernel)
     warnings = []
     oracle = None
@@ -131,14 +129,13 @@ def _cmd_degree(cfg: RunConfig) -> dict:
 
 def _cmd_reduce(cfg: RunConfig) -> dict:
     s = normalize_inputs(cfg.l, cfg.radicands)
-    mat = exponent_matrix(s)
-    red = reduce_basis(s, mat)
+    red = reduce_basis(s)
     result = {
         "t": red.t,
         "b": list(red.b),
         "exclusive_primes": list(red.exclusive_primes),
         "transform": [[int(x) for x in row] for row in red.transform],
-        "degree": checked_degree(red, rank_and_kernel(mat)),
+        "degree": checked_degree(red, rank_and_kernel(s)),
         "normalized": list(s.normalized),
         "dropped_indices": [i for i, pos in enumerate(s.index_map) if pos is None],
     }
@@ -244,7 +241,7 @@ def _cmd_check(cfg: RunConfig) -> dict:
     if cfg.targets is None:
         raise ValueError("check requires --targets")
     s = normalize_inputs(cfg.l, cfg.radicands)
-    kernel = rank_and_kernel(exponent_matrix(s))
+    kernel = rank_and_kernel(s)
     result = {
         "consistent": consistency_check(s, cfg.targets, kernel),
         "rank": kernel.rank,

@@ -47,7 +47,6 @@ from .cyclotomic import primes_above
 from .radical import (
     InputSet,
     consistency_check,
-    exponent_matrix,
     rank_and_kernel,
     reduce_basis,
     translate_targets,
@@ -336,10 +335,9 @@ def density_experiment(
     targets = tuple(int(r) % l for r in targets)
     _check_bound(norm_bound)
     _check_threads(threads)
-    matrix = exponent_matrix(input_set)
-    result = reduce_basis(input_set, matrix)
+    result = reduce_basis(input_set)
     predicted = 1.0 / l**result.t
-    if not consistency_check(input_set, targets, rank_and_kernel(matrix)):
+    if not consistency_check(input_set, targets, rank_and_kernel(input_set)):
         return DensityReport(
             l, norm_bound, input_set.raw, targets, False, result.t, predicted,
             result.b, (), 0, 0, 0.0, (), (),

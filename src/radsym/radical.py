@@ -36,6 +36,9 @@ class InputSet:
     cores, or None when the entry is an exact l-th power (core 1) and was
     dropped.  Duplicates are kept as distinct entries.  ``factorizations[i]``
     factors raw entry i, once for the exponent matrix and the density scan.
+    ``primes`` are the primes dividing some core, ascending, and
+    ``exponents[i][j]`` is the exponent of ``primes[j]`` in core i, in [0, l):
+    the exponent matrix of the cores mod l.
     """
 
     l: int
@@ -43,51 +46,32 @@ class InputSet:
     normalized: tuple[int, ...]
     index_map: tuple[int | None, ...]
     factorizations: tuple[PrimeFactorization, ...]
+    primes: tuple[int, ...]
+    exponents: tuple[tuple[int, ...], ...]
 
 
 def normalize_inputs(l: int, radicands) -> InputSet:
+    """A core's primes are those of nonzero exponent mod l in its radicand."""
     _check_l(l)
     raw = tuple(int(a) for a in radicands)
-    cores: list[int] = []
+    rows: list[dict[int, int]] = []
     index_map: list[int | None] = []
     facts = []
     for a in raw:
         if a == 0:
             raise ValueError("radicands must be nonzero")
         facts.append(factorize(a))
-        core = math.prod(p ** (e % l) for p, e in facts[-1].factors)
-        if core == 1:
-            index_map.append(None)
-        else:
-            index_map.append(len(cores))
-            cores.append(core)
-    return InputSet(l, raw, tuple(cores), tuple(index_map), tuple(facts))
-
-
-@dataclass(frozen=True, eq=False)
-class ExponentMatrix:
-    """Prime exponents of the normalized cores, reduced mod l.
-
-    entries[i, j] is the exponent of primes[j] in core i; primes are the
-    distinct primes dividing the product of the cores, ascending.
-    """
-
-    l: int
-    entries: np.ndarray
-    primes: tuple[int, ...]
-
-
-def exponent_matrix(s: InputSet) -> ExponentMatrix:
-    """From the raw factorizations: a core's primes are those of nonzero exponent mod l."""
-    rows = [[(p, e % s.l) for p, e in f.factors if e % s.l]
-            for f, pos in zip(s.factorizations, s.index_map) if pos is not None]
-    primes = sorted({p for row in rows for p, _ in row})
-    index = {p: j for j, p in enumerate(primes)}
-    entries = np.zeros((len(rows), len(primes)), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for p, e in row:
-            entries[i, index[p]] = e
-    return ExponentMatrix(s.l, entries, tuple(primes))
+        row = {p: e % l for p, e in facts[-1].factors if e % l}
+        index_map.append(len(rows) if row else None)
+        if row:
+            rows.append(row)
+    primes = sorted({p for row in rows for p in row})
+    return InputSet(
+        l, raw,
+        tuple(math.prod(p**e for p, e in row.items()) for row in rows),
+        tuple(index_map), tuple(facts), tuple(primes),
+        tuple(tuple(row.get(p, 0) for p in primes) for row in rows),
+    )
 
 
 @dataclass(frozen=True)
@@ -140,10 +124,10 @@ def _nullspace_mod(r: list[list[int]], pivots: list[int], cols: int, p: int) -> 
     return basis
 
 
-def rank_and_kernel(m: ExponentMatrix) -> KernelBasis:
-    r, pivots = _rref_mod(m.entries.T.tolist(), m.l)
-    basis = _nullspace_mod(r, pivots, len(m.entries), m.l)
-    return KernelBasis(m.l, len(pivots), tuple(tuple(v) for v in basis))
+def rank_and_kernel(s: InputSet) -> KernelBasis:
+    r, pivots = _rref_mod(list(zip(*s.exponents)), s.l)
+    basis = _nullspace_mod(r, pivots, len(s.exponents), s.l)
+    return KernelBasis(s.l, len(pivots), tuple(tuple(v) for v in basis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +143,7 @@ class ReductionResult:
     transform: np.ndarray
 
 
-def reduce_basis(s: InputSet, matrix: ExponentMatrix | None = None) -> ReductionResult:
+def reduce_basis(s: InputSet) -> ReductionResult:
     """Successive elimination on exponent vectors mod l, in one pass.
 
     Each row of the exponent matrix, extended by an identity tail that tracks
@@ -175,17 +159,15 @@ def reduce_basis(s: InputSet, matrix: ExponentMatrix | None = None) -> Reduction
     diagonal, so exactly one vector of the new row plus their span is zero
     there, and its tail and first nonzero column follow.  Working on exponent
     vectors keeps the intermediate numbers bounded; the integers b_j are
-    rebuilt at the end.  ``matrix`` is ``exponent_matrix(s)`` when the caller
-    has it.
+    rebuilt at the end.
     """
     l = s.l
-    mat = exponent_matrix(s) if matrix is None else matrix
-    n = len(mat.primes)
+    n = len(s.primes)
     m = len(s.normalized)
     kept: list[list[int]] = []
     pivots: list[int] = []
-    for i, entries in enumerate(mat.entries.tolist()):
-        row = entries + [int(k == i) for k in range(m)]
+    for i, entries in enumerate(s.exponents):
+        row = list(entries) + [int(k == i) for k in range(m)]
         for col, pivot_row in zip(pivots, kept):
             if row[col]:
                 row = _clear(row, pivot_row, col, l)
@@ -204,8 +186,8 @@ def reduce_basis(s: InputSet, matrix: ExponentMatrix | None = None) -> Reduction
     return ReductionResult(
         l,
         len(kept),
-        tuple(math.prod(q**e for q, e in zip(mat.primes, row[:n])) for row in kept),
-        tuple(mat.primes[col] for col in pivots),
+        tuple(math.prod(q**e for q, e in zip(s.primes, row[:n])) for row in kept),
+        tuple(s.primes[col] for col in pivots),
         transform,
     )
 
@@ -235,8 +217,7 @@ def checked_degree(red: ReductionResult, kernel: KernelBasis) -> int:
 
 def degree(s: InputSet) -> int:
     """Degree of the radical extension, by elimination and by matrix rank."""
-    mat = exponent_matrix(s)
-    return checked_degree(reduce_basis(s, mat), rank_and_kernel(mat))
+    return checked_degree(reduce_basis(s), rank_and_kernel(s))
 
 
 def _filter_primes(cores: tuple[int, ...], l: int, k: int) -> list[int]:
@@ -309,10 +290,10 @@ def brute_force_kernel(s: InputSet) -> int:
         k *= 2
 
 
-def consistency_check(s: InputSet, targets, kernel: KernelBasis | None = None) -> bool:
+def consistency_check(s: InputSet, targets, kernel: KernelBasis) -> bool:
     """Whether the target exponents can be realized by any prime ideal:
-    dropped entries need target 0 and every kernel relation must vanish.
-    ``kernel`` is ``rank_and_kernel(exponent_matrix(s))`` when the caller has it."""
+    dropped entries need target 0 and every relation of ``kernel``, which is
+    ``rank_and_kernel(s)``, must vanish."""
     targets = tuple(int(r) % s.l for r in targets)
     if len(targets) != len(s.raw):
         raise ValueError(
@@ -325,8 +306,6 @@ def consistency_check(s: InputSet, targets, kernel: KernelBasis | None = None) -
                 return False
         else:
             reduced.append(r)
-    if kernel is None:
-        kernel = rank_and_kernel(exponent_matrix(s))
     for relation in kernel.basis:
         if sum(c * r for c, r in zip(relation, reduced)) % s.l != 0:
             return False

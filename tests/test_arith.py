@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import radsym.arith
 from radsym.arith import (
     FactorizationError,
     RamifiedPrimeError,
@@ -48,13 +49,19 @@ def test_factorize_large_semiprime():
     assert f.factors == ((p, 1), (q, 1))
 
 
-def test_factorize_bound_and_budget():
-    with pytest.raises(ValueError):
+def test_factorize_bound_and_budget(monkeypatch):
+    with pytest.raises(ValueError, match=rf"^\|n\| exceeds the configured factorization bound {1 << 96}$"):
         factorize(1 << 97)
+    monkeypatch.setattr(radsym.arith, "FACTOR_BOUND", 100)
+    assert factorize(-100).factors == ((2, 2), (5, 2))
+    with pytest.raises(ValueError, match=r"^\|n\| exceeds the configured factorization bound 100$"):
+        factorize(101)
+    monkeypatch.undo()
     p = next(n for n in range(2**41, 2**41 + 200) if is_prime(n))
     q = next(n for n in range(2**41 + 200, 2**41 + 600) if is_prime(n))
-    with pytest.raises(FactorizationError):
-        factorize(p * q, budget=8)
+    monkeypatch.setattr(radsym.arith, "FACTOR_BUDGET", 8)
+    with pytest.raises(FactorizationError, match="^factorization budget exhausted; lower the input bound$"):
+        factorize(p * q)
 
 
 def test_is_prime_small():

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,8 +339,11 @@ def test_batch_all_good_exits_zero(capsys):
 
 
 def _cli(*argv):
+    """Run the CLI in a child process that imports radsym from this checkout."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
-        [sys.executable, "-m", "radsym", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "radsym", *argv], capture_output=True, text=True, env=env
     )
 
 

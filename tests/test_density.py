@@ -9,14 +9,19 @@ from hypothesis import assume, given, settings, strategies as st
 import radsym.density
 import radsym.radical
 from radsym import kernels
-from radsym.arith import DEFAULT_FACTOR_BOUND, exact_lth_root
+from radsym.arith import FACTOR_BOUND, exact_lth_root
 from radsym.cyclotomic import CyclotomicInt, residue_symbol
 from radsym.density import (
     character_sum,
     density_experiment,
     enumerate_prime_ideals,
 )
-from radsym.radical import consistency_check, normalize_inputs, reduce_basis
+from radsym.radical import (
+    consistency_check,
+    normalize_inputs,
+    rank_and_kernel,
+    reduce_basis,
+)
 
 
 def exact_symbol(a, I):
@@ -160,11 +165,11 @@ def _translation_misses(s, targets, ideals):
 def test_translation_agrees_per_ideal():
     s = normalize_inputs(3, [12, 18])
     for targets in [(0, 0), (1, 2), (2, 1)]:
-        assert consistency_check(s, targets)
+        assert consistency_check(s, targets, rank_and_kernel(s))
         assert _translation_misses(s, targets, enumerate_prime_ideals(3, 5000)) == []
     s2 = normalize_inputs(3, [8, 2, 50])  # 8 is dropped, so its target must be 0
     for targets in [(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 1, 2)]:
-        assert consistency_check(s2, targets)
+        assert consistency_check(s2, targets, rank_and_kernel(s2))
         assert _translation_misses(s2, targets, enumerate_prime_ideals(3, 3000)) == []
 
 
@@ -216,7 +221,7 @@ def test_rational_symbols_vanish_at_higher_degree_ideals(l):
 
 
 def test_density_computes_each_factorization_once(monkeypatch):
-    calls = {"exponent_matrix": 0, "factorize": 0}
+    calls = {"rank_and_kernel": 0, "factorize": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -232,12 +237,12 @@ def test_density_computes_each_factorization_once(monkeypatch):
             if hasattr(module, name):
                 counted(module, name)
     s = normalize_inputs(3, [12, 18, 5])
-    assert calls == {"exponent_matrix": 0, "factorize": 3}  # once per raw radicand
-    calls.update(exponent_matrix=0, factorize=0)
+    assert calls == {"rank_and_kernel": 0, "factorize": 3}  # once per raw radicand
+    calls.update(rank_and_kernel=0, factorize=0)
     rep = density_experiment(s, (0, 0, 1), 1000)
     assert rep.consistent
-    # one matrix and the excluded primes, both from the stored factorizations
-    assert calls == {"exponent_matrix": 1, "factorize": 0}
+    # one rank over the stored exponents; the excluded primes from the stored factorizations
+    assert calls == {"rank_and_kernel": 1, "factorize": 0}
 
 
 @pytest.mark.parametrize("threads", [0, -1, radsym.density.MAX_THREADS + 1, 10**6])
@@ -397,7 +402,7 @@ def _radicands(draw, l):
         else:
             a = math.prod(q ** draw(st.integers(0, l + 1)) for q in primes)
             # larger products are refused by factorize, before any scan
-            assume(a <= DEFAULT_FACTOR_BOUND)
+            assume(a <= FACTOR_BOUND)
         out.append(a * draw(st.sampled_from([1, -1])))
     return out
 
@@ -422,7 +427,7 @@ def _check_study(l, radicands, targets, bound):
         assert _translation_misses(s, targets, (I for I in _ideals(l) if I.norm <= bound)) == []
     else:
         assert _walk(l, radicands, targets, bound)[1] == 0
-        assert not consistency_check(s, targets)
+        assert not consistency_check(s, targets, rank_and_kernel(s))
     n = next((a for a in radicands if exact_lth_root(a, l) is None), None)
     if n is not None:
         reports = [character_sum(n, l, bound, threads=t) for t in (1, 2)]

@@ -16,7 +16,6 @@ from radsym.radical import (
     brute_force_kernel,
     consistency_check,
     degree,
-    exponent_matrix,
     normalize_inputs,
     rank_and_kernel,
     reduce_basis,
@@ -63,27 +62,65 @@ def test_normalize_inputs():
 
 def test_exponent_matrix_examples():
     s = normalize_inputs(3, [2, 3, 6])
-    m = exponent_matrix(s)
-    assert m.primes == (2, 3)
-    assert m.entries.tolist() == [[1, 0], [0, 1], [1, 1]]
-    m = exponent_matrix(normalize_inputs(3, [2, 4]))
-    assert m.primes == (2,) and m.entries.tolist() == [[1], [2]]
-    m = exponent_matrix(normalize_inputs(3, [12, 18]))
-    assert m.primes == (2, 3) and m.entries.tolist() == [[2, 1], [1, 2]]
+    assert s.primes == (2, 3)
+    assert s.exponents == ((1, 0), (0, 1), (1, 1))
+    s = normalize_inputs(3, [2, 4])
+    assert s.primes == (2,) and s.exponents == ((1,), (2,))
+    s = normalize_inputs(3, [12, 18])
+    assert s.primes == (2, 3) and s.exponents == ((2, 1), (1, 2))
+    s = normalize_inputs(3, [8, -1])
+    assert s.primes == () and s.exponents == ()
+
+
+@st.composite
+def radicand_lists(draw):
+    """(l, radicands): signs, +-1, exact l-th powers, prime powers with
+    exponents past l, and duplicates."""
+    l = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    prime_power = st.tuples(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, l + 1))
+    magnitude = st.one_of(
+        st.just(1),
+        st.integers(2, 9).map(lambda c: c**l),
+        st.lists(prime_power, min_size=1, max_size=2).map(
+            lambda pes: math.prod(p**e for p, e in pes)
+        ),
+    )
+    values = draw(st.lists(
+        st.tuples(magnitude, st.sampled_from((1, -1))).map(math.prod), max_size=6
+    ))
+    if values and draw(st.booleans()):
+        values.insert(draw(st.integers(0, len(values))), draw(st.sampled_from(values)))
+    return l, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(radicand_lists())
+@example((3, [8, -1, 1]))
+@example((5, [-(2**7) * 3, -(2**7) * 3, 3**5]))
+def test_input_set_exponent_matrix_properties(inputs):
+    l, values = inputs
+    s = normalize_inputs(l, values)
+    assert all(p < q for p, q in zip(s.primes, s.primes[1:]))
+    assert len(s.exponents) == len(s.normalized)
+    assert all(len(row) == len(s.primes) for row in s.exponents)
+    assert all(0 <= e < l for row in s.exponents for e in row)
+    assert all(any(row[j] for row in s.exponents) for j in range(len(s.primes)))
+    for core, row in zip(s.normalized, s.exponents):
+        assert math.prod(p**e for p, e in zip(s.primes, row)) == core
 
 
 def test_rank_and_kernel_examples():
     assert 2 * 3 * 6**2 == 6**3  # the relation behind the expected kernel
-    kb = rank_and_kernel(exponent_matrix(normalize_inputs(3, [2, 3, 6])))
+    kb = rank_and_kernel(normalize_inputs(3, [2, 3, 6]))
     assert kb.rank == 2 and kb.basis == ((1, 1, 2),)
     assert brute_count(3, (2, 3, 6)) == 3
 
     assert 2 * 4 == 2**3
-    kb = rank_and_kernel(exponent_matrix(normalize_inputs(3, [2, 4])))
+    kb = rank_and_kernel(normalize_inputs(3, [2, 4]))
     assert kb.rank == 1 and kb.basis == ((1, 1),)
     assert brute_count(3, (2, 4)) == 3
 
-    kb = rank_and_kernel(exponent_matrix(normalize_inputs(3, [])))
+    kb = rank_and_kernel(normalize_inputs(3, []))
     assert kb.rank == 0 and kb.basis == ()
 
 
@@ -96,7 +133,7 @@ def test_rank_and_kernel_row_reduces_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(radsym.radical, "_rref_mod", counted)
-    kb = rank_and_kernel(exponent_matrix(normalize_inputs(3, [2, 3, 6])))
+    kb = rank_and_kernel(normalize_inputs(3, [2, 3, 6]))
     assert kb.rank == 2 and kb.basis == ((1, 1, 2),)
     assert len(calls) == 1
 
@@ -107,7 +144,7 @@ def test_kernel_soundness_and_completeness():
         for _ in range(30):
             values = [rng.choice([2, 3, 5, 6, 10, 12, 18, 45, 50]) for _ in range(rng.randint(1, 4))]
             s = normalize_inputs(l, values)
-            kb = rank_and_kernel(exponent_matrix(s))
+            kb = rank_and_kernel(s)
             for vec in kb.basis:
                 prod = 1
                 for a, e in zip(s.normalized, vec):
@@ -271,7 +308,7 @@ def test_brute_force_kernel_matches_plain_enumeration(inputs):
     l, values = inputs
     s = normalize_inputs(l, values)
     m = len(s.normalized)
-    rank = rank_and_kernel(exponent_matrix(s)).rank
+    rank = rank_and_kernel(s).rank
     assert brute_force_kernel(s) == brute_count(l, s.normalized) == l ** (m - rank)
 
 
@@ -334,25 +371,25 @@ def test_rref_and_nullspace_mod_l(case):
 
 def test_consistency_check_examples():
     s = normalize_inputs(3, [2, 3, 6])
-    assert consistency_check(s, (1, 1, 2))
-    assert not consistency_check(s, (1, 1, 1))
+    assert consistency_check(s, (1, 1, 2), rank_and_kernel(s))
+    assert not consistency_check(s, (1, 1, 1), rank_and_kernel(s))
     s2 = normalize_inputs(3, [2, 3])
     for r in [(0, 0), (1, 2), (2, 2)]:
-        assert consistency_check(s2, r)
+        assert consistency_check(s2, r, rank_and_kernel(s2))
     with pytest.raises(ValueError):
-        consistency_check(s2, (1,))
+        consistency_check(s2, (1,), rank_and_kernel(s2))
 
 
 def test_consistency_dropped_entries_need_zero():
     s = normalize_inputs(3, [8, 2])
-    assert consistency_check(s, (0, 1))
-    assert not consistency_check(s, (1, 1))
+    assert consistency_check(s, (0, 1), rank_and_kernel(s))
+    assert not consistency_check(s, (1, 1), rank_and_kernel(s))
 
 
 def test_translate_targets():
     s = normalize_inputs(3, [12, 18])
     r = reduce_basis(s)
-    assert consistency_check(s, (1, 2))
+    assert consistency_check(s, (1, 2), rank_and_kernel(s))
     assert translate_targets(r, (1, 2)) == (1,)
 
     s2 = normalize_inputs(3, [2, 3])
@@ -372,7 +409,7 @@ def test_triple_equality_random():
             values = [rng.randint(2, 1000) * rng.choice([1, -1]) for _ in range(rng.randint(1, 4))]
             s = normalize_inputs(l, values)
             t = reduce_basis(s).t
-            rank = rank_and_kernel(exponent_matrix(s)).rank
+            rank = rank_and_kernel(s).rank
             relations = brute_force_kernel(s)
             m = len(s.normalized)
             assert l**t == l**rank == l**m // relations
