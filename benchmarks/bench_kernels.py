@@ -8,12 +8,11 @@ for three radicands, block by block as the scan does: one stacked (3, n) call
 per block against shared exponents and moduli, and three 1-D calls per block.
 Below the float64 limit of about 1.9e8 these take ``powmod``'s float64
 reduction, so the stacked call is timed once more on the split primes of
-[2**30, 2**30 + bound), which take the int64 path.  The small-exponent
-``powmod`` calls the scan makes per block on those residues v are timed one
-row each, at targets (0, 1, 2): the guard v**l, the matched root
-w = v_1**(1/1) and its powers w**s.  The scan skips the root call when the
-inverse exponent is 1, as here, and takes w = v_1, so that row times a call
-the scan no longer makes.
+[2**30, 2**30 + bound), which take the int64 path.  The per-block work the
+scan does on those residues v gets one row each, at targets (0, 1, 2): the
+subgroup guard v**l, one ``powmod`` call with a 0-d exponent, and
+``_matched_roots``, whose powers w**s are (n,) lane products (here w = v_1,
+as the inverse of the first nonzero target is 1, and w**2 is one product).
 
     python3 benchmarks/bench_kernels.py --bound 2000000 --end-to-end
 """
@@ -24,7 +23,7 @@ import time
 import numpy as np
 
 from radsym import density_experiment, kernels, normalize_inputs
-from radsym.density import _BLOCK
+from radsym.density import _BLOCK, _matched_roots
 
 TARGETS = (0, 1, 2)  # per radicand (2, 5, 7); the scan's matched-root calls
 
@@ -63,10 +62,6 @@ def bench_kernels(bound: int, l: int) -> None:
             call(np.s_[lo : lo + _BLOCK])
 
     residues = kernels.powmod(stacked, exps, primes)
-    i = next(j for j, s in enumerate(TARGETS) if s)  # the scan's first nonzero target
-    inverse = pow(TARGETS[i], -1, l)
-    w = kernels.powmod(residues[i], inverse, primes)
-    target_col = np.array(TARGETS, dtype=np.int64).reshape(-1, 1)
     rows = [
         ("powmod", timeit(lambda: kernels.powmod(base, exps, primes))),
         ("powmod (2,5,7) stacked", timeit(lambda: per_block(
@@ -74,12 +69,10 @@ def bench_kernels(bound: int, l: int) -> None:
         ("powmod (2,5,7) 3 x 1-D", timeit(lambda: per_block(one_d))),
         ("powmod (2,5,7) stacked, p near 2**30", timeit(lambda: per_block(
             lambda b: kernels.powmod(high_stacked[:, b], high_exps[b], high[b]), high.size))),
-        ("powmod guard v**l", timeit(lambda: per_block(
+        ("powmod guard v**l, 0-d exponent", timeit(lambda: per_block(
             lambda b: kernels.powmod(residues[:, b], l, primes[b])))),
-        (f"powmod root v_{i}**(1/{TARGETS[i]})", timeit(lambda: per_block(
-            lambda b: kernels.powmod(residues[i, b], inverse, primes[b])))),
-        (f"powmod w**s, s={TARGETS}", timeit(lambda: per_block(
-            lambda b: kernels.powmod(w[b], target_col, primes[b])))),
+        (f"matched roots, lane powers w**s, s={TARGETS}", timeit(lambda: per_block(
+            lambda b: _matched_roots(l, primes[b], residues[:, b], TARGETS)))),
         ("powmod/python", timeit(lambda: python_powmod(base, exps, primes), 1)),
     ]
     width = max(len(name) for name, _ in rows)

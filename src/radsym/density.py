@@ -15,8 +15,11 @@ never builds the ideals themselves:
   target is 0, all l-1 ideals match if every v_j is 1 and none does
   otherwise.  Else the first nonzero target s_i pins the only candidate,
   w = v_i**(1/s_i), which matches when v_i != 1 and v_j == w**s_j for every
-  j.  So one powmod per radicand and prime, plus at most two with exponents
-  below l, count the matching ideals above p: l-1, 1 or 0.
+  j.  So one powmod per radicand and prime, plus the subgroup guard v**l
+  and at most one root v_i**(1/s_i), both with a scalar exponent, count the
+  matching ideals above p: l-1, 1 or 0.  The powers w**s the targets use
+  are built one lane product at a time on (n,) arrays and compared row by
+  row, so no (m, n) array of powers is ever formed.
 * At an ideal of inertia degree f >= 2, (p**f - 1)/l is a multiple of
   p - 1, so every rational argument has symbol 0 there.  These ideals are
   counted in closed form, (l-1)/f of norm p**f above each such p, and
@@ -58,10 +61,14 @@ DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 # window, and threads beyond the core count only add switching.
 MAX_THREADS = 64
 
-# Split primes per kernel call.  powmod cuts a block into cache-sized chunks
-# itself; a block this long keeps each numpy pass over it long enough (tens
-# of microseconds) for a second scan thread to run while this one is inside
-# numpy, which shorter float64 passes did not.
+# Most split primes per kernel call; a window's primes are cut into equal
+# blocks of at most this many, so no window ends in a short tail block.
+# powmod cuts a block into cache-sized chunks itself; a block this long
+# keeps each numpy pass over it long enough (tens of microseconds) for a
+# second scan thread to run while this one is inside numpy, which shorter
+# float64 passes did not.  The guard v**l and the root v_i**(1/s_i) take a
+# scalar exponent, and the matched roots' powers w**s are (n,) lane
+# products, each a block-long pass.
 _BLOCK = 1 << 15
 
 # Sieve window, in terms of the progression 1 + 2l*i per unit of
@@ -196,8 +203,14 @@ def _matched_roots(l: int, primes: np.ndarray, vals: np.ndarray, targets) -> np.
     i = next(j for j, s in enumerate(targets) if s)
     root = pow(targets[i], -1, l)
     w = vals[i] if root == 1 else kernels.powmod(vals[i], root, primes)
-    powers = kernels.powmod(w, np.array(targets, dtype=np.int64).reshape(-1, 1), primes)
-    return np.where((vals[i] != 1) & (powers == vals).all(axis=0), w, 0)
+    ok = vals[i] != 1  # w**s_i == v_i holds on every lane, as v_i**l == 1
+    rest = [(j, s) for j, s in enumerate(targets) if j != i]
+    powers = [1, w]  # powers[s] == w**s, up to the largest s the targets use
+    for _ in range(2, 1 + max((s for _, s in rest), default=1)):
+        powers.append(powers[-1] * w % primes)
+    for j, s in rest:
+        ok &= vals[j] == powers[s]
+    return w * ok
 
 
 def _high_degree_norms(l: int, norm_bound: int, exclude: frozenset[int]) -> list[int]:
@@ -244,7 +257,7 @@ def _scan(
     """Counts at every checkpoint bound up to norm_bound.
 
     Each window sieves its split primes, drops the excluded ones and feeds
-    blocks of them through powmod and ``_matched_roots``, then adds per
+    equal blocks of them through powmod and ``_matched_roots``, then adds per
     checkpoint bound its split primes, the matches for ``targets`` (none
     counted when None) and the nontrivial residues per radicand.  Only these
     integer sums outlive a window, and they do not depend on the order in
@@ -260,14 +273,16 @@ def _scan(
         if skip.size and skip[-1] >= lo and skip[0] <= hi:
             primes = primes[~np.isin(primes, skip)]
         out = np.zeros((bounds.size, 2 + len(radicands)), dtype=np.int64)
-        for start in range(0, primes.size, _BLOCK):
-            chunk = primes[start : start + _BLOCK]
+        parts = -(-primes.size // _BLOCK)
+        step = -(-primes.size // parts) if parts else 1  # equal blocks, no short tail
+        for start in range(0, primes.size, step):
+            chunk = primes[start : start + step]
             vals = _residues(l, chunk, radicands)
             cols = np.zeros((2 + len(radicands), chunk.size), dtype=np.int64)
             cols[0] = 1
             if targets is not None:
                 roots = _matched_roots(l, chunk, vals, targets)
-                cols[1] = np.where(roots == 1, l - 1, roots != 0)
+                cols[1] = (roots != 0) + (l - 2) * (roots == 1)
             cols[2:] = vals != 1
             for row, k in enumerate(np.searchsorted(chunk, bounds, side="right").tolist()):
                 if k:

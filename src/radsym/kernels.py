@@ -6,7 +6,8 @@ the nontrivial l-th roots of unity mod p, and the discrete log inside the
 order-l subgroup.  The density scan uses only ``sieve_primes`` and
 ``powmod``; ``unity_roots`` and ``exponent_lookup`` give the tests an
 independent route to the symbol exponents (the oracle for the scan's
-matched roots) and are timed by the benchmarks.
+matched roots) and stay for them and for the radbench tracer, which
+resolves all four names.  No benchmark row times these two.
 
 All kernels take and return int64 arrays.  Moduli must stay below 2**31 so
 that a product of two reduced residues fits in int64 without overflow.
@@ -150,7 +151,10 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
 
     int64, for every other call:  bases are reduced into [0, p), and the two
     products share one ``%`` when the largest p squared times the largest
-    base is below 2**63; otherwise each is reduced on its own.
+    base is below 2**63; otherwise each is reduced on its own.  A 0-d
+    exponent, as in the scan's guard v**l and its root v**(1/s), walks the
+    exponent's own bits in Python: each step squares, multiplies by the base
+    only where that bit is set, and reduces, with no per-lane multiplier.
     """
     mod = np.asarray(mod, dtype=np.int64)
     e = np.asarray(exp, dtype=np.int64)
@@ -174,6 +178,16 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         return _powmod_float(b, e, mod, shape, bits, fused)
     b = _reduced(base, mod, lo, hi, low)
     fused = high**2 * int(b.max()) < 1 << 63
+    if e.ndim == 0:
+        r = np.broadcast_to(b, shape).copy()  # the top bit
+        for bit in bin(int(e))[3:]:
+            np.multiply(r, r, out=r)
+            if bit == "1":
+                if not fused:
+                    np.remainder(r, mod, out=r)
+                r *= b
+            np.remainder(r, mod, out=r)
+        return r
     r = np.where((e >> (bits - 1)) & 1 == 1, b, one)
     b_minus_1 = b - 1
     mult = np.empty(shape, dtype=np.int64)

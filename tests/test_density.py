@@ -485,6 +485,25 @@ def test_matched_roots_count_the_matching_exponents(data):
             assert len(ks) == 1 and roots[i] == pow(int(g[i]), ks[0], p)
 
 
+def test_matched_roots_stay_lane_sized(monkeypatch):
+    """The scan raises residues per radicand against (n,) exponents and
+    guards and takes roots with a scalar exponent; no powmod call gets a 2-D
+    exponent, so the powers w**s are built on (n,) lanes, never as an
+    (m, n) block."""
+    shapes = []
+    real = kernels.powmod
+
+    def spy(base, exp, mod):
+        shapes.append(np.shape(exp))
+        return real(base, exp, mod)
+
+    monkeypatch.setattr(kernels, "powmod", spy)
+    rep = density_experiment(normalize_inputs(7, [2, 3, 5]), (0, 1, 2), 10**5)
+    assert rep.matches > 0
+    assert () in shapes  # the guard v**l
+    assert all(len(shape) < 2 for shape in shapes), shapes
+
+
 def test_scan_refuses_a_residue_outside_the_subgroup(monkeypatch):
     """With 7 left in the scan, 7**((7-1)/3) == 0 mod 7 is no root of unity."""
     monkeypatch.setattr(radsym.density, "_excluded_primes", lambda s: frozenset({s.l}))

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +288,55 @@ def test_powmod_zero_exponents_and_empty_blocks():
     assert kernels.powmod(np.empty((3, 0), dtype=np.int64), empty, empty).shape == (3, 0)
     exp = np.array([0, 3, 5, 9], dtype=np.int64)
     assert kernels.powmod(np.empty((0, 4), dtype=np.int64), exp, mod).shape == (0, 4)
+
+
+# Moduli 1 to 7, on both sides of 2**21 (where p**2 times a reduced base
+# stops fitting in int64) and just below 2**31.
+SCALAR_MODULI = [range(1, 8), range(2**21 - 32, 2**21), range(2**21, 2**21 + 32),
+                 range(2**31 - 64, 2**31)]
+
+
+@pytest.mark.parametrize("l", [3, 5, 7, 11, 13])
+def test_powmod_scalar_exponent_against_python_pow(l):
+    """A 0-d exponent, as in the scan's guard v**l and root v**(1/s), gives
+    Python's pow lane for lane for every exponent 0 .. 2l, on 1-D and on
+    stacked (m, n) bases, per group of SCALAR_MODULI and on all at once.
+    Moduli up to 7 take every base 0 .. p-1; larger ones 0, 1, p//2, p-1
+    and random residues.  Negated and unreduced bases and any int64 bases
+    ride along."""
+    rng = np.random.default_rng(l)
+    groups = []
+    for moduli in SCALAR_MODULI:
+        mod, base = [], []
+        for p in moduli:
+            picks = range(p) if p <= 7 else [0, 1, p // 2, p - 1, *rng.integers(2, p - 1, 4)]
+            mod += [p] * len(picks)
+            base += [int(b) for b in picks]
+        groups.append((np.array(base, dtype=np.int64), np.array(mod, dtype=np.int64)))
+    groups.append(tuple(np.concatenate(arrays) for arrays in zip(*groups)))
+    for base, mod in groups:
+        unreduced = base + rng.integers(-3, 4, size=base.size) * mod
+        wild = rng.integers(-(2**63), 2**63 - 1, size=base.size, dtype=np.int64)
+        stacked = np.stack([base, -base, unreduced, wild])
+        for e in range(2 * l + 1):
+            for exp in (e, np.int64(e)):
+                for b in (base, -base, unreduced, stacked):
+                    got = kernels.powmod(b, exp, mod)
+                    assert got.shape == b.shape
+                    assert np.array_equal(got, _python_pow(b, e, mod)), (e, mod.min())
+
+
+def test_bench_kernels_script_runs():
+    """benchmarks/bench_kernels.py runs to the end at a small bound."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    script = root / "benchmarks" / "bench_kernels.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--bound", "20000"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("l", [3, 5, 7])
