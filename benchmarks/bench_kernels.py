@@ -11,7 +11,7 @@ reduction, so the stacked call is timed once more on the split primes of
 [2**30, 2**30 + bound), which take the int64 path.  The per-block work the
 scan does on those residues v gets one row each, at targets (0, 1, 2): the
 subgroup guard v**l, one ``powmod`` call with a 0-d exponent, and
-``_matched_roots``, whose powers w**s are (n,) lane products (here w = v_1,
+``_match_counts``, whose powers w**s are (n,) lane products (here w = v_1,
 as the inverse of the first nonzero target is 1, and w**2 is one product).
 
     python3 benchmarks/bench_kernels.py --bound 2000000 --end-to-end
@@ -23,9 +23,9 @@ import time
 import numpy as np
 
 from radsym import density_experiment, kernels, normalize_inputs
-from radsym.density import _BLOCK, _matched_roots
+from radsym.density import _BLOCK, _match_counts
 
-TARGETS = (0, 1, 2)  # per radicand (2, 5, 7); the scan's matched-root calls
+TARGETS = (0, 1, 2)  # per radicand (2, 5, 7); the scan's match-count calls
 
 
 def timeit(fn, repeats=3):
@@ -71,8 +71,8 @@ def bench_kernels(bound: int, l: int) -> None:
             lambda b: kernels.powmod(high_stacked[:, b], high_exps[b], high[b]), high.size))),
         ("powmod guard v**l, 0-d exponent", timeit(lambda: per_block(
             lambda b: kernels.powmod(residues[:, b], l, primes[b])))),
-        (f"matched roots, lane powers w**s, s={TARGETS}", timeit(lambda: per_block(
-            lambda b: _matched_roots(l, primes[b], residues[:, b], TARGETS)))),
+        (f"match counts, lane powers w**s, s={TARGETS}", timeit(lambda: per_block(
+            lambda b: _match_counts(l, primes[b], residues[:, b], TARGETS)))),
         ("powmod/python", timeit(lambda: python_powmod(base, exps, primes), 1)),
     ]
     width = max(len(name) for name, _ in rows)

@@ -14,7 +14,6 @@ from .arith import (
     exact_lth_root,
     factorize,
     is_prime,
-    lth_power_free,
     multiplicative_order,
 )
 from .cyclotomic import (
@@ -81,7 +80,6 @@ __all__ = [
     "factorize",
     "is_prime",
     "is_primary",
-    "lth_power_free",
     "multiplicative_order",
     "normalize_inputs",
     "primes_above",

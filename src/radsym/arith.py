@@ -198,25 +198,6 @@ def exact_lth_root(n: int, l: int) -> int | None:
     return r if n > 0 else -r
 
 
-def lth_power_free(n: int, l: int) -> tuple[int, int]:
-    """Split n = core * root**l with core > 0 and l-th-power-free.
-
-    Every prime exponent of core lies in 1..l-1; the sign of n is pushed into
-    root, which is valid because l is odd.
-    """
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    fact = factorize(n)
-    core = 1
-    root = 1
-    for p, e in fact.factors:
-        core *= p ** (e % l)
-        root *= p ** (e // l)
-    if n < 0:
-        root = -root
-    return core, root
-
-
 @cache
 def order_table(l: int) -> tuple[int, ...]:
     """``order_table(l)[r]`` is the multiplicative order of r mod the odd
@@ -384,8 +365,6 @@ class FiniteFieldElement:
             if other.p != self.p or other.modulus != self.modulus:
                 raise ValueError("mixed finite fields")
             return other
-        if isinstance(other, int):
-            return ff_from_int(self.p, self.modulus, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -398,8 +377,6 @@ class FiniteFieldElement:
             tuple((a + b) % self.p for a, b in zip(self.coeffs, other.coeffs)),
         )
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
@@ -408,11 +385,6 @@ class FiniteFieldElement:
             self.p,
             self.modulus,
             tuple((a - b) % self.p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self):
-        return FiniteFieldElement(
-            self.p, self.modulus, tuple(-c % self.p for c in self.coeffs)
         )
 
     def __mul__(self, other):

@@ -67,7 +67,7 @@ MAX_THREADS = 64
 # keeps each numpy pass over it long enough (tens of microseconds) for a
 # second scan thread to run while this one is inside numpy, which shorter
 # float64 passes did not.  The guard v**l and the root v_i**(1/s_i) take a
-# scalar exponent, and the matched roots' powers w**s are (n,) lane
+# scalar exponent, and the powers w**s of the match counts are (n,) lane
 # products, each a block-long pass.
 _BLOCK = 1 << 15
 
@@ -190,16 +190,16 @@ def _residues(l: int, primes: np.ndarray, radicands: tuple[int, ...]) -> np.ndar
     return vals
 
 
-def _matched_roots(l: int, primes: np.ndarray, vals: np.ndarray, targets) -> np.ndarray:
-    """Per split prime, the root of unity w whose ideal is the only one where
-    every radicand takes its target; 1 when every ideal above p matches and 0
-    when none does.  Radicand j has symbol s at the ideal of root w exactly
-    when v_j == w**s, so with s_i the first nonzero target the candidate is
-    w = v_i**(1/s_i) (v_i itself when s_i = 1), which matches when v_i != 1
-    and v_j == w**s_j for all j.
+def _match_counts(l: int, primes: np.ndarray, vals: np.ndarray, targets) -> np.ndarray:
+    """Per split prime, how many ideals above it have every radicand at its
+    target: l-1, 1 or 0.  Radicand j has symbol s at the ideal of root w
+    exactly when v_j == w**s.  With every target 0, all l-1 ideals match
+    when every v_j is 1 and none does otherwise.  Else, with s_i the first
+    nonzero target, the only candidate is w = v_i**(1/s_i) (v_i itself when
+    s_i = 1), which matches when v_i != 1 and v_j == w**s_j for all j.
     """
     if not any(targets):
-        return (vals == 1).all(axis=0).astype(np.int64)
+        return (l - 1) * (vals == 1).all(axis=0)
     i = next(j for j, s in enumerate(targets) if s)
     root = pow(targets[i], -1, l)
     w = vals[i] if root == 1 else kernels.powmod(vals[i], root, primes)
@@ -210,7 +210,7 @@ def _matched_roots(l: int, primes: np.ndarray, vals: np.ndarray, targets) -> np.
         powers.append(powers[-1] * w % primes)
     for j, s in rest:
         ok &= vals[j] == powers[s]
-    return w * ok
+    return ok
 
 
 def _high_degree_norms(l: int, norm_bound: int, exclude: frozenset[int]) -> list[int]:
@@ -257,7 +257,7 @@ def _scan(
     """Counts at every checkpoint bound up to norm_bound.
 
     Each window sieves its split primes, drops the excluded ones and feeds
-    equal blocks of them through powmod and ``_matched_roots``, then adds per
+    equal blocks of them through powmod and ``_match_counts``, then adds per
     checkpoint bound its split primes, the matches for ``targets`` (none
     counted when None) and the nontrivial residues per radicand.  Only these
     integer sums outlive a window, and they do not depend on the order in
@@ -281,8 +281,7 @@ def _scan(
             cols = np.zeros((2 + len(radicands), chunk.size), dtype=np.int64)
             cols[0] = 1
             if targets is not None:
-                roots = _matched_roots(l, chunk, vals, targets)
-                cols[1] = (roots != 0) + (l - 2) * (roots == 1)
+                cols[1] = _match_counts(l, chunk, vals, targets)
             cols[2:] = vals != 1
             for row, k in enumerate(np.searchsorted(chunk, bounds, side="right").tolist()):
                 if k:

@@ -6,21 +6,23 @@ the nontrivial l-th roots of unity mod p, and the discrete log inside the
 order-l subgroup.  The density scan uses only ``sieve_primes`` and
 ``powmod``; ``unity_roots`` and ``exponent_lookup`` give the tests an
 independent route to the symbol exponents (the oracle for the scan's
-matched roots) and stay for them and for the radbench tracer, which
+match counts) and stay for them and for the radbench tracer, which
 resolves all four names.  No benchmark row times these two.
 
 All kernels take and return int64 arrays.  Moduli must stay below 2**31 so
 that a product of two reduced residues fits in int64 without overflow.
-``powmod`` reduces in float64 instead when every product it forms is an
-integer below 2**53, which float64 holds exactly: for exponents above 4
-bits and moduli below about 1.9e8, so every scan up to 1e8 and about a
-fifth of the split primes of a scan to 1e9.  Its docstring gives the proof.
+``powmod`` runs one square-and-multiply ladder under either of two
+reductions, which is all its regimes differ in: the int64 ``%``, or a
+float64 quotient when every product it forms is an integer below 2**53,
+which float64 holds exactly: for exponents above 4 bits and moduli below
+about 1.9e8, so every scan up to 1e8 and about a fifth of the split primes
+of a scan to 1e9.  Its docstring gives the proof.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -131,11 +133,15 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """Elementwise base**exp % mod by left-to-right square-and-multiply.
 
     Shapes broadcast, so an (m, n) block of bases against (n,) exponents and
-    moduli raises m rows per lane in one pass over the exponent bits.  Each
-    bit squares and then multiplies by the base or by 1.  The result is an
-    int64 array of residues in [0, mod).  One of two reductions is chosen
-    per call from its moduli, bases and exponents; both give the same
-    residues, lane for lane.
+    moduli raises m rows per lane in one pass over the exponent bits.  The
+    result is an int64 array of residues in [0, mod).  One ladder,
+    ``_ladder``, serves every call: each bit squares and then multiplies by
+    the base where the bit is set and by 1 elsewhere.  A 0-d exponent, as
+    in the scan's guard v**l and its root v**(1/s), walks its own bits in
+    Python and multiplies only where a bit is set, with no per-lane
+    multiplier.  The two regimes below differ only in how the ladder
+    reduces a product, chosen per call from the moduli, bases and
+    exponents; both give the same residues, lane for lane.
 
     float64, for exponents above 4 bits when every p >= 5 and
     (p//2 + 2)**2 + p < 2**53, i.e. p < 189,812,526:  a product x is reduced
@@ -149,12 +155,10 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     own.  As p >= 5 keeps p//2 + 2 below p, adding p to the negative
     residues at the end gives [0, p).
 
-    int64, for every other call:  bases are reduced into [0, p), and the two
-    products share one ``%`` when the largest p squared times the largest
-    base is below 2**63; otherwise each is reduced on its own.  A 0-d
-    exponent, as in the scan's guard v**l and its root v**(1/s), walks the
-    exponent's own bits in Python: each step squares, multiplies by the base
-    only where that bit is set, and reduces, with no per-lane multiplier.
+    int64, for every other call:  bases are reduced into [0, p), a product
+    is reduced by ``%``, and the square and the multiply share one ``%``
+    when the largest p squared times the largest base is below 2**63;
+    otherwise each is reduced on its own.
     """
     mod = np.asarray(mod, dtype=np.int64)
     e = np.asarray(exp, dtype=np.int64)
@@ -178,27 +182,36 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         return _powmod_float(b, e, mod, shape, bits, fused)
     b = _reduced(base, mod, lo, hi, low)
     fused = high**2 * int(b.max()) < 1 << 63
+    return _ladder(b, e, bits, fused, one, shape, lambda x: np.remainder(x, mod, out=x))
+
+
+def _ladder(b, e, bits: int, fused: bool, one, shape: tuple, reduce) -> np.ndarray:
+    """powmod's ladder, see there, in b's dtype: b**e over ``shape``, with
+    ``one`` for a clear top bit.  ``reduce`` takes a product back to a
+    residue in place; the square and the multiply share one when ``fused``."""
     if e.ndim == 0:
         r = np.broadcast_to(b, shape).copy()  # the top bit
         for bit in bin(int(e))[3:]:
-            np.multiply(r, r, out=r)
+            r *= r
             if bit == "1":
                 if not fused:
-                    np.remainder(r, mod, out=r)
+                    reduce(r)
                 r *= b
-            np.remainder(r, mod, out=r)
+            reduce(r)
         return r
-    r = np.where((e >> (bits - 1)) & 1 == 1, b, one)
+    r = np.empty(shape, dtype=b.dtype)
+    r[...] = np.where((e >> (bits - 1)) & 1 == 1, b, one)
     b_minus_1 = b - 1
-    mult = np.empty(shape, dtype=np.int64)
+    mult = np.empty_like(r)
     for k in range(bits - 2, -1, -1):
-        np.multiply(b_minus_1, (e >> k) & 1, out=mult)
+        # the bit cast to b's dtype first: a mixed-dtype multiply casts slower
+        np.multiply(b_minus_1, ((e >> k) & 1).astype(b.dtype, copy=False), out=mult)
         mult += 1  # b where bit k is set, 1 elsewhere
-        np.multiply(r, r, out=r)
+        r *= r
         if not fused:
-            np.remainder(r, mod, out=r)
+            reduce(r)
         r *= mult
-        np.remainder(r, mod, out=r)
+        reduce(r)
     return r
 
 
@@ -214,8 +227,8 @@ def _reduced(base: np.ndarray, mod: np.ndarray, lo: int, hi: int, low: int) -> n
 def _powmod_float(
     b: np.ndarray, e: np.ndarray, mod: np.ndarray, shape: tuple, bits: int, fused: bool
 ) -> np.ndarray:
-    """powmod's float64 path, see there, in chunks of about _FLOAT_CHUNK
-    elements along the last axis."""
+    """powmod's float64 regime, see there: the ladder on float64 copies of
+    the bases, in chunks of about _FLOAT_CHUNK elements along the last axis."""
     out = np.empty(shape, dtype=np.int64)
     parts = -(-math.prod(shape) // _FLOAT_CHUNK)
     step = -(-shape[-1] // parts)  # equal chunks along the last axis
@@ -224,31 +237,19 @@ def _powmod_float(
         bc, ec, mc = (a if a.ndim == 0 or a.shape[-1] == 1 else a[lanes] for a in (b, e, mod))
         p = mc.astype(np.float64)
         inv = 1.0 / p
-        bf = bc.astype(np.float64)
-        r = np.empty(out[lanes].shape)
-        r[...] = np.where((ec >> (bits - 1)) & 1 == 1, bf, 1.0)
-        b_minus_1 = bf - 1
-        mult = np.empty_like(r)
-        q = np.empty_like(r)
-        for k in range(bits - 2, -1, -1):
-            np.multiply(b_minus_1, ((ec >> k) & 1).astype(np.float64), out=mult)
-            mult += 1  # b where bit k is set, 1 elsewhere
-            r *= r
-            if not fused:
-                _reduce(r, p, inv, q)
-            r *= mult
-            _reduce(r, p, inv, q)
+        r = _ladder(bc.astype(np.float64), ec, bits, fused, 1.0, out[lanes].shape,
+                    partial(_reduce, p=p, inv=inv))
         r += p * (r < 0)  # into [0, p), as |r| <= p//2 + 2 < p
         out[lanes] = r
     return out
 
 
-def _reduce(r: np.ndarray, p: np.ndarray, inv: np.ndarray, q: np.ndarray) -> None:
-    """r -= rint(r * inv) * p in place, with q as scratch."""
-    np.multiply(r, inv, out=q)
+def _reduce(r: np.ndarray, p: np.ndarray, inv: np.ndarray) -> None:
+    """r -= rint(r * inv) * p in place."""
+    q = r * inv
     np.rint(q, out=q)
-    np.multiply(q, p, out=q)
-    np.subtract(r, q, out=r)
+    q *= p
+    r -= q
 
 
 def unity_roots(primes: np.ndarray, l: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from radsym.arith import (
     ff_from_poly,
     integer_nth_root,
     is_prime,
-    lth_power_free,
     multiplicative_order,
     order_table,
     poly_is_irreducible,
@@ -96,27 +95,6 @@ def test_exact_lth_root_examples():
 )
 def test_exact_lth_root_roundtrip(c, l):
     assert exact_lth_root(c**l, l) == c
-
-
-def test_lth_power_free_examples():
-    assert lth_power_free(96, 3) == (12, 2)
-    assert 12 * 2**3 == 96
-    assert lth_power_free(8, 3) == (1, 2)
-    assert lth_power_free(-5, 3) == (5, -1)
-
-
-@settings(deadline=None)
-@given(
-    st.integers(min_value=-(10**9), max_value=10**9).filter(lambda n: n != 0),
-    st.sampled_from([3, 5, 7]),
-)
-def test_lth_power_free_invariants(n, l):
-    core, root = lth_power_free(n, l)
-    assert core > 0
-    assert core * root**l == n
-    assert all(e < l for _, e in factorize(core).factors)
-    # core == 1 exactly when n is a perfect l-th power
-    assert (core == 1) == (exact_lth_root(n, l) is not None)
 
 
 def test_multiplicative_order():

@@ -179,16 +179,25 @@ REGIMES = [
 ]
 
 
+REGIME_IDS = ["at-fused-limit", "above-fused-limit", "at-float-limit", "above-float-limit-small",
+              "above-float-limit", "near-2**31", "tiny-any", "tiny-2**28", "tiny-2**17",
+              "tiny-small", "below-5"]
+# One exponent per lane, or one 0-d exponent for all of them, which takes the
+# ladder's Python bit walk: every bit of 2**40 - 1 set, or a random 30 bits.
+EXPONENTS = {"": "lanes", "-0d-2**40-1": 2**40 - 1, "-0d-30-bit": "30-bit"}
+
+
 @pytest.mark.parametrize(
-    "low, high, bases, regime",
-    REGIMES,
-    ids=["at-fused-limit", "above-fused-limit", "at-float-limit", "above-float-limit-small",
-         "above-float-limit", "near-2**31", "tiny-any", "tiny-2**28", "tiny-2**17",
-         "tiny-small", "below-5"],
+    "low, high, bases, regime, exponent",
+    [(*row, exponent) for exponent in EXPONENTS.values() for row in REGIMES],
+    ids=[name + suffix for suffix in EXPONENTS for name in REGIME_IDS],
 )
-def test_powmod_regime_boundaries_against_python_pow(monkeypatch, low, high, bases, regime):
+def test_powmod_regime_boundaries_against_python_pow(
+    monkeypatch, low, high, bases, regime, exponent
+):
     """Lanes on both sides of each proven limit, with moduli up to the limit
-    itself, give Python's pow in the regime the limits call for."""
+    itself, give Python's pow in the regime the limits call for, with
+    per-lane and with 0-d exponents."""
     rng = np.random.default_rng(low)
     n = 1200
     mod = rng.integers(low, high, size=n, endpoint=True).astype(np.int64)
@@ -199,8 +208,13 @@ def test_powmod_regime_boundaries_against_python_pow(monkeypatch, low, high, bas
         base[:, 4:8] = [mod[4:8] // 2, -(mod[4:8] // 2), mod[4:8] - 1]  # the extreme residues
     else:
         base = bases
-    exp = rng.integers(0, 2**40, size=n).astype(np.int64)
-    exp[:3] = 0, 1, 2**40 - 1
+    if exponent == "lanes":
+        exp = rng.integers(0, 2**40, size=n).astype(np.int64)
+        exp[:3] = 0, 1, 2**40 - 1
+    elif exponent == "30-bit":
+        exp = int(rng.integers(2**29, 2**30))
+    else:
+        exp = exponent
     got, took = _powmod_and_regime(monkeypatch, base, exp, mod)
     assert took == regime
     assert np.array_equal(got, _python_pow(base, exp, mod))
