@@ -42,12 +42,6 @@ class PrimeFactorization:
     sign: int
     factors: tuple[tuple[int, int], ...]
 
-    def value(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 

@@ -7,6 +7,11 @@ warnings}; integers are serialized as decimal strings so that degrees and
 norms survive consumers with 64-bit number parsing.  Identical configs give
 byte-identical JSON regardless of --threads.
 
+The config echo and the density and charsum results and checkpoint rows are
+the fields of RunConfig, DensityReport (less the echoed request and its
+checkpoints), CheckpointStat and CharSumStat, built by ``_fields`` in field
+order; ``_stringify`` and ``_fmt`` alone decide how tuples are written.
+
 Exit codes: 0 success, 2 invalid input, 3 internal invariant violation.
 """
 
@@ -76,20 +81,18 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ValueError(f"unknown format {cfg.format!r}")
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        echo[f.name] = list(value) if isinstance(value, tuple) else value
-    return echo
+def _fields(record, skip=()) -> dict:
+    """{name: value} for the fields of a dataclass record, in field order,
+    leaving out the names in ``skip``."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
 
 
 def _report(cfg: RunConfig, result: dict, checkpoints=(), warnings=()) -> dict:
     return {
-        "config": _config_echo(cfg),
+        "config": _fields(cfg),
         "result": result,
-        "checkpoints": list(checkpoints),
-        "warnings": list(warnings),
+        "checkpoints": checkpoints,
+        "warnings": warnings,
     }
 
 
@@ -117,10 +120,10 @@ def _cmd_degree(cfg: RunConfig) -> dict:
         "degree": value,
         "rank": kernel.rank,
         "t": red.t,
-        "b": list(red.b),
-        "exclusive_primes": list(red.exclusive_primes),
-        "kernel_basis": [list(v) for v in kernel.basis],
-        "normalized": list(s.normalized),
+        "b": red.b,
+        "exclusive_primes": red.exclusive_primes,
+        "kernel_basis": kernel.basis,
+        "normalized": s.normalized,
         "dropped_indices": [i for i, pos in enumerate(s.index_map) if pos is None],
         "oracle": oracle,
     }
@@ -132,11 +135,11 @@ def _cmd_reduce(cfg: RunConfig) -> dict:
     red = reduce_basis(s)
     result = {
         "t": red.t,
-        "b": list(red.b),
-        "exclusive_primes": list(red.exclusive_primes),
+        "b": red.b,
+        "exclusive_primes": red.exclusive_primes,
         "transform": [[int(x) for x in row] for row in red.transform],
         "degree": checked_degree(red, rank_and_kernel(s)),
-        "normalized": list(s.normalized),
+        "normalized": s.normalized,
         "dropped_indices": [i for i, pos in enumerate(s.index_map) if pos is None],
     }
     return _report(cfg, result)
@@ -167,7 +170,7 @@ def _cmd_symbol(cfg: RunConfig) -> dict:
             {
                 "index": k if cfg.ideal == "all" else int(cfg.ideal),
                 "g": poly_str(ideal.g),
-                "g_coeffs": list(ideal.g),
+                "g_coeffs": ideal.g,
                 "norm": ideal.norm,
                 "symbols": symbols,
             }
@@ -181,19 +184,6 @@ def _cmd_symbol(cfg: RunConfig) -> dict:
     return _report(cfg, result)
 
 
-def _char_sum_dict(stat) -> dict:
-    return {
-        "n": stat.n,
-        "bound": stat.bound,
-        "ideals": stat.ideals,
-        "tallies": list(stat.tallies),
-        "value_re": stat.value.real,
-        "value_im": stat.value.imag,
-        "magnitude": stat.magnitude,
-        "normalized": stat.normalized,
-    }
-
-
 def _cmd_density(cfg: RunConfig) -> dict:
     if cfg.targets is None:
         raise ValueError("density requires --targets")
@@ -201,27 +191,10 @@ def _cmd_density(cfg: RunConfig) -> dict:
         raise ValueError("density requires -x/--norm-bound")
     s = normalize_inputs(cfg.l, cfg.radicands)
     rep = density_experiment(s, cfg.targets, cfg.norm_bound, threads=cfg.threads)
-    result = {
-        "consistent": rep.consistent,
-        "t": rep.t,
-        "predicted": rep.predicted,
-        "reduced": list(rep.reduced),
-        "translated": list(rep.translated),
-        "ideals_scanned": rep.ideals_scanned,
-        "matches": rep.matches,
-        "empirical": rep.empirical,
-        "char_sums": [_char_sum_dict(c) for c in rep.char_sums],
-    }
-    checkpoints = [
-        {
-            "bound": row.bound,
-            "ideals": row.ideals,
-            "matches": row.matches,
-            "empirical": row.empirical,
-        }
-        for row in rep.checkpoints
-    ]
-    return _report(cfg, result, checkpoints=checkpoints)
+    # the echoed request fields are in the config already
+    result = _fields(rep, skip=("l", "norm_bound", "radicands", "targets", "checkpoints"))
+    result["char_sums"] = [_fields(c) for c in rep.char_sums]
+    return _report(cfg, result, checkpoints=[_fields(row) for row in rep.checkpoints])
 
 
 def _cmd_charsum(cfg: RunConfig) -> dict:
@@ -230,11 +203,7 @@ def _cmd_charsum(cfg: RunConfig) -> dict:
     if cfg.norm_bound is None:
         raise ValueError("charsum requires -x/--norm-bound")
     rep = character_sum(cfg.n, cfg.l, cfg.norm_bound, threads=cfg.threads)
-    return _report(
-        cfg,
-        _char_sum_dict(rep.final),
-        checkpoints=[_char_sum_dict(row) for row in rep.checkpoints],
-    )
+    return _report(cfg, _fields(rep.final), checkpoints=[_fields(row) for row in rep.checkpoints])
 
 
 def _cmd_check(cfg: RunConfig) -> dict:
@@ -245,7 +214,7 @@ def _cmd_check(cfg: RunConfig) -> dict:
     result = {
         "consistent": consistency_check(s, cfg.targets, kernel),
         "rank": kernel.rank,
-        "kernel_basis": [list(v) for v in kernel.basis],
+        "kernel_basis": kernel.basis,
         "dropped_indices": [i for i, pos in enumerate(s.index_map) if pos is None],
     }
     return _report(cfg, result)

@@ -75,8 +75,6 @@ class CyclotomicInt:
             if other.l != self.l:
                 raise ValueError("mixed cyclotomic orders")
             return other
-        if isinstance(other, int):
-            return CyclotomicInt.from_int(self.l, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -85,19 +83,11 @@ class CyclotomicInt:
             return NotImplemented
         return CyclotomicInt(self.l, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         return CyclotomicInt(self.l, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return CyclotomicInt(self.l, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -114,8 +104,6 @@ class CyclotomicInt:
                 k = (i + j) % l
                 wrapped[k] = wrapped.get(k, 0) + a * b
         return _from_exponent_dict(l, wrapped)
-
-    __rmul__ = __mul__
 
     def conjugate(self, k: int) -> "CyclotomicInt":
         """The Galois image sending zeta to zeta**k (k coprime to l)."""

@@ -93,7 +93,8 @@ class CharSumStat:
     bound: int
     ideals: int
     tallies: tuple[int, ...]
-    value: complex
+    value_re: float
+    value_im: float
     magnitude: float
     normalized: float
 
@@ -328,7 +329,9 @@ def _char_stat(
     value = sum(t * zc[k] for k, t in enumerate(tallies))
     magnitude = abs(value)
     normalized = magnitude / total if total else 0.0
-    return CharSumStat(n, bound, total, tuple(tallies), value, magnitude, normalized)
+    return CharSumStat(
+        n, bound, total, tuple(tallies), value.real, value.imag, magnitude, normalized
+    )
 
 
 def density_experiment(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import PrimeFactorization, _check_l, exact_lth_root, factorize, is_prime
+from .cyclotomic import PrimeIdeal, residue_symbol
 
 
 class DegreeMismatchError(RuntimeError):
@@ -233,24 +234,12 @@ def _filter_primes(cores: tuple[int, ...], l: int, k: int) -> list[int]:
 
 def _symbol_exponents(cores: tuple[int, ...], l: int, q: int) -> list[int]:
     """Each core's l-th power residue symbol mod q as an exponent c in Z/l:
-    a**((q-1)/l) == zeta**c mod q for one fixed zeta of order l, found by
-    baby-step giant-step.  q must be 1 mod l and divide no core."""
+    a**((q-1)/l) == w**c mod q for the first w = x**((q-1)/l) != 1, read at
+    the degree-1 ideal (q, zeta - w).  q must be 1 mod l and divide no core."""
     e = (q - 1) // l
-    zeta = next(z for z in (pow(x, e, q) for x in range(2, q)) if z != 1)
-    step = math.isqrt(l) + 1
-    baby = {pow(zeta, j, q): j for j in range(step)}
-    giant = pow(zeta, -step, q)
-    out = []
-    for a in cores:
-        v = pow(a, e, q)
-        for i in range(step):
-            if v in baby:
-                out.append(i * step + baby[v])
-                break
-            v = v * giant % q
-        else:
-            raise AssertionError(f"{q} divides the core {a}")
-    return out
+    w = next(z for z in (pow(x, e, q) for x in range(2, q)) if z != 1)
+    ideal = PrimeIdeal(l, q, 1, ((-w) % q, 1))
+    return [residue_symbol(a, ideal) for a in cores]
 
 
 # Largest l**m that brute_force_kernel accepts, read at each call.

@@ -37,7 +37,7 @@ def test_factorize_rejects_zero():
 @given(st.integers(min_value=-(10**12), max_value=10**12).filter(lambda n: n != 0))
 def test_factorize_roundtrip(n):
     f = factorize(n)
-    assert f.value() == n
+    assert f.sign * math.prod(p**e for p, e in f.factors) == n
     assert all(e >= 1 for _, e in f.factors)
     assert list(f.primes()) == sorted(set(f.primes()))
 

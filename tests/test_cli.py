@@ -190,6 +190,123 @@ def test_text_config_line_is_pinned(capsys):
     )
 
 
+# Whole stdout of one run per subcommand.  Besides the values these pin the
+# text order of result keys and of char-sum rows, which is the field order
+# of the report dataclasses.
+_PINNED_REPORTS = {
+    "density-text": (
+        ["density", "-l", "3", "-x", "2000", "--targets", "0,1", "2", "5"],
+        "config: command=density l=3 radicands=[2,5] targets=[0,1] norm_bound=2000 "
+        "seed=0 format=text threads=1 oracle=False prime=None ideal=all n=None\n"
+        "consistent: True\n"
+        "t: 2\n"
+        "predicted: 0.1111111111111111\n"
+        "reduced: [2,5]\n"
+        "translated: [0,1]\n"
+        "ideals_scanned: 301\n"
+        "matches: 30\n"
+        "empirical: 0.09966777408637874\n"
+        "char_sums: [{n=2 bound=2000 ideals=301 tallies=[97,102,102] "
+        "value_re=-5.000000000000021 value_im=2.842170943040401e-14 "
+        "magnitude=5.000000000000021 normalized=0.016611295681063194},{n=5 "
+        "bound=2000 ideals=301 tallies=[105,98,98] value_re=6.999999999999979 "
+        "value_im=2.842170943040401e-14 magnitude=6.999999999999979 "
+        "normalized=0.023255813953488302}]\n"
+        "checkpoints:\n"
+        "  bound=1000 ideals=164 matches=17 empirical=0.10365853658536585\n"
+        "  bound=2000 ideals=301 matches=30 empirical=0.09966777408637874\n",
+    ),
+    "density-json": (
+        ["density", "-l", "3", "-x", "2000", "--targets", "0,1", "2", "5", "--format", "json"],
+        '{"checkpoints":[{"bound":"1000","empirical":0.10365853658536585,'
+        '"ideals":"164","matches":"17"},{"bound":"2000",'
+        '"empirical":0.09966777408637874,"ideals":"301","matches":"30"}],'
+        '"config":{"command":"density","format":"json","ideal":"all","l":"3",'
+        '"n":null,"norm_bound":"2000","oracle":false,"prime":null,"radicands":["2",'
+        '"5"],"seed":"0","targets":["0","1"],"threads":"1"},'
+        '"result":{"char_sums":[{"bound":"2000","ideals":"301",'
+        '"magnitude":5.000000000000021,"n":"2","normalized":0.016611295681063194,'
+        '"tallies":["97","102","102"],"value_im":2.842170943040401e-14,'
+        '"value_re":-5.000000000000021},{"bound":"2000","ideals":"301",'
+        '"magnitude":6.999999999999979,"n":"5","normalized":0.023255813953488302,'
+        '"tallies":["105","98","98"],"value_im":2.842170943040401e-14,'
+        '"value_re":6.999999999999979}],"consistent":true,'
+        '"empirical":0.09966777408637874,"ideals_scanned":"301","matches":"30",'
+        '"predicted":0.1111111111111111,"reduced":["2","5"],"t":"2",'
+        '"translated":["0","1"]},"warnings":[]}\n',
+    ),
+    "charsum-text": (
+        ["charsum", "-l", "3", "-x", "2000", "2"],
+        "config: command=charsum l=3 radicands=[] targets=None norm_bound=2000 "
+        "seed=0 format=text threads=1 oracle=False prime=None ideal=all n=2\n"
+        "n: 2\n"
+        "bound: 2000\n"
+        "ideals: 302\n"
+        "tallies: [98,102,102]\n"
+        "value_re: -4.000000000000021\n"
+        "value_im: 2.842170943040401e-14\n"
+        "magnitude: 4.000000000000021\n"
+        "normalized: 0.013245033112582853\n"
+        "checkpoints:\n"
+        "  n=2 bound=1000 ideals=165 tallies=[53,56,56] value_re=-3.0000000000000107 "
+        "value_im=2.1316282072803006e-14 magnitude=3.0000000000000107 "
+        "normalized=0.018181818181818247\n"
+        "  n=2 bound=2000 ideals=302 tallies=[98,102,102] "
+        "value_re=-4.000000000000021 value_im=2.842170943040401e-14 "
+        "magnitude=4.000000000000021 normalized=0.013245033112582853\n",
+    ),
+    "reduce-text": (
+        ["reduce", "-l", "3", "12", "18"],
+        "config: command=reduce l=3 radicands=[12,18] targets=None norm_bound=None "
+        "seed=0 format=text threads=1 oracle=False prime=None ideal=all n=None\n"
+        "t: 1\n"
+        "b: [12]\n"
+        "exclusive_primes: [2]\n"
+        "transform: [[1,0]]\n"
+        "degree: 3\n"
+        "normalized: [12,18]\n"
+        "dropped_indices: []\n",
+    ),
+    "symbol-text": (
+        ["symbol", "-l", "7", "-p", "29", "2", "3"],
+        "config: command=symbol l=7 radicands=[2,3] targets=None norm_bound=None "
+        "seed=0 format=text threads=1 oracle=False prime=29 ideal=all n=None\n"
+        "prime: 29\n"
+        "inertia_degree: 1\n"
+        "ideal_count: 6\n"
+        "ideals: [{index=0 g=X+22 g_coeffs=[22,1] norm=29 symbols=[{radicand=2 "
+        "exponent=5},{radicand=3 exponent=4}]},{index=1 g=X+13 g_coeffs=[13,1] "
+        "norm=29 symbols=[{radicand=2 exponent=1},{radicand=3 exponent=5}]},{index=2 "
+        "g=X+9 g_coeffs=[9,1] norm=29 symbols=[{radicand=2 exponent=6},{radicand=3 "
+        "exponent=2}]},{index=3 g=X+6 g_coeffs=[6,1] norm=29 symbols=[{radicand=2 "
+        "exponent=3},{radicand=3 exponent=1}]},{index=4 g=X+5 g_coeffs=[5,1] norm=29 "
+        "symbols=[{radicand=2 exponent=4},{radicand=3 exponent=6}]},{index=5 g=X+4 "
+        "g_coeffs=[4,1] norm=29 symbols=[{radicand=2 exponent=2},{radicand=3 "
+        "exponent=3}]}]\n",
+    ),
+    "degree-text": (
+        ["degree", "-l", "3", "2", "3", "6"],
+        "config: command=degree l=3 radicands=[2,3,6] targets=None norm_bound=None "
+        "seed=0 format=text threads=1 oracle=False prime=None ideal=all n=None\n"
+        "degree: 9\n"
+        "rank: 2\n"
+        "t: 2\n"
+        "b: [2,3]\n"
+        "exclusive_primes: [2,3]\n"
+        "kernel_basis: [[1,1,2]]\n"
+        "normalized: [2,3,6]\n"
+        "dropped_indices: []\n"
+        "oracle: {relation_count=3 degree=9}\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, expected", _PINNED_REPORTS.values(), ids=list(_PINNED_REPORTS))
+def test_whole_report_is_pinned(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+
 def test_batch_echo_defaults_to_json_format(capsys):
     line = json.dumps({"command": "check", "l": 3, "radicands": [12, 18], "targets": [1, 2]})
     assert _run_batch(io.StringIO(line)) == 0
