@@ -34,6 +34,10 @@ deck at inertia degree f >= 2: for each (l, f, bits) of (3, 2, 20),
 (5, 2, 17), (5, 4, 14), (7, 3, 14) and (7, 6, 14) it takes the first 40
 primes p >= 2**(bits-1) of order f mod l and times ``primes_above(p, l)``
 plus the symbols of 2 and 5 at every ideal above p, one pass over the 40.
+Three more classes sit on either side of the rule by which ``primes_above``
+picks its splitting method for k = (l-1)/f factors of degree f: (13, 2, 17)
+has k = 6 > f and takes the GF(p**f) construction, (13, 4, 17) and
+(31, 10, 20) have f >= k and take the Gaussian periods.
 """
 
 import argparse
@@ -69,7 +73,8 @@ CONFIGS = [
     ("oracle", 3, (2,) * 12, (), None, 1),
 ] + [
     ("symbol", l, (2, 5), (), (f, bits), 1)
-    for l, f, bits in ((3, 2, 20), (5, 2, 17), (5, 4, 14), (7, 3, 14), (7, 6, 14))
+    for l, f, bits in ((3, 2, 20), (5, 2, 17), (5, 4, 14), (7, 3, 14), (7, 6, 14),
+                       (13, 2, 17), (13, 4, 17), (31, 10, 20))
 ]
 STUDIES = sorted({config[0] for config in CONFIGS})
 TIMINGS = ("wall_s", "peak_rss_mb", "primes_above_s", "symbols_s")

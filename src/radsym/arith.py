@@ -276,6 +276,25 @@ def poly_rem(a, b, p: int) -> tuple[int, ...]:
     return poly_trim(r)
 
 
+def poly_quotient(a, b, p: int) -> tuple[int, ...]:
+    """a // b over GF(p), the remainder dropped; b's leading coefficient must
+    be a unit mod p."""
+    b = poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = [c % p for c in a]
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    q = [0] * max(0, len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            q[i - db] = c
+            for j, bj in enumerate(b):
+                r[i - db + j] = (r[i - db + j] - c * bj) % p
+    return poly_trim(q)
+
+
 def poly_monic(a, p: int) -> tuple[int, ...]:
     a = poly_trim(a)
     if not a:

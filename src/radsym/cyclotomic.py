@@ -7,6 +7,15 @@ l-th cyclotomic polynomial mod p; the residue symbol is computed by raising
 to (p**f - 1)/l in the residue field GF(p)[X]/(g) and matching the result
 against the images of the powers of zeta.
 
+Phi_l mod p has k = (l-1)/f factors of degree f = ord(p mod l).  When
+f >= k they are split off by Gaussian periods, with GF(p) arithmetic alone:
+Frobenius maps X**j to X**(j*p), so the sums of X**j over the cosets of <p>
+in (Z/l)* span the subalgebra of GF(p)[X]/(Phi_l) that is isomorphic to
+GF(p)**k (Berlekamp's), and gcd(Phi_l, y - r) over the values r of one such
+element y groups the factors.  When k > f the factors are the minimal
+polynomials of the powers of an element of order l in GF(p**f), which is
+faster there than k gcds with Phi_l.
+
 A rational integer a prime to p needs no such power at an ideal of inertia
 degree f >= 2: its symbol there is 0.  Since f = ord(p mod l) > 1, l does not
 divide p - 1, yet it divides p**f - 1 = (p - 1)(1 + p + ... + p**(f-1)); so l
@@ -21,19 +30,23 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .arith import (
     FiniteFieldElement,
     RamifiedPrimeError,
     _check_l,
+    _powmod,
     factorize,
     ff_from_int,
     ff_from_poly,
     multiplicative_order,
+    poly_gcd,
     poly_is_irreducible,
     poly_mod,
     poly_mul,
+    poly_quotient,
+    poly_sub,
     poly_trim,
 )
 
@@ -156,6 +169,19 @@ class PrimeIdeal:
     def norm(self) -> int:
         return self.p**self.f
 
+    @cached_property
+    def _unity_logs(self) -> dict[int, int]:
+        """f = 1 only: the residue mod p of zeta**i mapped to i, for i in
+        [0, l); zeta maps to the root of g.  Cached on the instance, outside
+        the compared and hashed fields."""
+        root = (-self.g[0]) % self.p
+        logs = {}
+        w = 1
+        for i in range(self.l):
+            logs.setdefault(w, i)
+            w = w * root % self.p
+        return logs
+
     def __str__(self) -> str:
         return f"({self.p}, {poly_str(self.g)})"
 
@@ -211,13 +237,169 @@ def _random_irreducible(p: int, f: int, rng: random.Random) -> tuple[int, ...]:
             return cand
 
 
+def _frobenius_orbits(p: int, l: int) -> list[list[int]]:
+    """The cosets of <p> in (Z/l)*, each sorted, in order of least element.
+
+    Frobenius sends zeta**j to zeta**(j*p), so each coset is the exponent set
+    of the roots zeta**j of one irreducible factor of Phi_l mod p.
+    """
+    subgroup = [1]
+    cur = p % l
+    while cur != 1:
+        subgroup.append(cur)
+        cur = cur * p % l
+    seen: set[int] = set()
+    orbits = []
+    for j in range(1, l):
+        if j not in seen:
+            orbit = sorted(j * h % l for h in subgroup)
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
+
+
+def _split_by_field(p: int, l: int, f: int, rng: random.Random) -> list[tuple[int, ...]]:
+    """The factors of Phi_l mod p as minimal polynomials of the powers of one
+    element theta of exact order l in GF(p**f) = GF(p)[X]/(random irreducible)."""
+    modulus = _random_irreducible(p, f, rng)
+    e = (p**f - 1) // l
+    one = ff_from_int(p, modulus, 1)
+    while True:
+        z = ff_from_poly(p, modulus, tuple(rng.randrange(p) for _ in range(f)))
+        if z.is_zero():
+            continue
+        theta = z**e
+        if theta != one:
+            break
+    theta_pow = [one]
+    for _ in range(1, l):
+        theta_pow.append(theta_pow[-1] * theta)
+    return [_min_poly_over_base([theta_pow[j] for j in orbit], p)
+            for orbit in _frobenius_orbits(p, l)]
+
+
+def _krylov_min_poly(rows: list[list[int]], p: int) -> tuple[int, ...]:
+    """Monic minimal polynomial over GF(p) of the linear map v -> v * rows,
+    applied to the start vector -1 = (p-1, ..., p-1), ascending coefficients.
+
+    Each new image is reduced against the earlier ones while a combination
+    records it in terms of the powers; the first image that reduces to zero
+    gives the dependency.
+    """
+    k = len(rows)
+    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, vector, combination)
+    w = [p - 1] * k
+    for i in range(k + 1):
+        vec = list(w)
+        combo = [0] * i + [1]
+        for piv, bvec, bcombo in basis:
+            c = vec[piv]
+            if c:
+                vec = [(x - c * y) % p for x, y in zip(vec, bvec)]
+                for j, y in enumerate(bcombo):
+                    combo[j] = (combo[j] - c * y) % p
+        piv = next((j for j, x in enumerate(vec) if x), None)
+        if piv is None:
+            return tuple(combo)
+        inv = pow(vec[piv], -1, p)
+        basis.append((piv, [x * inv % p for x in vec], [x * inv % p for x in combo]))
+        out = [0] * k
+        for wb, row in zip(w, rows):
+            if wb:
+                for d, t in enumerate(row):
+                    out[d] += wb * t
+        w = [x % p for x in out]
+    raise AssertionError("Krylov sequence outgrew the period algebra")
+
+
+def _linear_roots(m: tuple[int, ...], p: int, rng: random.Random) -> list[int]:
+    """The roots in GF(p) of a monic m that is a product of distinct linear
+    factors: by trial for small p, else by Cantor-Zassenhaus, splitting m
+    with gcd(m, (T + delta)**((p-1)/2) - c) for c in -1, 0, 1."""
+    d = len(m) - 1
+    if d == 1:
+        return [(-m[0]) % p]
+    if p < 64:
+        return [r for r in range(p) if sum(c * pow(r, i, p) for i, c in enumerate(m)) % p == 0]
+    half = (p - 1) // 2
+    while True:
+        delta = rng.randrange(p)
+        h = _powmod((delta, 1) + (0,) * (d - 2), half, m, p)
+        parts = [g for g in (poly_gcd(poly_sub(h, (c,), p), m, p) for c in (1, 0, p - 1))
+                 if len(g) > 1]
+        if len(parts) > 1:
+            return [r for g in parts for r in _linear_roots(g, p, rng)]
+
+
+def _split_by_periods(p: int, l: int, f: int, rng: random.Random) -> list[tuple[int, ...]]:
+    """The factors of Phi_l mod p by Gaussian periods, with GF(p) arithmetic.
+
+    The periods P_c = sum of X**j over the k cosets c of <p> are fixed by
+    Frobenius, so they span the subalgebra of GF(p)[X]/(Phi_l) isomorphic to
+    GF(p)**k: each y = sum a_c P_c takes one value y_i in GF(p) modulo each
+    factor g_i.  Its minimal polynomial, found by Krylov elimination in the
+    period basis, is the product of T - r over those values, and the gcd
+    of a piece of Phi_l with y - r is the product of its g_i with y_i = r.
+    Random y refine the pieces until each has degree f.
+    """
+    orbits = _frobenius_orbits(p, l)
+    k = len(orbits)
+    where = [0] * l
+    for c, orbit in enumerate(orbits):
+        for j in orbit:
+            where[j] = c
+    pieces = [cyclotomic_modulus(l, p)]
+    factors: list[tuple[int, ...]] = []
+    while pieces:
+        y = [rng.randrange(p) for _ in range(k)]
+        # y * P_b = sum over h in <p> of sigma_h(y * X**j0), j0 in b: each
+        # X**m with m != 0 becomes P of m's coset, X**0 becomes f = -f * sum P_c
+        rows = []
+        for orbit in orbits:
+            j0 = orbit[0]
+            row = [0] * k
+            for i in range(1, l):
+                if i + j0 != l:
+                    row[where[(i + j0) % l]] += y[where[i]]
+            const = f * y[where[l - j0]]
+            rows.append([(x - const) % p for x in row])
+        roots = _linear_roots(_krylov_min_poly(rows, p), p, rng)
+        # y as a polynomial of degree <= l - 2: X**(l-1) = -(1 + ... + X**(l-2))
+        top = y[where[l - 1]]
+        ypoly = [-top] + [y[where[j]] - top for j in range(1, l - 1)]
+        refine = []
+        for piece in pieces:
+            # each factor of the piece has one of the roots as its value; the
+            # factors left after all but the last root have the last one
+            for r in roots[:-1]:
+                if len(piece) == 1:
+                    break
+                ypoly[0] = -top - r
+                g = poly_gcd(piece, ypoly, p)
+                if len(g) > 1:
+                    (factors if len(g) - 1 == f else refine).append(g)
+                    piece = poly_quotient(piece, g, p)
+            if len(piece) > 1:
+                (factors if len(piece) - 1 == f else refine).append(piece)
+        pieces = refine
+    return factors
+
+
 def primes_above(p: int, l: int) -> list[PrimeIdeal]:
     """All (l-1)/f prime ideals of Z[zeta_l] above p, canonically sorted.
 
-    The factors of Phi_l mod p all share degree f = ord(p mod l).  They are
-    found as minimal polynomials of the powers of one element of exact
-    multiplicative order l in GF(p**f); the random searches are seeded per
-    (p, l), so repeated calls agree.
+    The factors of Phi_l mod p all share degree f = ord(p mod l); there are
+    k = (l-1)/f of them.  At f = 1 they are X - theta**j for theta of order
+    l in GF(p); at k = 1 Phi_l itself.  Otherwise, when f >= k, Gaussian
+    periods split Phi_l with GF(p) arithmetic alone (``_split_by_periods``);
+    when k > f the factors are the minimal polynomials of the powers of one
+    element of order l in GF(p**f) (``_split_by_field``).  The period path
+    costs about k gcds with Phi_l, the field path a search for an
+    irreducible of degree f and a power to an exponent of f*log2(p) bits, so
+    each is the faster one on its side.  Each factor is checked to have
+    degree f and their product to be Phi_l.  The random choices are seeded
+    per (p, l), so repeated calls do the same work; the sorted output does
+    not depend on them.
     """
     _check_l(l)
     if p == l:
@@ -228,44 +410,21 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
         return [PrimeIdeal(l, p, f, phi)]
 
     rng = random.Random(p * 1_000_003 + l * 1_009)
-    factors: list[tuple[int, ...]] = []
     if f == 1:
         e = (p - 1) // l
         while True:
             theta = pow(rng.randrange(2, p), e, p)
             if theta > 1:
                 break
+        factors = []
         w = theta
         for _ in range(l - 1):
             factors.append(((-w) % p, 1))
             w = w * theta % p
+    elif f * f >= l - 1:
+        factors = _split_by_periods(p, l, f, rng)
     else:
-        modulus = _random_irreducible(p, f, rng)
-        e = (p**f - 1) // l
-        one = ff_from_int(p, modulus, 1)
-        while True:
-            z = ff_from_poly(p, modulus, tuple(rng.randrange(p) for _ in range(f)))
-            if z.is_zero():
-                continue
-            theta = z**e
-            if theta != one:
-                break
-        subgroup = set()
-        cur = p % l
-        while cur not in subgroup:
-            subgroup.add(cur)
-            cur = cur * p % l
-        theta_pow = [one]
-        for _ in range(1, l):
-            theta_pow.append(theta_pow[-1] * theta)
-        seen: set[int] = set()
-        for j in range(1, l):
-            if j in seen:
-                continue
-            orbit = sorted(j * h % l for h in subgroup)
-            seen.update(orbit)
-            roots = [theta_pow[e2] for e2 in orbit]
-            factors.append(_min_poly_over_base(roots, p))
+        factors = _split_by_field(p, l, f, rng)
 
     factors.sort(key=lambda g: _canonical_key(g, p))
     product: tuple[int, ...] = (1,)
@@ -289,13 +448,6 @@ def _zeta_images(ideal: PrimeIdeal) -> tuple[FiniteFieldElement, ...]:
     return tuple(images)
 
 
-@lru_cache(maxsize=4096)
-def _zeta_int_images(ideal: PrimeIdeal) -> tuple[int, ...]:
-    # degree 1 only: the residue field is GF(p) and zeta maps to the root of g
-    root = (-ideal.g[0]) % ideal.p
-    return tuple(pow(root, i, ideal.p) for i in range(ideal.l))
-
-
 def _embed(alpha: CyclotomicInt, ideal: PrimeIdeal) -> FiniteFieldElement:
     """Image of alpha in the residue field GF(p)[X]/(g), sending zeta to X."""
     if alpha.l != ideal.l:
@@ -313,38 +465,34 @@ def residue_symbol(alpha: "CyclotomicInt | int", ideal: PrimeIdeal) -> int:
     a**(p - 1) == 1 mod p.  A CyclotomicInt takes the power in GF(p**f) even
     when it is rational, so the exact path stays reachable.
     """
-    if ideal.f >= 2 and isinstance(alpha, int):
-        if alpha % ideal.p == 0:
-            raise SymbolUndefinedError(f"argument lies in {ideal}; symbol undefined")
-        return 0
-    e = (ideal.norm - 1) // ideal.l
-    if ideal.f == 1:
+    p = ideal.p
+    if isinstance(alpha, int):
+        c = alpha % p
+        if c and ideal.f >= 2:
+            return 0
+    elif ideal.f == 1:
         # the residue field is GF(p) itself; work with plain integers
-        p = ideal.p
-        if isinstance(alpha, int):
-            c = alpha % p
-        else:
-            if alpha.l != ideal.l:
-                raise ValueError("cyclotomic order mismatch")
-            root = (-ideal.g[0]) % p
-            c = 0
-            for coeff in reversed(alpha.coeffs):
-                c = (c * root + coeff) % p
-        if c == 0:
+        if alpha.l != ideal.l:
+            raise ValueError("cyclotomic order mismatch")
+        root = (-ideal.g[0]) % p
+        c = 0
+        for coeff in reversed(alpha.coeffs):
+            c = (c * root + coeff) % p
+    else:
+        img = _embed(alpha, ideal)
+        if img.is_zero():
             raise SymbolUndefinedError(f"argument lies in {ideal}; symbol undefined")
-        y = pow(c, e, p)
-        for i, z in enumerate(_zeta_int_images(ideal)):
+        y = img ** ((ideal.norm - 1) // ideal.l)
+        for i, z in enumerate(_zeta_images(ideal)):
             if y == z:
                 return i
         raise AssertionError("residue power is not a root of unity image")
-    img = _embed(alpha, ideal)
-    if img.is_zero():
+    if c == 0:
         raise SymbolUndefinedError(f"argument lies in {ideal}; symbol undefined")
-    y = img**e
-    for i, z in enumerate(_zeta_images(ideal)):
-        if y == z:
-            return i % ideal.l
-    raise AssertionError("residue power is not a root of unity image")
+    i = ideal._unity_logs.get(pow(c, (p - 1) // ideal.l, p))
+    if i is None:
+        raise AssertionError("residue power is not a root of unity image")
+    return i
 
 
 def symbol_over_integer(alpha: CyclotomicInt, n: int) -> int:

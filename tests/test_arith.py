@@ -16,6 +16,10 @@ from radsym.arith import (
     multiplicative_order,
     order_table,
     poly_is_irreducible,
+    poly_mul,
+    poly_quotient,
+    poly_rem,
+    poly_sub,
 )
 
 
@@ -275,3 +279,16 @@ def test_field_elements_need_a_monic_modulus():
             ff_from_int(p, modulus, 3)
     # monic mod p is enough: 6 == 1 mod 5
     assert ff_from_poly(5, (2, 1, 6), (0, 0, 1)).coeffs == (3, 4)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from((2, 3, 7, 65537)), st.lists(st.integers(-10**6, 10**6), max_size=9),
+       st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5))
+def test_poly_quotient_and_remainder_divide(p, a, b):
+    if b[-1] % p == 0:
+        b[-1] = 1  # a unit leading coefficient
+    q, r = poly_quotient(a, b, p), poly_rem(a, b, p)
+    assert len(r) < len(b)
+    assert poly_sub(a, poly_mul(q, b, p), p) == r
+    with pytest.raises(ZeroDivisionError):
+        poly_quotient(a, [0, 0], p)

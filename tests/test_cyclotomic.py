@@ -4,11 +4,19 @@ import random
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from radsym.arith import RamifiedPrimeError, ff_from_poly, is_prime, multiplicative_order
+from radsym.arith import (
+    FiniteFieldElement,
+    RamifiedPrimeError,
+    ff_from_poly,
+    is_prime,
+    multiplicative_order,
+    poly_is_irreducible,
+)
 from radsym.cyclotomic import (
     CyclotomicInt,
+    PrimeIdeal,
     SymbolUndefinedError,
     UnsupportedModulusError,
     cyclo_norm,
@@ -18,6 +26,7 @@ from radsym.cyclotomic import (
     residue_symbol,
     symbol_over_integer,
 )
+from radsym.cyclotomic import _canonical_key, _split_by_field, _split_by_periods
 
 
 def embed(alpha: CyclotomicInt, ideal):
@@ -111,7 +120,7 @@ def test_primes_above_ramified():
         primes_above(5, 5)
 
 
-@pytest.mark.parametrize("l", [3, 5, 7])
+@pytest.mark.parametrize("l", [3, 5, 7, 11, 13])
 def test_primes_above_invariants(l):
     phi = tuple([1] * l)
     for p in [q for q in range(2, 200) if all(q % d for d in range(2, q))]:
@@ -137,6 +146,86 @@ def test_primes_above_invariants(l):
                 acc = acc * x
             assert len(images) == l
         assert primes_above(p, l) == ideals  # deterministic
+
+
+def both_splits(p, l):
+    """The factors of Phi_l mod p from the period path and from the GF(p**f)
+    construction, each canonically sorted, with the same per-(p, l) seed."""
+    f = multiplicative_order(p, l)
+    seed = p * 1_000_003 + l * 1_009
+    return [sorted(split(p, l, f, random.Random(seed)), key=lambda g: _canonical_key(g, p))
+            for split in (_split_by_periods, _split_by_field)]
+
+
+SWEEP_L = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+SWEEP_P = [p for p in range(2, 3000) if is_prime(p)]
+
+
+def test_period_sweep_covers_the_hard_cases():
+    # the sweep below reaches both sides of the f >= k rule, p = 2 and 3,
+    # and primes below the number k of factors, which no single period splits
+    cases = [(l, p, multiplicative_order(p, l)) for l in SWEEP_L for p in SWEEP_P
+             if p != l and 1 < multiplicative_order(p, l) < l - 1]
+    assert any(f * f >= l - 1 for l, _, f in cases)
+    assert any(f * f < l - 1 for l, _, f in cases)
+    assert {(7, 2), (13, 3), (31, 2)} <= {(l, p) for l, p, _ in cases}
+    assert any(p < (l - 1) // f for l, p, f in cases)  # (31, 2): f = 5, k = 6
+
+
+@pytest.mark.parametrize("l", SWEEP_L)
+def test_period_split_matches_field_split(l):
+    swept = 0
+    for p in SWEEP_P:
+        if p == l or not 1 < multiplicative_order(p, l) < l - 1:
+            continue
+        periods, field = both_splits(p, l)
+        assert periods == field, (p, l)
+        swept += 1
+    assert swept > 100
+
+
+@pytest.mark.parametrize("l", [7, 13, 17, 31])
+def test_primes_above_factors_irreducible_and_canonical(l):
+    for p in SWEEP_P[:60]:
+        if p == l:
+            continue
+        f = multiplicative_order(p, l)
+        ideals = primes_above(p, l)
+        assert [I.f for I in ideals] == [f] * ((l - 1) // f)
+        assert all(len(I.g) == f + 1 and poly_is_irreducible(I.g, p) for I in ideals), (p, l)
+        keys = [_canonical_key(I.g, p) for I in ideals]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([q for q in range(5, 44) if is_prime(q)]), st.integers(2, 2**20))
+@example(43, 2)  # f = 14 >= k = 3 > p: primes_above refines by several periods
+def test_period_split_matches_field_split_at_random_primes(l, n):
+    p = n
+    while p == l or not is_prime(p):
+        p += 1
+    f = multiplicative_order(p, l)
+    if not 1 < f < l - 1:
+        return
+    periods, field = both_splits(p, l)
+    assert periods == field
+    assert [I.g for I in primes_above(p, l)] == periods
+
+
+def test_period_path_builds_no_field_element(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("built a FiniteFieldElement")
+
+    monkeypatch.setattr(FiniteFieldElement, "__init__", refuse)
+    # each (p, l) has f >= k, so primes_above takes the period path; 65537
+    # is large enough that the roots of the period's minimal polynomial are
+    # found by Cantor-Zassenhaus rather than by trial
+    for p, l in ((2, 7), (5, 13), (2, 17), (7, 31), (3, 11), (2, 43), (65537, 13)):
+        f = multiplicative_order(p, l)
+        assert 1 < f < l - 1 and f * f >= l - 1, (p, l)
+        assert len(primes_above(p, l)) == (l - 1) // f
+    with pytest.raises(AssertionError, match="FiniteFieldElement"):
+        primes_above(3, 13)  # f = 3 < k = 4: the GF(p**f) construction
 
 
 def ideal_with_root(p, l, root):
@@ -194,6 +283,34 @@ def test_residue_symbol_degree1_agrees_with_field_machinery():
                 acc = acc * x
             assert want is not None
             assert residue_symbol(a, I) == want
+
+
+@pytest.mark.parametrize("l", [3, 7, 13])
+def test_residue_symbol_int_at_degree_one(l):
+    # a plain int at an f = 1 ideal: a**((p-1)/l) == root**i mod p
+    rng = random.Random(4000 + l)
+    primes = [p for p in range(2 * l + 1, 5000, 2 * l) if is_prime(p)][:6]
+    primes.append(next(p for p in range(2 * l * 10**5 + 1, 2 * l * 10**6, 2 * l) if is_prime(p)))
+    for p in primes:
+        for I in primes_above(p, l):
+            root = (-I.g[0]) % p
+            for a in [rng.randint(-(10**15), 10**15) for _ in range(30)] + [1, -1, p + 1]:
+                if a % p == 0:
+                    continue
+                i = residue_symbol(a, I)
+                assert 0 <= i < l and pow(a, (p - 1) // l, p) == pow(root, i, p)
+            for a in (0, p, -3 * p):
+                with pytest.raises(SymbolUndefinedError, match="symbol undefined"):
+                    residue_symbol(a, I)
+            fresh = PrimeIdeal(I.l, I.p, I.f, I.g)  # the cached table is no field
+            assert fresh == I and hash(fresh) == hash(I) and repr(fresh) == repr(I)
+
+
+def test_residue_symbol_rejects_a_root_of_lower_order():
+    bogus = PrimeIdeal(3, 7, 1, (6, 1))  # X - 1: zeta would map to 1
+    assert residue_symbol(8, bogus) == 0  # 8 == 1 mod 7
+    with pytest.raises(AssertionError, match="not a root of unity image"):
+        residue_symbol(3, bogus)  # 3**2 == 2 mod 7 is no power of 1
 
 
 def assert_same_symbol(a, I):
