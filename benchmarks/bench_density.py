@@ -33,7 +33,10 @@ The symbol study follows the ``symbol`` requests of the radbench ``queries``
 deck at inertia degree f >= 2: for each (l, f, bits) of (3, 2, 20),
 (5, 2, 17), (5, 4, 14), (7, 3, 14) and (7, 6, 14) it takes the first 40
 primes p >= 2**(bits-1) of order f mod l and times ``primes_above(p, l)``
-plus the symbols of 2 and 5 at every ideal above p, one pass over the 40.
+plus the symbols of 2 and 5 at every ideal above p, one pass over the 40;
+the symbols are timed twice, once for the plain ints (closed form at f >= 2)
+and once for ``CyclotomicInt.from_int(l, a)``, which takes the power in the
+residue field at every f.
 Three more classes sit on either side of the rule by which ``primes_above``
 picks its splitting method for k = (l-1)/f factors of degree f: (13, 2, 17)
 has k = 6 > f and takes the GF(p**f) construction, (13, 4, 17) and
@@ -77,7 +80,7 @@ CONFIGS = [
                        (13, 2, 17), (13, 4, 17), (31, 10, 20))
 ]
 STUDIES = sorted({config[0] for config in CONFIGS})
-TIMINGS = ("wall_s", "peak_rss_mb", "primes_above_s", "symbols_s")
+TIMINGS = ("wall_s", "peak_rss_mb", "primes_above_s", "symbols_s", "field_symbols_s")
 
 ABOUT = ("density_experiment, character_sum or brute_force_kernel wall time "
          "(one call, import excluded), or one pass of the symbol study, and "
@@ -86,14 +89,17 @@ ABOUT = ("density_experiment, character_sum or brute_force_kernel wall time "
          "of alternating parent/change runs; results without a study are "
          "density; an oracle result counts the relations of its radicands "
          "and has no norm bound; a symbol result gives the inertia degree f "
-         "and bit length of its primes, split into primes_above_s and "
-         "symbols_s")
+         "and bit length of its primes, split into primes_above_s, "
+         "symbols_s (plain int radicands) and field_symbols_s (the same "
+         "radicands as CyclotomicInt.from_int, which take the residue-field "
+         "power at every f; absent from older rows)")
 
 # Runs in the child: one study, then its wall time, peak RSS and counts.
 CHILD = """
 import json, resource, sys, time
-from radsym import (brute_force_kernel, character_sum, density_experiment, is_prime,
-                    multiplicative_order, normalize_inputs, primes_above, residue_symbol)
+from radsym import (CyclotomicInt, brute_force_kernel, character_sum, density_experiment,
+                    is_prime, multiplicative_order, normalize_inputs, primes_above,
+                    residue_symbol)
 study, l, radicands, targets, bound, threads = json.loads(sys.argv[1])
 s = normalize_inputs(l, radicands)
 if study == "symbol":
@@ -103,7 +109,8 @@ if study == "symbol":
         if p != l and is_prime(p) and multiplicative_order(p, l) == f:
             primes.append(p)
         p += 1
-    split = {"primes_above_s": 0.0, "symbols_s": 0.0}
+    field_radicands = [CyclotomicInt.from_int(l, a) for a in radicands]
+    split = {"primes_above_s": 0.0, "symbols_s": 0.0, "field_symbols_s": 0.0}
 t0 = time.perf_counter()
 if study == "symbol":
     ideals, exponents = 0, 0
@@ -113,8 +120,13 @@ if study == "symbol":
         t2 = time.perf_counter()
         ideals += len(above)
         exponents += sum(residue_symbol(a, I) for I in above for a in radicands)
+        t3 = time.perf_counter()
+        for I in above:
+            for a in field_radicands:
+                residue_symbol(a, I)
         split["primes_above_s"] += t2 - t1
-        split["symbols_s"] += time.perf_counter() - t2
+        split["symbols_s"] += t3 - t2
+        split["field_symbols_s"] += time.perf_counter() - t3
     counts = {"primes": [primes[0], primes[-1]], "ideals": ideals,
               "exponent_sum": exponents, **split}
 elif study == "density":

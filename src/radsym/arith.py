@@ -1,9 +1,10 @@
 """Exact integer arithmetic and small finite fields.
 
 Factorization (trial division plus Brent's cycle method), perfect l-th power
-detection, multiplicative orders, dense polynomial arithmetic over GF(p), and
-elements of GF(p)[X]/(g).  Everything here is exact; a computation that cannot
-finish within its budget raises instead of approximating.
+detection, multiplicative orders, row reduction over Z/p, dense polynomial
+arithmetic over GF(p), and elements of GF(p)[X]/(g).  Everything here is
+exact; a computation that cannot finish within its budget raises instead of
+approximating.
 """
 
 from __future__ import annotations
@@ -227,14 +228,59 @@ def multiplicative_order(p: int, l: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Row reduction over Z/p: matrices as lists of rows.
+
+
+def _rref_mod(a: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over Z/p of the rows a; pivots take the first
+    nonzero column with the smallest row index."""
+    m = [[x % p for x in row] for row in a]
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = pow(m[r][c], -1, p)
+        top = m[r] = [x * inv % p for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                factor = row[c]
+                m[i] = [(x - factor * y) % p for x, y in zip(row, top)]
+        pivots.append(c)
+    return m, pivots
+
+
+def _nullspace_mod(r: list[list[int]], pivots: list[int], cols: int, p: int) -> list[list[int]]:
+    """Basis of the right nullspace over Z/p of a matrix with ``cols`` columns
+    whose reduced row echelon form and pivot columns ``_rref_mod`` gave as r
+    and pivots: one vector per free column, ascending, each scaled so its
+    first nonzero entry is 1."""
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = [0] * cols
+        v[free] = 1
+        for row, pc in zip(r, pivots):
+            v[pc] = -row[free] % p
+        inv = pow(next(x for x in v if x), -1, p)
+        basis.append([x * inv % p for x in v])
+    return basis
+
+
+# ---------------------------------------------------------------------------
 # Dense polynomials over GF(p): ascending coefficient tuples, no trailing zeros.
 
 
 def poly_trim(coeffs) -> tuple[int, ...]:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+    c = tuple(coeffs)
+    n = len(c)
+    while n and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
 
 
 def poly_mod(a, p: int) -> tuple[int, ...]:
@@ -260,39 +306,25 @@ def poly_mul(a, b, p: int) -> tuple[int, ...]:
     return poly_trim(out)
 
 
-def poly_rem(a, b, p: int) -> tuple[int, ...]:
-    """a mod b over GF(p); b's leading coefficient must be a unit mod p."""
+def poly_divmod(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(a // b, a mod b) over GF(p); b's leading coefficient must be a unit
+    mod p.  Each step reads only its top term mod p; the remainder is
+    reduced once at the end."""
     b = poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    r = [c % p for c in a]
     inv = pow(b[-1], -1, p)
     db = len(b) - 1
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i] * inv % p
-        if c:
-            for j, bj in enumerate(b):
-                r[i - db + j] = (r[i - db + j] - c * bj) % p
-    return poly_trim(r)
-
-
-def poly_quotient(a, b, p: int) -> tuple[int, ...]:
-    """a // b over GF(p), the remainder dropped; b's leading coefficient must
-    be a unit mod p."""
-    b = poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [c % p for c in a]
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    q = [0] * max(0, len(r) - db)
+    low = b[:-1]
+    r = list(a)
+    q = [0] * (len(r) - db)  # empty when a is shorter than b
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i] * inv % p
         if c:
             q[i - db] = c
-            for j, bj in enumerate(b):
-                r[i - db + j] = (r[i - db + j] - c * bj) % p
-    return poly_trim(q)
+            for j, bj in enumerate(low, i - db):
+                r[j] -= c * bj
+    return poly_trim(q), poly_trim([c % p for c in r[:db]])
 
 
 def poly_monic(a, p: int) -> tuple[int, ...]:
@@ -306,7 +338,7 @@ def poly_monic(a, p: int) -> tuple[int, ...]:
 def poly_gcd(a, b, p: int) -> tuple[int, ...]:
     a, b = poly_mod(a, p), poly_mod(b, p)
     while b:
-        a, b = b, poly_rem(a, b, p)
+        a, b = b, poly_divmod(a, b, p)[1]
     return poly_monic(a, p)
 
 
@@ -423,7 +455,7 @@ def ff_from_poly(p: int, modulus: tuple[int, ...], coeffs) -> FiniteFieldElement
     modulus = tuple(modulus)
     if len(modulus) < 2 or modulus[-1] % p != 1:
         raise ValueError(f"the modulus must be monic of degree >= 1 mod {p}, got {modulus}")
-    reduced = poly_rem(coeffs, modulus, p)
+    reduced = poly_divmod(coeffs, modulus, p)[1]
     return FiniteFieldElement(p, modulus, reduced + (0,) * (len(modulus) - 1 - len(reduced)))
 
 

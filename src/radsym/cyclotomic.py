@@ -3,9 +3,10 @@
 zeta_l is a primitive l-th root of unity for an odd prime l.  Elements are
 held in the power basis 1, zeta, ..., zeta^(l-2).  Prime ideals above a
 rational prime p != l are represented by the monic irreducible factors of the
-l-th cyclotomic polynomial mod p; the residue symbol is computed by raising
-to (p**f - 1)/l in the residue field GF(p)[X]/(g) and matching the result
-against the images of the powers of zeta.
+l-th cyclotomic polynomial mod p.  The residue symbol reduces its argument
+once mod (g, p), raises it to (p**f - 1)/l in the residue field GF(p)[X]/(g),
+held as plain ints at f = 1 and as tuples of f coefficients above, and looks
+the result up in the ideal's table of the powers of zeta.
 
 Phi_l mod p has k = (l-1)/f factors of degree f = ord(p mod l).  When
 f >= k they are split off by Gaussian periods, with GF(p) arithmetic alone:
@@ -30,22 +31,24 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .arith import (
     FiniteFieldElement,
     RamifiedPrimeError,
     _check_l,
+    _mulmod,
     _powmod,
+    _rref_mod,
     factorize,
     ff_from_int,
     ff_from_poly,
     multiplicative_order,
+    poly_divmod,
     poly_gcd,
     poly_is_irreducible,
     poly_mod,
     poly_mul,
-    poly_quotient,
     poly_sub,
     poly_trim,
 )
@@ -170,17 +173,24 @@ class PrimeIdeal:
         return self.p**self.f
 
     @cached_property
-    def _unity_logs(self) -> dict[int, int]:
-        """f = 1 only: the residue mod p of zeta**i mapped to i, for i in
-        [0, l); zeta maps to the root of g.  Cached on the instance, outside
-        the compared and hashed fields."""
-        root = (-self.g[0]) % self.p
+    def _symbol_table(self) -> tuple[int, dict]:
+        """(e, logs) for ``residue_symbol``: the exponent e = (p**f - 1)/l,
+        and the residue of zeta**i mapped to i, for i in [0, l), as an int
+        mod p at f = 1, where zeta maps to the root of g, and above as the
+        tuple of the f coefficients of X**i mod g.  Cached on the instance,
+        outside the compared and hashed fields."""
+        p, g = self.p, self.g
+        if self.f == 1:
+            root = (-g[0]) % p
+            w, step = 1, lambda w: w * root % p
+        else:
+            x = (0, 1) + (0,) * (len(g) - 3)
+            w, step = (1,) + (0,) * (len(g) - 2), lambda w: _mulmod(w, x, g, p)
         logs = {}
-        w = 1
         for i in range(self.l):
             logs.setdefault(w, i)
-            w = w * root % self.p
-        return logs
+            w = step(w)
+        return (self.norm - 1) // self.l, logs
 
     def __str__(self) -> str:
         return f"({self.p}, {poly_str(self.g)})"
@@ -282,34 +292,23 @@ def _krylov_min_poly(rows: list[list[int]], p: int) -> tuple[int, ...]:
     """Monic minimal polynomial over GF(p) of the linear map v -> v * rows,
     applied to the start vector -1 = (p-1, ..., p-1), ascending coefficients.
 
-    Each new image is reduced against the earlier ones while a combination
-    records it in terms of the powers; the first image that reduces to zero
-    gives the dependency.
+    The k + 1 images w_0, ..., w_k are the columns of a k x (k+1) matrix.
+    Once w_d depends on w_0, ..., w_(d-1), so does every later image, so
+    the pivots are exactly the columns before d and the reduced form holds
+    w_d = sum of r[i][d] * w_i.
     """
     k = len(rows)
-    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, vector, combination)
-    w = [p - 1] * k
-    for i in range(k + 1):
-        vec = list(w)
-        combo = [0] * i + [1]
-        for piv, bvec, bcombo in basis:
-            c = vec[piv]
-            if c:
-                vec = [(x - c * y) % p for x, y in zip(vec, bvec)]
-                for j, y in enumerate(bcombo):
-                    combo[j] = (combo[j] - c * y) % p
-        piv = next((j for j, x in enumerate(vec) if x), None)
-        if piv is None:
-            return tuple(combo)
-        inv = pow(vec[piv], -1, p)
-        basis.append((piv, [x * inv % p for x in vec], [x * inv % p for x in combo]))
+    images = [[p - 1] * k]
+    for _ in range(k):
         out = [0] * k
-        for wb, row in zip(w, rows):
+        for wb, row in zip(images[-1], rows):
             if wb:
                 for d, t in enumerate(row):
                     out[d] += wb * t
-        w = [x % p for x in out]
-    raise AssertionError("Krylov sequence outgrew the period algebra")
+        images.append([x % p for x in out])
+    r, pivots = _rref_mod(list(zip(*images)), p)
+    d = len(pivots)
+    return tuple((-row[d]) % p for row in r[:d]) + (1,)
 
 
 def _linear_roots(m: tuple[int, ...], p: int, rng: random.Random) -> list[int]:
@@ -331,8 +330,10 @@ def _linear_roots(m: tuple[int, ...], p: int, rng: random.Random) -> list[int]:
             return [r for g in parts for r in _linear_roots(g, p, rng)]
 
 
-def _split_by_periods(p: int, l: int, f: int, rng: random.Random) -> list[tuple[int, ...]]:
-    """The factors of Phi_l mod p by Gaussian periods, with GF(p) arithmetic.
+def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
+                      rng: random.Random) -> list[tuple[int, ...]]:
+    """The factors of phi = Phi_l mod p by Gaussian periods, with GF(p)
+    arithmetic.
 
     The periods P_c = sum of X**j over the k cosets c of <p> are fixed by
     Frobenius, so they span the subalgebra of GF(p)[X]/(Phi_l) isomorphic to
@@ -348,7 +349,7 @@ def _split_by_periods(p: int, l: int, f: int, rng: random.Random) -> list[tuple[
     for c, orbit in enumerate(orbits):
         for j in orbit:
             where[j] = c
-    pieces = [cyclotomic_modulus(l, p)]
+    pieces = [phi]
     factors: list[tuple[int, ...]] = []
     while pieces:
         y = [rng.randrange(p) for _ in range(k)]
@@ -378,7 +379,7 @@ def _split_by_periods(p: int, l: int, f: int, rng: random.Random) -> list[tuple[
                 g = poly_gcd(piece, ypoly, p)
                 if len(g) > 1:
                     (factors if len(g) - 1 == f else refine).append(g)
-                    piece = poly_quotient(piece, g, p)
+                    piece = poly_divmod(piece, g, p)[0]
             if len(piece) > 1:
                 (factors if len(piece) - 1 == f else refine).append(piece)
         pieces = refine
@@ -395,9 +396,12 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
     when k > f the factors are the minimal polynomials of the powers of one
     element of order l in GF(p**f) (``_split_by_field``).  The period path
     costs about k gcds with Phi_l, the field path a search for an
-    irreducible of degree f and a power to an exponent of f*log2(p) bits, so
-    each is the faster one on its side.  Each factor is checked to have
-    degree f and their product to be Phi_l.  The random choices are seeded
+    irreducible of degree f and a power to an exponent of f*log2(p) bits.
+    The f >= k rule is not the measured crossover: the period path already
+    wins at l = 31, f = 5, k = 6 (1.7 against 3.5 ms per prime) and at
+    l = 61, f = 6, k = 10 (5.6 against 6.8 ms), and loses from about
+    k >= 2f (ROADMAP open item 3).  Each factor is checked to have degree f
+    and their product to be Phi_l.  The random choices are seeded
     per (p, l), so repeated calls do the same work; the sorted output does
     not depend on them.
     """
@@ -422,7 +426,7 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
             factors.append(((-w) % p, 1))
             w = w * theta % p
     elif f * f >= l - 1:
-        factors = _split_by_periods(p, l, f, rng)
+        factors = _split_by_periods(p, l, f, phi, rng)
     else:
         factors = _split_by_field(p, l, f, rng)
 
@@ -437,24 +441,6 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
     return [PrimeIdeal(l, p, f, g) for g in factors]
 
 
-@lru_cache(maxsize=4096)
-def _zeta_images(ideal: PrimeIdeal) -> tuple[FiniteFieldElement, ...]:
-    images = []
-    x = ff_from_poly(ideal.p, ideal.g, (0, 1))
-    acc = ff_from_int(ideal.p, ideal.g, 1)
-    for _ in range(ideal.l):
-        images.append(acc)
-        acc = acc * x
-    return tuple(images)
-
-
-def _embed(alpha: CyclotomicInt, ideal: PrimeIdeal) -> FiniteFieldElement:
-    """Image of alpha in the residue field GF(p)[X]/(g), sending zeta to X."""
-    if alpha.l != ideal.l:
-        raise ValueError("cyclotomic order mismatch")
-    return ff_from_poly(ideal.p, ideal.g, alpha.coeffs)
-
-
 def residue_symbol(alpha: "CyclotomicInt | int", ideal: PrimeIdeal) -> int:
     """Exponent i in [0, l) with alpha**((p**f - 1)/l) == zeta**i mod the ideal.
 
@@ -465,31 +451,26 @@ def residue_symbol(alpha: "CyclotomicInt | int", ideal: PrimeIdeal) -> int:
     a**(p - 1) == 1 mod p.  A CyclotomicInt takes the power in GF(p**f) even
     when it is rational, so the exact path stays reachable.
     """
-    p = ideal.p
+    p, f = ideal.p, ideal.f
     if isinstance(alpha, int):
         c = alpha % p
-        if c and ideal.f >= 2:
+        if c and f >= 2:
             return 0
-    elif ideal.f == 1:
-        # the residue field is GF(p) itself; work with plain integers
+    else:
         if alpha.l != ideal.l:
             raise ValueError("cyclotomic order mismatch")
-        root = (-ideal.g[0]) % p
-        c = 0
-        for coeff in reversed(alpha.coeffs):
-            c = (c * root + coeff) % p
-    else:
-        img = _embed(alpha, ideal)
-        if img.is_zero():
-            raise SymbolUndefinedError(f"argument lies in {ideal}; symbol undefined")
-        y = img ** ((ideal.norm - 1) // ideal.l)
-        for i, z in enumerate(_zeta_images(ideal)):
-            if y == z:
-                return i
-        raise AssertionError("residue power is not a root of unity image")
-    if c == 0:
+        # zeta -> X mod (g, p); at f = 1 that evaluates at the root of g
+        c = poly_divmod(alpha.coeffs, ideal.g, p)[1]
+        if f == 1:
+            c = c[0] if c else 0
+    if not c:
         raise SymbolUndefinedError(f"argument lies in {ideal}; symbol undefined")
-    i = ideal._unity_logs.get(pow(c, (p - 1) // ideal.l, p))
+    e, logs = ideal._symbol_table
+    if f == 1:
+        y = pow(c, e, p)
+    else:
+        y = _powmod(c + (0,) * (f - len(c)), e, ideal.g, p)
+    i = logs.get(y)
     if i is None:
         raise AssertionError("residue power is not a root of unity image")
     return i
@@ -544,7 +525,7 @@ def eisenstein_check(alpha: CyclotomicInt, a: int) -> bool:
         raise UnsupportedModulusError("norm exponent disagrees with the inertia degree")
     if math.gcd(a, norm) != 1:
         raise ValueError("a must be coprime to the norm of alpha")
-    hits = [P for P in primes_above(p, l) if _embed(alpha, P).is_zero()]
+    hits = [P for P in primes_above(p, l) if not poly_divmod(alpha.coeffs, P.g, p)[1]]
     if len(hits) != 1:
         raise AssertionError("alpha should lie in exactly one ideal above p")
     left = residue_symbol(a, hits[0])

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import PrimeFactorization, _check_l, exact_lth_root, factorize, is_prime
+from .arith import (
+    PrimeFactorization,
+    _check_l,
+    _nullspace_mod,
+    _rref_mod,
+    exact_lth_root,
+    factorize,
+    is_prime,
+)
 from .cyclotomic import PrimeIdeal, residue_symbol
 
 
@@ -83,46 +91,6 @@ class KernelBasis:
     l: int
     rank: int
     basis: tuple[tuple[int, ...], ...]
-
-
-def _rref_mod(a: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over Z/p of the rows a; pivots take the first
-    nonzero column with the smallest row index."""
-    m = [[x % p for x in row] for row in a]
-    pivots: list[int] = []
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = pow(m[r][c], -1, p)
-        top = m[r] = [x * inv % p for x in m[r]]
-        for i, row in enumerate(m):
-            if i != r and row[c]:
-                factor = row[c]
-                m[i] = [(x - factor * y) % p for x, y in zip(row, top)]
-        pivots.append(c)
-    return m, pivots
-
-
-def _nullspace_mod(r: list[list[int]], pivots: list[int], cols: int, p: int) -> list[list[int]]:
-    """Basis of the right nullspace over Z/p of a matrix with ``cols`` columns
-    whose reduced row echelon form and pivot columns ``_rref_mod`` gave as r
-    and pivots: one vector per free column, ascending, each scaled so its
-    first nonzero entry is 1."""
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [0] * cols
-        v[free] = 1
-        for row, pc in zip(r, pivots):
-            v[pc] = -row[free] % p
-        inv = pow(next(x for x in v if x), -1, p)
-        basis.append([x * inv % p for x in v])
-    return basis
 
 
 def rank_and_kernel(s: InputSet) -> KernelBasis:

@@ -15,10 +15,9 @@ from radsym.arith import (
     is_prime,
     multiplicative_order,
     order_table,
+    poly_divmod,
     poly_is_irreducible,
     poly_mul,
-    poly_quotient,
-    poly_rem,
     poly_sub,
 )
 
@@ -287,8 +286,8 @@ def test_field_elements_need_a_monic_modulus():
 def test_poly_quotient_and_remainder_divide(p, a, b):
     if b[-1] % p == 0:
         b[-1] = 1  # a unit leading coefficient
-    q, r = poly_quotient(a, b, p), poly_rem(a, b, p)
+    q, r = poly_divmod(a, b, p)
     assert len(r) < len(b)
     assert poly_sub(a, poly_mul(q, b, p), p) == r
     with pytest.raises(ZeroDivisionError):
-        poly_quotient(a, [0, 0], p)
+        poly_divmod(a, [0, 0], p)

@@ -20,6 +20,7 @@ from radsym.cyclotomic import (
     SymbolUndefinedError,
     UnsupportedModulusError,
     cyclo_norm,
+    cyclotomic_modulus,
     eisenstein_check,
     is_primary,
     primes_above,
@@ -153,8 +154,9 @@ def both_splits(p, l):
     construction, each canonically sorted, with the same per-(p, l) seed."""
     f = multiplicative_order(p, l)
     seed = p * 1_000_003 + l * 1_009
-    return [sorted(split(p, l, f, random.Random(seed)), key=lambda g: _canonical_key(g, p))
-            for split in (_split_by_periods, _split_by_field)]
+    splits = (_split_by_periods(p, l, f, cyclotomic_modulus(l, p), random.Random(seed)),
+              _split_by_field(p, l, f, random.Random(seed)))
+    return [sorted(split, key=lambda g: _canonical_key(g, p)) for split in splits]
 
 
 SWEEP_L = (5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -261,11 +263,16 @@ def test_residue_symbol_undefined():
         residue_symbol(14, P)
 
 
-def test_residue_symbol_degree1_agrees_with_field_machinery():
-    # the linear-factor shortcut must match an explicit residue-field walk
+def test_residue_symbol_agrees_with_field_machinery():
+    # the per-ideal zeta-log table must match an explicit residue-field walk,
+    # at f = 1 and at f >= 2 on both sides of the f >= k split rule: l = 7,
+    # p = 13 (f = 2 < k = 3) and l = 13, p = 3 (f = 3 < k = 4) take the
+    # GF(p**f) construction, l = 7, p = 2 (f = 3 >= k = 2) the periods
     rng = random.Random(64)
-    for I in primes_above(13, 3) + primes_above(31, 3) + primes_above(11, 5):
-        assert I.f == 1
+    cases = [(13, 3, 1), (31, 3, 1), (11, 5, 1), (13, 7, 2), (2, 7, 3), (3, 13, 3)]
+    for p, l, f in cases:
+        assert multiplicative_order(p, l) == f
+    for I in [I for p, l, _ in cases for I in primes_above(p, l)]:
         e = (I.norm - 1) // I.l
         for _ in range(20):
             a = CyclotomicInt(I.l, tuple(rng.randint(-9, 9) for _ in range(I.l - 1)))
@@ -304,6 +311,12 @@ def test_residue_symbol_int_at_degree_one(l):
                     residue_symbol(a, I)
             fresh = PrimeIdeal(I.l, I.p, I.f, I.g)  # the cached table is no field
             assert fresh == I and hash(fresh) == hash(I) and repr(fresh) == repr(I)
+    # the same at f >= 2, once a CyclotomicInt has built the tuple-keyed table
+    for I in [I for p in (2, 3, 5) if p != l for I in primes_above(p, l) if I.f >= 2]:
+        residue_symbol(CyclotomicInt.zeta(l), I)
+        assert "_symbol_table" in vars(I)
+        fresh = PrimeIdeal(I.l, I.p, I.f, I.g)
+        assert fresh == I and hash(fresh) == hash(I) and repr(fresh) == repr(I)
 
 
 def test_residue_symbol_rejects_a_root_of_lower_order():
