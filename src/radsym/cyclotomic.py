@@ -179,18 +179,21 @@ class PrimeIdeal:
         mod p at f = 1, where zeta maps to the root of g, and above as the
         tuple of the f coefficients of X**i mod g.  Cached on the instance,
         outside the compared and hashed fields."""
-        p, g = self.p, self.g
+        p, g, l = self.p, self.g, self.l
+        logs = {}
         if self.f == 1:
             root = (-g[0]) % p
-            w, step = 1, lambda w: w * root % p
+            w = 1
+            for i in range(l):
+                logs.setdefault(w, i)
+                w = w * root % p
         else:
             x = (0, 1) + (0,) * (len(g) - 3)
-            w, step = (1,) + (0,) * (len(g) - 2), lambda w: _mulmod(w, x, g, p)
-        logs = {}
-        for i in range(self.l):
-            logs.setdefault(w, i)
-            w = step(w)
-        return (self.norm - 1) // self.l, logs
+            w = (1,) + (0,) * (len(g) - 2)
+            for i in range(l):
+                logs.setdefault(w, i)
+                w = _mulmod(w, x, g, p)
+        return (self.norm - 1) // l, logs
 
     def __str__(self) -> str:
         return f"({self.p}, {poly_str(self.g)})"
