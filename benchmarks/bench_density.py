@@ -37,10 +37,14 @@ plus the symbols of 2 and 5 at every ideal above p, one pass over the 40;
 the symbols are timed twice, once for the plain ints (closed form at f >= 2)
 and once for ``CyclotomicInt.from_int(l, a)``, which takes the power in the
 residue field at every f.
-Three more classes sit on either side of the rule by which ``primes_above``
-picks its splitting method for k = (l-1)/f factors of degree f: (13, 2, 17)
-has k = 6 > f and takes the GF(p**f) construction, (13, 4, 17) and
-(31, 10, 20) have f >= k and take the Gaussian periods.
+Five more classes sit on either side of the rule by which ``primes_above``
+picks its splitting method for k = (l-1)/f factors of degree f, Gaussian
+periods where k**2 <= f**3: (13, 2, 17) and (61, 5, 20) take the GF(p**f)
+construction, (13, 4, 17), (31, 10, 20) and (61, 6, 20) the periods.  The
+classes at l = 1021 take 3 primes p >= 2**20 each, at f = 12 and 15 (field
+path) and 17, 30 and 60 (periods), and time no CyclotomicInt symbols, whose
+residue-field powers take seconds at that degree; a result's ``count`` is its
+number of primes.
 """
 
 import argparse
@@ -60,7 +64,8 @@ REPO = Path(__file__).resolve().parent.parent
 # (study, l, radicands, targets, norm bound, threads); a charsum config sums
 # over its single radicand and has no targets, an oracle config has neither
 # targets nor a bound and runs on 1 thread.  A symbol config puts its
-# (inertia degree, bit length of p) in place of the norm bound.
+# (inertia degree, bit length of p, number of primes, whether to time the
+# CyclotomicInt symbols) in place of the norm bound.
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 CONFIGS = [
     ("density", l, (2, 5), (0, 0), bound, threads)
@@ -75,9 +80,11 @@ CONFIGS = [
 ] + [
     ("oracle", 3, (2,) * 12, (), None, 1),
 ] + [
-    ("symbol", l, (2, 5), (), (f, bits), 1)
+    ("symbol", l, (2, 5), (), (f, bits, 40, True), 1)
     for l, f, bits in ((3, 2, 20), (5, 2, 17), (5, 4, 14), (7, 3, 14), (7, 6, 14),
-                       (13, 2, 17), (13, 4, 17), (31, 10, 20))
+                       (13, 2, 17), (13, 4, 17), (31, 10, 20), (61, 5, 20), (61, 6, 20))
+] + [
+    ("symbol", 1021, (2, 5), (), (f, 21, 3, False), 1) for f in (12, 15, 17, 30, 60)
 ]
 STUDIES = sorted({config[0] for config in CONFIGS})
 TIMINGS = ("wall_s", "peak_rss_mb", "primes_above_s", "symbols_s", "field_symbols_s")
@@ -88,11 +95,13 @@ ABOUT = ("density_experiment, character_sum or brute_force_kernel wall time "
          "process per config and run; a row with runs > 1 holds the medians "
          "of alternating parent/change runs; results without a study are "
          "density; an oracle result counts the relations of its radicands "
-         "and has no norm bound; a symbol result gives the inertia degree f "
-         "and bit length of its primes, split into primes_above_s, "
-         "symbols_s (plain int radicands) and field_symbols_s (the same "
-         "radicands as CyclotomicInt.from_int, which take the residue-field "
-         "power at every f; absent from older rows)")
+         "and has no norm bound; a symbol result gives the inertia degree f, "
+         "the bit length of its primes and their count (40 where absent), "
+         "and its time split into primes_above_s, symbols_s (plain int "
+         "radicands) and "
+         "field_symbols_s (the same radicands as CyclotomicInt.from_int, "
+         "which take the residue-field power at every f; absent from older "
+         "rows and from the l = 1021 classes)")
 
 # Runs in the child: one study, then its wall time, peak RSS and counts.
 CHILD = """
@@ -103,14 +112,16 @@ from radsym import (CyclotomicInt, brute_force_kernel, character_sum, density_ex
 study, l, radicands, targets, bound, threads = json.loads(sys.argv[1])
 s = normalize_inputs(l, radicands)
 if study == "symbol":
-    f, bits = bound
+    f, bits, count, field = bound
     primes, p = [], 1 << (bits - 1)
-    while len(primes) < 40:
+    while len(primes) < count:
         if p != l and is_prime(p) and multiplicative_order(p, l) == f:
             primes.append(p)
         p += 1
-    field_radicands = [CyclotomicInt.from_int(l, a) for a in radicands]
-    split = {"primes_above_s": 0.0, "symbols_s": 0.0, "field_symbols_s": 0.0}
+    field_radicands = [CyclotomicInt.from_int(l, a) for a in radicands] if field else []
+    split = {"primes_above_s": 0.0, "symbols_s": 0.0}
+    if field:
+        split["field_symbols_s"] = 0.0
 t0 = time.perf_counter()
 if study == "symbol":
     ideals, exponents = 0, 0
@@ -126,8 +137,9 @@ if study == "symbol":
                 residue_symbol(a, I)
         split["primes_above_s"] += t2 - t1
         split["symbols_s"] += t3 - t2
-        split["field_symbols_s"] += time.perf_counter() - t3
-    counts = {"primes": [primes[0], primes[-1]], "ideals": ideals,
+        if field:
+            split["field_symbols_s"] += time.perf_counter() - t3
+    counts = {"primes": [primes[0], primes[-1]], "count": count, "ideals": ideals,
               "exponent_sum": exponents, **split}
 elif study == "density":
     rep = density_experiment(s, targets, bound, threads=threads)
@@ -211,7 +223,7 @@ def main() -> None:
             for label, src in sides if k % 2 == 0 else sides[::-1]:
                 runs[label].append(run_config(src, *config))
         if study == "symbol":
-            size = f"f={bound[0]} bits={bound[1]}"
+            size = f"f={bound[0]} bits={bound[1]} primes={bound[2]}"
         else:
             size = f"m={len(radicands)}" if bound is None else f"X={bound:.0e}"
         for label, _ in sides:

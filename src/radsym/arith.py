@@ -22,10 +22,25 @@ FACTOR_BUDGET = 4_000_000
 
 _TRIAL_LIMIT = 1_000_000
 
-# Miller-Rabin with these witnesses is a proof below this bound (Sorenson &
-# Webster); larger inputs fall back to sympy's BPSW test, imported lazily.
-_MR_PROOF_LIMIT = 3_317_044_064_679_887_385_961_981
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first j primes as witnesses is a proof below psi_j,
+# the least odd composite that is a strong pseudoprime to all of them (OEIS
+# A014233; psi_12 and psi_13 are from Sorenson & Webster).  _MR_TIERS holds
+# (psi_j, j) for each distinct bound; psi_8 = psi_7 and psi_11 = psi_10 =
+# psi_9.  The same primes serve for trial division.  Inputs from psi_13 on
+# fall back to sympy's BPSW test, imported lazily.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 
 class FactorizationError(RuntimeError):
@@ -75,16 +90,22 @@ def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n < ~3.3e24; BPSW (via sympy) above that."""
+    """Primality, proven below psi_13 ~ 3.3e24 and by BPSW (via sympy) above.
+
+    Trial division by the primes up to 41 settles n < 43**2.  Larger n take
+    Miller-Rabin with the first j primes as witnesses, for the least j whose
+    bound psi_j (``_MR_TIERS``) exceeds n: at most 4 below 3.2e9, and all 13
+    only from psi_12 ~ 3.2e23 on."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if n < 41 * 41:
+    if n < 43 * 43:
         return True
-    if n < _MR_PROOF_LIMIT:
-        return _miller_rabin(n, _MR_WITNESSES)
+    for bound, j in _MR_TIERS:
+        if n < bound:
+            return _miller_rabin(n, _MR_WITNESSES[:j])
     from sympy import isprime  # deferred: only giant inputs pay the import
 
     return bool(isprime(n))
@@ -309,10 +330,12 @@ def poly_mul(a, b, p: int) -> tuple[int, ...]:
 def poly_divmod(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(a // b, a mod b) over GF(p); b's leading coefficient must be a unit
     mod p.  Each step reads only its top term mod p; the remainder is
-    reduced once at the end."""
-    b = poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+    reduced once at the end.  b is trimmed only when its top coefficient is
+    0, and both results are trimmed in place before the one tuple each."""
+    if not b or not b[-1]:
+        b = poly_trim(b)
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
     inv = pow(b[-1], -1, p)
     db = len(b) - 1
     low = b[:-1]
@@ -324,7 +347,12 @@ def poly_divmod(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             q[i - db] = c
             for j, bj in enumerate(low, i - db):
                 r[j] -= c * bj
-    return poly_trim(q), poly_trim([c % p for c in r[:db]])
+    while q and not q[-1]:
+        q.pop()
+    r = [c % p for c in r[:db]]
+    while r and not r[-1]:
+        r.pop()
+    return tuple(q), tuple(r)
 
 
 def poly_monic(a, p: int) -> tuple[int, ...]:

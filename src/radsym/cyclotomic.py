@@ -29,6 +29,7 @@ zeta**0.  ``residue_symbol`` answers plain ints at f >= 2 this way; a
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,7 +51,6 @@ from .arith import (
     poly_mod,
     poly_mul,
     poly_sub,
-    poly_trim,
 )
 
 
@@ -225,24 +225,6 @@ def _canonical_key(g: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple((-c) % p for c in g)
 
 
-def _min_poly_over_base(roots: list[FiniteFieldElement], p: int) -> tuple[int, ...]:
-    """prod (X - r) for Frobenius-conjugate roots; coefficients must be in GF(p)."""
-    modulus = roots[0].modulus
-    coeffs = [ff_from_int(p, modulus, 1)]
-    for r in roots:
-        nxt = [ff_from_int(p, modulus, 0) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * r
-        coeffs = nxt
-    out = []
-    for c in coeffs:
-        if any(v != 0 for v in c.coeffs[1:]):
-            raise AssertionError("minimal polynomial coefficient escaped GF(p)")
-        out.append(c.coeffs[0])
-    return poly_trim(out)
-
-
 def _random_irreducible(p: int, f: int, rng: random.Random) -> tuple[int, ...]:
     while True:
         cand = tuple(rng.randrange(p) for _ in range(f)) + (1,)
@@ -271,9 +253,44 @@ def _frobenius_orbits(p: int, l: int) -> list[list[int]]:
     return orbits
 
 
-def _split_by_field(p: int, l: int, f: int, rng: random.Random) -> list[tuple[int, ...]]:
-    """The factors of Phi_l mod p as minimal polynomials of the powers of one
-    element theta of exact order l in GF(p**f) = GF(p)[X]/(random irreducible)."""
+def _from_power_sums(sums: list[int], p: int) -> tuple[int, ...]:
+    """The monic polynomial g of degree f over GF(p) with distinct roots
+    whose power sums are s_m = sums[m], m = 0..2f-1, ascending coefficients.
+
+    For p > f by Newton's identities: the coefficient a_m of X**(f-m) solves
+    s_m + a_1 s_(m-1) + ... + a_(m-1) s_1 + m a_m = 0, m = 1..f.  For p <= f,
+    where m may vanish mod p, g is the minimal polynomial of the sequence
+    (each root contributes a geometric term of weight 1), which
+    Berlekamp-Massey reads off its first 2f terms."""
+    f = len(sums) // 2
+    if p > f:
+        a = [1]
+        for m in range(1, f + 1):
+            t = sum(map(operator.mul, reversed(a), sums[1:m + 1]))
+            a.append(-t * pow(m, -1, p) % p)
+        return tuple(reversed(a))
+    c, b = [1], [1]  # connection polynomials, ascending: c[0] = 1
+    length, shift, last = 0, 1, 1
+    for n, s in enumerate(sums):
+        d = (s + sum(map(operator.mul, c[1:], reversed(sums[:n])))) % p
+        if not d:
+            shift += 1
+            continue
+        coef = d * pow(last, -1, p) % p
+        old = c
+        c = c + [0] * (len(b) + shift - len(c))
+        for i, bi in enumerate(b, shift):
+            c[i] = (c[i] - coef * bi) % p
+        if 2 * length <= n:
+            length, b, last, shift = n + 1 - length, old, d, 1
+        else:
+            shift += 1
+    return tuple(reversed(c[:length + 1]))
+
+
+def _element_of_order_l(p: int, l: int, f: int, rng: random.Random) -> FiniteFieldElement:
+    """An element theta of exact order l in GF(p**f) = GF(p)[X]/(random
+    irreducible of degree f): a random power to (p**f - 1)/l other than 1."""
     modulus = _random_irreducible(p, f, rng)
     e = (p**f - 1) // l
     one = ff_from_int(p, modulus, 1)
@@ -283,22 +300,47 @@ def _split_by_field(p: int, l: int, f: int, rng: random.Random) -> list[tuple[in
             continue
         theta = z**e
         if theta != one:
-            break
-    theta_pow = [one]
-    for _ in range(1, l):
-        theta_pow.append(theta_pow[-1] * theta)
-    return [_min_poly_over_base([theta_pow[j] for j in orbit], p)
+            return theta
+
+
+def _split_by_field(p: int, l: int, f: int, theta: FiniteFieldElement) -> list[tuple[int, ...]]:
+    """The factors of Phi_l mod p from the powers of an element theta of
+    exact order l in GF(p**f) = GF(p)[X]/(modulus).
+
+    The factor whose roots are theta**j for j in a coset j0*<p> has power
+    sums s_m = Tr(theta**(j0*m)), the trace down to GF(p).  The trace is
+    linear, so the traces Tr(X**i) of the modulus (its own power sums, by
+    Newton's identities) give it for each of the l powers of theta."""
+    modulus = theta.modulus
+    # Tr(X**i) for i < f: t_0 = f, and t_m + c_1 t_(m-1) + ... + m c_m = 0
+    # for the coefficient c_i of X**(f-i) in the modulus
+    top = modulus[::-1]
+    traces = [f]
+    for m in range(1, f):
+        t = m * top[m] + sum(map(operator.mul, top[1:m], reversed(traces[1:])))
+        traces.append(-t % p)
+    power_traces = []
+    w = ff_from_int(p, modulus, 1)
+    for _ in range(l):
+        power_traces.append(sum(map(operator.mul, w.coeffs, traces)) % p)
+        w = w * theta
+    return [_from_power_sums([power_traces[orbit[0] * m % l] for m in range(2 * f)], p)
             for orbit in _frobenius_orbits(p, l)]
 
 
-def _krylov_min_poly(rows: list[list[int]], p: int) -> tuple[int, ...]:
-    """Monic minimal polynomial over GF(p) of the linear map v -> v * rows,
-    applied to the start vector -1 = (p-1, ..., p-1), ascending coefficients.
+def _krylov(rows: list[list[int]], p: int, invert: bool):
+    """(m, inverse) for the linear map v -> v * rows over GF(p) and the start
+    vector -1 = (p-1, ..., p-1): m is the monic minimal polynomial of the map
+    on that vector, ascending coefficients.  With invert, when m has degree
+    k = len(rows), inverse[t][c] is the coefficient of the image w_t in the
+    unit vector e_c = sum of inverse[t][c] * w_t, t < k; else inverse is None.
 
-    The k + 1 images w_0, ..., w_k are the columns of a k x (k+1) matrix.
-    Once w_d depends on w_0, ..., w_(d-1), so does every later image, so
-    the pivots are exactly the columns before d and the reduced form holds
-    w_d = sum of r[i][d] * w_i.
+    The k + 1 images w_0, ..., w_k are the columns of a k x (k+1) matrix,
+    followed by the k x k identity when inverting.  Once w_d depends on
+    w_0, ..., w_(d-1), so does every later image, so the pivots before the
+    identity are exactly the columns before d, and the reduced form holds
+    w_d = sum of r[i][d] * w_i; at d = k the identity has become the inverse
+    of the matrix of w_0, ..., w_(k-1).
     """
     k = len(rows)
     images = [[p - 1] * k]
@@ -309,18 +351,54 @@ def _krylov_min_poly(rows: list[list[int]], p: int) -> tuple[int, ...]:
                 for d, t in enumerate(row):
                     out[d] += wb * t
         images.append([x % p for x in out])
-    r, pivots = _rref_mod(list(zip(*images)), p)
-    d = len(pivots)
-    return tuple((-row[d]) % p for row in r[:d]) + (1,)
+    a = [list(col) for col in zip(*images)]
+    if invert:
+        for i, row in enumerate(a):
+            row.extend(int(i == c) for c in range(k))
+    r, pivots = _rref_mod(a, p)
+    d = sum(1 for c in pivots if c < k)
+    m = tuple((-row[d]) % p for row in r[:d]) + (1,)
+    return m, ([row[k + 1:] for row in r] if invert and d == k else None)
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the nonzero square a mod the odd prime p, by
+    Tonelli-Shanks: one power at p = 3 mod 4, else a loop over the 2-part of
+    p - 1 with the least quadratic nonresidue."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def _linear_roots(m: tuple[int, ...], p: int, rng: random.Random) -> list[int]:
     """The roots in GF(p) of a monic m that is a product of distinct linear
-    factors: by trial for small p, else by Cantor-Zassenhaus, splitting m
-    with gcd(m, (T + delta)**((p-1)/2) - c) for c in -1, 0, 1."""
+    factors: a quadratic from one square root of its discriminant at odd p,
+    else by trial for small p, else by Cantor-Zassenhaus, splitting m with
+    gcd(m, (T + delta)**((p-1)/2) - c) for c in -1, 0, 1."""
     d = len(m) - 1
     if d == 1:
         return [(-m[0]) % p]
+    if d == 2 and p > 2:
+        c, b = m[0], m[1]
+        s = _sqrt_mod((b * b - 4 * c) % p, p)
+        half = (p + 1) // 2
+        return [(-b - s) * half % p, (s - b) * half % p]
     if p < 64:
         return [r for r in range(p) if sum(c * pow(r, i, p) for i, c in enumerate(m)) % p == 0]
     half = (p - 1) // 2
@@ -342,9 +420,16 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
     Frobenius, so they span the subalgebra of GF(p)[X]/(Phi_l) isomorphic to
     GF(p)**k: each y = sum a_c P_c takes one value y_i in GF(p) modulo each
     factor g_i.  Its minimal polynomial, found by Krylov elimination in the
-    period basis, is the product of T - r over those values, and the gcd
-    of a piece of Phi_l with y - r is the product of its g_i with y_i = r.
-    Random y refine the pieces until each has degree f.
+    period basis, is the product of T - r over those values.
+
+    When it has degree k, y separates the factors, and each period is a
+    polynomial h_c(y) read off the inverse of the Krylov matrix of the first
+    round.  Modulo g_i, with root theta, P_c becomes h_c(y_i), and the
+    period of m's coset becomes the sum over h in <p> of theta**(m*h), the
+    m-th power sum of g_i's roots, from which ``_from_power_sums`` builds
+    g_i.  Otherwise y repeats a value, as it must when p < k: then the gcd
+    of a piece of Phi_l with y - r is the product of its g_i with y_i = r,
+    and random y refine the pieces until each has degree f.
     """
     orbits = _frobenius_orbits(p, l)
     k = len(orbits)
@@ -367,7 +452,21 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
                     row[where[(i + j0) % l]] += y[where[i]]
             const = f * y[where[l - j0]]
             rows.append([(x - const) % p for x in row])
-        roots = _linear_roots(_krylov_min_poly(rows, p), p, rng)
+        m, inverse = _krylov(rows, p, invert=pieces == [phi])
+        roots = _linear_roots(m, p, rng)
+        if inverse is not None:
+            # y separates the factors: P_c = h_c(y), h_c's coefficients
+            # being column c of the inverse, takes the value h_c(r) mod the
+            # factor where y = r
+            columns = list(zip(*inverse))
+            for r in roots:
+                powers = [1]
+                for _ in range(k - 1):
+                    powers.append(powers[-1] * r % p)
+                values = [sum(map(operator.mul, powers, col)) % p for col in columns]
+                sums = [f] + [values[where[j]] for j in range(1, 2 * f)]
+                factors.append(_from_power_sums(sums, p))
+            return factors
         # y as a polynomial of degree <= l - 2: X**(l-1) = -(1 + ... + X**(l-2))
         top = y[where[l - 1]]
         ypoly = [-top] + [y[where[j]] - top for j in range(1, l - 1)]
@@ -428,10 +527,10 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
         for _ in range(l - 1):
             factors.append(((-w) % p, 1))
             w = w * theta % p
-    elif f * f >= l - 1:
+    elif ((l - 1) // f) ** 2 <= f**3:
         factors = _split_by_periods(p, l, f, phi, rng)
     else:
-        factors = _split_by_field(p, l, f, rng)
+        factors = _split_by_field(p, l, f, _element_of_order_l(p, l, f, rng))
 
     factors.sort(key=lambda g: _canonical_key(g, p))
     product: tuple[int, ...] = (1,)

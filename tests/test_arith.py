@@ -77,6 +77,29 @@ def test_is_prime_small():
     assert not is_prime((2**61 - 1) * (2**31 - 1))  # no factor <= 37
 
 
+# psi_j of OEIS A014233: the least odd composite that is a strong pseudoprime
+# to each of the first j primes, j = 1..13
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+
+
+def test_is_prime_rejects_every_strong_pseudoprime_bound():
+    for psi in PSI:
+        assert not is_prime(psi), psi
+    assert 399165290221 * 798330580441 == PSI[11]
+    assert is_prime(399165290221) and is_prime(798330580441)
+
+
+def test_is_prime_matches_sympy_at_the_witness_bounds():
+    from sympy import isprime
+
+    # odd n on both sides of each bound where the witness count changes
+    for psi in sorted(set(PSI)):
+        for n in range(psi - 600, psi + 601, 2):
+            assert is_prime(n) == isprime(n), n
+
+
 def test_integer_nth_root():
     for n, k, want in [(0, 3, 0), (1, 5, 1), (26, 3, 2), (27, 3, 3), (10**18, 3, 10**6)]:
         assert integer_nth_root(n, k) == want

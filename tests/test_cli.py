@@ -94,6 +94,18 @@ def test_exit_codes_user_errors(capsys):
     assert run_cli(capsys, "symbol", "-l", "3", "-p", "7", "--ideal", "5", "2")[0] == 2
 
 
+def test_strong_pseudoprime_to_twelve_bases_is_not_prime(capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin for the first
+    # 12 prime bases; 41 is the witness
+    psi12 = "318665857834031151167461"
+    code, out, err = run_cli(capsys, "symbol", "-l", "3", "-p", psi12, "2")
+    assert (code, out) == (2, "")
+    assert f"{psi12} is not prime" in err
+    code, out, _ = run_cli(capsys, "degree", "-l", "3", "399165290221", "798330580441", psi12)
+    assert code == 0
+    assert "degree: 9" in out and "oracle: {relation_count=3 degree=9}" in out
+
+
 def test_density_command(capsys):
     code, out, _ = run_cli(
         capsys, "density", "-l", "3", "-x", "2000", "--targets", "0,0", "--format", "json", "2", "5"

@@ -9,10 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from radsym.arith import (
     FiniteFieldElement,
     RamifiedPrimeError,
+    ff_from_int,
     ff_from_poly,
     is_prime,
     multiplicative_order,
     poly_is_irreducible,
+    poly_trim,
 )
 from radsym.cyclotomic import (
     CyclotomicInt,
@@ -27,7 +29,14 @@ from radsym.cyclotomic import (
     residue_symbol,
     symbol_over_integer,
 )
-from radsym.cyclotomic import _canonical_key, _split_by_field, _split_by_periods
+from radsym.cyclotomic import (
+    _canonical_key,
+    _element_of_order_l,
+    _frobenius_orbits,
+    _linear_roots,
+    _split_by_field,
+    _split_by_periods,
+)
 
 
 def embed(alpha: CyclotomicInt, ideal):
@@ -149,13 +158,45 @@ def test_primes_above_invariants(l):
         assert primes_above(p, l) == ideals  # deterministic
 
 
-def both_splits(p, l):
-    """The factors of Phi_l mod p from the period path and from the GF(p**f)
-    construction, each canonically sorted, with the same per-(p, l) seed."""
+def _min_poly_over_base(roots, p):
+    """prod (X - r) for Frobenius-conjugate roots; coefficients must be in GF(p)."""
+    modulus = roots[0].modulus
+    coeffs = [ff_from_int(p, modulus, 1)]
+    for r in roots:
+        nxt = [ff_from_int(p, modulus, 0) for _ in range(len(coeffs) + 1)]
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - c * r
+        coeffs = nxt
+    out = []
+    for c in coeffs:
+        if any(v != 0 for v in c.coeffs[1:]):
+            raise AssertionError("minimal polynomial coefficient escaped GF(p)")
+        out.append(c.coeffs[0])
+    return poly_trim(out)
+
+
+def reference_split(p, l, theta):
+    """The factors of Phi_l mod p as products of X - theta**j over the cosets
+    j0*<p>, for theta of exact order l in GF(p**f): GF(p**f) arithmetic only,
+    no power sums."""
+    theta_pow = [ff_from_int(p, theta.modulus, 1)]
+    for _ in range(1, l):
+        theta_pow.append(theta_pow[-1] * theta)
+    return [_min_poly_over_base([theta_pow[j] for j in orbit], p)
+            for orbit in _frobenius_orbits(p, l)]
+
+
+def all_splits(p, l):
+    """The factors of Phi_l mod p from the period path, the field path and
+    the reference, each canonically sorted, with the same per-(p, l) seed;
+    the last two share one element of order l."""
     f = multiplicative_order(p, l)
     seed = p * 1_000_003 + l * 1_009
+    theta = _element_of_order_l(p, l, f, random.Random(seed))
     splits = (_split_by_periods(p, l, f, cyclotomic_modulus(l, p), random.Random(seed)),
-              _split_by_field(p, l, f, random.Random(seed)))
+              _split_by_field(p, l, f, theta),
+              reference_split(p, l, theta))
     return [sorted(split, key=lambda g: _canonical_key(g, p)) for split in splits]
 
 
@@ -163,15 +204,27 @@ SWEEP_L = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 SWEEP_P = [p for p in range(2, 3000) if is_prime(p)]
 
 
+def takes_periods(p, l):
+    """primes_above's rule: the period path where k**2 <= f**3."""
+    f = multiplicative_order(p, l)
+    return ((l - 1) // f) ** 2 <= f**3
+
+
 def test_period_sweep_covers_the_hard_cases():
-    # the sweep below reaches both sides of the f >= k rule, p = 2 and 3,
-    # and primes below the number k of factors, which no single period splits
+    # the sweep below reaches both sides of primes_above's rule, p = 2 and 3,
+    # primes p <= f, where both paths take Berlekamp-Massey in place of
+    # Newton's identities, primes below the number k of factors, which no
+    # single period splits, and k = 2 at p = 1, 3 mod 4 and 1 mod 8, where the
+    # roots of the period's quadratic come from one square root
     cases = [(l, p, multiplicative_order(p, l)) for l in SWEEP_L for p in SWEEP_P
              if p != l and 1 < multiplicative_order(p, l) < l - 1]
-    assert any(f * f >= l - 1 for l, _, f in cases)
-    assert any(f * f < l - 1 for l, _, f in cases)
+    assert any(takes_periods(p, l) for l, p, _ in cases)
+    assert any(not takes_periods(p, l) for l, p, _ in cases)
     assert {(7, 2), (13, 3), (31, 2)} <= {(l, p) for l, p, _ in cases}
+    assert any(p <= f and p >= (l - 1) // f for l, p, f in cases)  # (11, 3): f = 5, k = 2
     assert any(p < (l - 1) // f for l, p, f in cases)  # (31, 2): f = 5, k = 6
+    quadratic = {p % 8 for l, p, f in cases if (l - 1) // f == 2 and p > 2}
+    assert {1, 3, 5} <= quadratic
 
 
 @pytest.mark.parametrize("l", SWEEP_L)
@@ -180,10 +233,21 @@ def test_period_split_matches_field_split(l):
     for p in SWEEP_P:
         if p == l or not 1 < multiplicative_order(p, l) < l - 1:
             continue
-        periods, field = both_splits(p, l)
-        assert periods == field, (p, l)
+        periods, field, reference = all_splits(p, l)
+        assert periods == field == reference, (p, l)
         swept += 1
     assert swept > 100
+
+
+def test_field_side_at_p_at_most_f():
+    # f = 5, k = 14 and f = 8, k = 39: primes_above takes the field path, whose
+    # power sums p cannot divide by 1..f
+    for p, l in ((5, 71), (5, 313)):
+        f = multiplicative_order(p, l)
+        assert p <= f and not takes_periods(p, l)
+        reference = reference_split(p, l, _element_of_order_l(p, l, f, random.Random(l)))
+        assert [I.g for I in primes_above(p, l)] == sorted(
+            reference, key=lambda g: _canonical_key(g, p))
 
 
 @pytest.mark.parametrize("l", [7, 13, 17, 31])
@@ -209,8 +273,8 @@ def test_period_split_matches_field_split_at_random_primes(l, n):
     f = multiplicative_order(p, l)
     if not 1 < f < l - 1:
         return
-    periods, field = both_splits(p, l)
-    assert periods == field
+    periods, field, reference = all_splits(p, l)
+    assert periods == field == reference
     assert [I.g for I in primes_above(p, l)] == periods
 
 
@@ -219,15 +283,28 @@ def test_period_path_builds_no_field_element(monkeypatch):
         raise AssertionError("built a FiniteFieldElement")
 
     monkeypatch.setattr(FiniteFieldElement, "__init__", refuse)
-    # each (p, l) has f >= k, so primes_above takes the period path; 65537
-    # is large enough that the roots of the period's minimal polynomial are
-    # found by Cantor-Zassenhaus rather than by trial
-    for p, l in ((2, 7), (5, 13), (2, 17), (7, 31), (3, 11), (2, 43), (65537, 13)):
+    # each (p, l) has k**2 <= f**3, so primes_above takes the period path;
+    # 65537 at l = 13 (k = 2) takes the roots of the period's quadratic from
+    # a square root, 83 at l = 13 (k = 3) by Cantor-Zassenhaus, and the
+    # primes p <= f or p < k take Berlekamp-Massey or the gcds
+    for p, l in ((2, 7), (5, 13), (2, 17), (7, 31), (3, 11), (2, 43), (65537, 13),
+                 (83, 13), (3, 13)):
         f = multiplicative_order(p, l)
-        assert 1 < f < l - 1 and f * f >= l - 1, (p, l)
+        assert 1 < f < l - 1 and takes_periods(p, l), (p, l)
         assert len(primes_above(p, l)) == (l - 1) // f
     with pytest.raises(AssertionError, match="FiniteFieldElement"):
-        primes_above(3, 13)  # f = 3 < k = 4: the GF(p**f) construction
+        primes_above(13, 7)  # f = 2, k = 3, k**2 > f**3: the GF(p**f) construction
+
+
+def test_linear_roots_of_a_quadratic():
+    # one square root gives both roots, at p = 3 mod 4 by a single power and
+    # at p = 1 mod 4 by the Tonelli-Shanks loop, down to p = 1 mod 2**6
+    rng = random.Random(5)
+    for p in (3, 5, 7, 13, 17, 41, 97, 193, 65537, 2**31 - 1, 998244353):
+        for _ in range(20):
+            a, b = rng.sample(range(p), 2)
+            m = (a * b % p, -(a + b) % p, 1)
+            assert sorted(_linear_roots(m, p, rng)) == sorted((a, b)), (p, a, b)
 
 
 def ideal_with_root(p, l, root):
