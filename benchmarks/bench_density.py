@@ -44,7 +44,15 @@ construction, (13, 4, 17), (31, 10, 20) and (61, 6, 20) the periods.  The
 classes at l = 1021 take 3 primes p >= 2**20 each, at f = 12 and 15 (field
 path) and 17, 30 and 60 (periods), and time no CyclotomicInt symbols, whose
 residue-field powers take seconds at that degree; a result's ``count`` is its
-number of primes.
+number of primes.  The split study times the two private splitting methods
+on the same primes, both Gaussian periods (``periods_s``) and the field path
+(``field_s``, its element of order l included), at (l, f) pairs on either side
+of that rule: (7, 2), (13, 2) and (13, 3), (41, 4) and (41, 5), (61, 5) and
+(61, 6), (211, 7) and (211, 10), and (1021, 15) and (1021, 17).  It calls
+functions the parent of its introduction lacks, so it runs without
+``--parent``:
+
+    python3 benchmarks/bench_density.py --study split --runs 7 --label change
 """
 
 import argparse
@@ -85,9 +93,16 @@ CONFIGS = [
                        (13, 2, 17), (13, 4, 17), (31, 10, 20), (61, 5, 20), (61, 6, 20))
 ] + [
     ("symbol", 1021, (2, 5), (), (f, 21, 3, False), 1) for f in (12, 15, 17, 30, 60)
+] + [
+    ("split", l, (2, 5), (), (f, bits, count), 1)
+    for l, f, bits, count in ((7, 2, 14, 40), (13, 2, 17, 40), (13, 3, 17, 40),
+                              (41, 4, 20, 20), (41, 5, 20, 20), (61, 5, 20, 20),
+                              (61, 6, 20, 20), (211, 7, 20, 5), (211, 10, 20, 5),
+                              (1021, 15, 21, 3), (1021, 17, 21, 3))
 ]
 STUDIES = sorted({config[0] for config in CONFIGS})
-TIMINGS = ("wall_s", "peak_rss_mb", "primes_above_s", "symbols_s", "field_symbols_s")
+TIMINGS = ("wall_s", "peak_rss_mb", "primes_above_s", "symbols_s", "field_symbols_s",
+           "periods_s", "field_s")
 
 ABOUT = ("density_experiment, character_sum or brute_force_kernel wall time "
          "(one call, import excluded), or one pass of the symbol study, and "
@@ -98,10 +113,11 @@ ABOUT = ("density_experiment, character_sum or brute_force_kernel wall time "
          "and has no norm bound; a symbol result gives the inertia degree f, "
          "the bit length of its primes and their count (40 where absent), "
          "and its time split into primes_above_s, symbols_s (plain int "
-         "radicands) and "
-         "field_symbols_s (the same radicands as CyclotomicInt.from_int, "
-         "which take the residue-field power at every f; absent from older "
-         "rows and from the l = 1021 classes)")
+         "radicands) and field_symbols_s (the same radicands as "
+         "CyclotomicInt.from_int, which take the residue-field power at "
+         "every f; absent from older rows and from the l = 1021 classes); a "
+         "split result times the Gaussian-period (periods_s) and GF(p**f) "
+         "(field_s) splitting methods on the same primes")
 
 # Runs in the child: one study, then its wall time, peak RSS and counts.
 CHILD = """
@@ -111,13 +127,20 @@ from radsym import (CyclotomicInt, brute_force_kernel, character_sum, density_ex
                     residue_symbol)
 study, l, radicands, targets, bound, threads = json.loads(sys.argv[1])
 s = normalize_inputs(l, radicands)
-if study == "symbol":
-    f, bits, count, field = bound
+if study in ("symbol", "split"):
+    f, bits, count = bound[:3]
     primes, p = [], 1 << (bits - 1)
     while len(primes) < count:
         if p != l and is_prime(p) and multiplicative_order(p, l) == f:
             primes.append(p)
         p += 1
+if study == "split":
+    import random
+    from radsym.cyclotomic import (_element_of_order_l, _split_by_field, _split_by_periods,
+                                   cyclotomic_modulus)
+    split = {"periods_s": 0.0, "field_s": 0.0}
+if study == "symbol":
+    field = bound[3]
     field_radicands = [CyclotomicInt.from_int(l, a) for a in radicands] if field else []
     split = {"primes_above_s": 0.0, "symbols_s": 0.0}
     if field:
@@ -141,6 +164,17 @@ if study == "symbol":
             split["field_symbols_s"] += time.perf_counter() - t3
     counts = {"primes": [primes[0], primes[-1]], "count": count, "ideals": ideals,
               "exponent_sum": exponents, **split}
+elif study == "split":
+    for p in primes:
+        seed = p * 1_000_003 + l * 1_009
+        t1 = time.perf_counter()
+        periods = _split_by_periods(p, l, f, cyclotomic_modulus(l, p), random.Random(seed))
+        t2 = time.perf_counter()
+        field = _split_by_field(p, l, f, _element_of_order_l(p, l, f, random.Random(seed)))
+        split["periods_s"] += t2 - t1
+        split["field_s"] += time.perf_counter() - t2
+        assert sorted(periods) == sorted(field)
+    counts = {"primes": [primes[0], primes[-1]], "count": count, **split}
 elif study == "density":
     rep = density_experiment(s, targets, bound, threads=threads)
     counts = {"ideals": rep.ideals_scanned, "matches": rep.matches}
@@ -178,7 +212,10 @@ def run_config(src: Path, study: str, l: int, radicands: tuple, targets: tuple,
         check=True,
     )
     result = json.loads(out.stdout)
-    size = {"f": bound[0], "bits": bound[1]} if study == "symbol" else {"norm_bound": bound}
+    if study in ("symbol", "split"):
+        size = {"f": bound[0], "bits": bound[1]}
+    else:
+        size = {"norm_bound": bound}
     return {"study": study, "l": l, "radicands": list(radicands), "targets": list(targets),
             **size, "threads": threads, **result}
 
@@ -222,7 +259,7 @@ def main() -> None:
         for k in range(args.runs):
             for label, src in sides if k % 2 == 0 else sides[::-1]:
                 runs[label].append(run_config(src, *config))
-        if study == "symbol":
+        if study in ("symbol", "split"):
             size = f"f={bound[0]} bits={bound[1]} primes={bound[2]}"
         else:
             size = f"m={len(radicands)}" if bound is None else f"X={bound:.0e}"

@@ -42,10 +42,10 @@ EXIT_INTERNAL = 3
 
 # Largest accepted l (exclusive).  Finding the ideals above p factors Phi_l
 # mod p, of degree l - 1, in pure Python.  At l = 1021 and p near 10**6 on a
-# 2-vCPU host that took about 0.2 s at the smallest f, 1 and 2, and 0.2 s at
-# the largest f = 510 below l - 1 (f = l - 1 costs nothing); it peaked at
-# 2.7-3.4 s at f = 30 and 34, where f meets the factor count (l - 1)/f, and
-# it grows quickly beyond this cap.
+# 2-vCPU host that took 0.07-0.3 s at every f below l - 1 (f = l - 1 costs
+# nothing): most at f = 1, with 1020 linear factors, and at f = 15 and 17,
+# where the period and field paths meet; 0.07-0.1 s of it is the check that
+# the factors multiply to Phi_l, whose cost grows as l**2.
 MAX_L = 1024
 
 

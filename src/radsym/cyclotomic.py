@@ -8,14 +8,18 @@ once mod (g, p), raises it to (p**f - 1)/l in the residue field GF(p)[X]/(g),
 held as plain ints at f = 1 and as tuples of f coefficients above, and looks
 the result up in the ideal's table of the powers of zeta.
 
-Phi_l mod p has k = (l-1)/f factors of degree f = ord(p mod l).  When
-f >= k they are split off by Gaussian periods, with GF(p) arithmetic alone:
+Phi_l mod p has k = (l-1)/f factors of degree f = ord(p mod l).  Each is
+built from the power sums of its roots, which lie in GF(p): by Newton's
+identities when p > f, else by Berlekamp-Massey.  Where k**2 <= f**3 the
+power sums come from Gaussian periods, with GF(p) arithmetic alone:
 Frobenius maps X**j to X**(j*p), so the sums of X**j over the cosets of <p>
 in (Z/l)* span the subalgebra of GF(p)[X]/(Phi_l) that is isomorphic to
-GF(p)**k (Berlekamp's), and gcd(Phi_l, y - r) over the values r of one such
-element y groups the factors.  When k > f the factors are the minimal
-polynomials of the powers of an element of order l in GF(p**f), which is
-faster there than k gcds with Phi_l.
+GF(p)**k (Berlekamp's).  One element y of it with k distinct values writes
+each period as a polynomial in y, and the values of the periods where y = r
+are the power sums of one factor; at k = 2 the two values come from one
+square root.  When p < k no y has k distinct values, and gcds of Phi_l with
+y - r over several y group the factors instead.  Where k**2 > f**3 the power
+sums are traces of the powers of an element of order l in GF(p**f).
 
 A rational integer a prime to p needs no such power at an ideal of inertia
 degree f >= 2: its symbol there is 0.  Since f = ord(p mod l) > 1, l does not
@@ -423,13 +427,13 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
     period basis, is the product of T - r over those values.
 
     When it has degree k, y separates the factors, and each period is a
-    polynomial h_c(y) read off the inverse of the Krylov matrix of the first
-    round.  Modulo g_i, with root theta, P_c becomes h_c(y_i), and the
-    period of m's coset becomes the sum over h in <p> of theta**(m*h), the
-    m-th power sum of g_i's roots, from which ``_from_power_sums`` builds
-    g_i.  Otherwise y repeats a value, as it must when p < k: then the gcd
-    of a piece of Phi_l with y - r is the product of its g_i with y_i = r,
-    and random y refine the pieces until each has degree f.
+    polynomial h_c(y) read off the inverse of the Krylov matrix.  Modulo
+    g_i, with root theta, P_c becomes h_c(y_i), and the period of m's coset
+    becomes the sum over h in <p> of theta**(m*h), the m-th power sum of
+    g_i's roots, from which ``_from_power_sums`` builds g_i.  Otherwise y
+    repeats a value, as it must when p < k: then the gcd of a piece of
+    Phi_l with y - r is the product of its g_i with y_i = r, and random y
+    refine the pieces until each has degree f.
     """
     orbits = _frobenius_orbits(p, l)
     k = len(orbits)
@@ -439,6 +443,10 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
             where[j] = c
     pieces = [phi]
     factors: list[tuple[int, ...]] = []
+    # the k values of a random y are uniform in GF(p)**k, so distinct with
+    # probability prod(1 - j/p) over j < k: about 0.6 or more when p >= k**2,
+    # where up to 4 draws are tried before the gcds; one below that
+    draws = 0 if p < k else 4 if p >= k * k else 1
     while pieces:
         y = [rng.randrange(p) for _ in range(k)]
         # y * P_b = sum over h in <p> of sigma_h(y * X**j0), j0 in b: each
@@ -452,14 +460,14 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
                     row[where[(i + j0) % l]] += y[where[i]]
             const = f * y[where[l - j0]]
             rows.append([(x - const) % p for x in row])
-        m, inverse = _krylov(rows, p, invert=pieces == [phi])
-        roots = _linear_roots(m, p, rng)
+        m, inverse = _krylov(rows, p, invert=draws > 0)
+        draws -= 1
         if inverse is not None:
             # y separates the factors: P_c = h_c(y), h_c's coefficients
             # being column c of the inverse, takes the value h_c(r) mod the
             # factor where y = r
             columns = list(zip(*inverse))
-            for r in roots:
+            for r in _linear_roots(m, p, rng):
                 powers = [1]
                 for _ in range(k - 1):
                     powers.append(powers[-1] * r % p)
@@ -467,6 +475,9 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
                 sums = [f] + [values[where[j]] for j in range(1, 2 * f)]
                 factors.append(_from_power_sums(sums, p))
             return factors
+        if draws > 0:
+            continue
+        roots = _linear_roots(m, p, rng)
         # y as a polynomial of degree <= l - 2: X**(l-1) = -(1 + ... + X**(l-2))
         top = y[where[l - 1]]
         ypoly = [-top] + [y[where[j]] - top for j in range(1, l - 1)]
@@ -493,19 +504,21 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
 
     The factors of Phi_l mod p all share degree f = ord(p mod l); there are
     k = (l-1)/f of them.  At f = 1 they are X - theta**j for theta of order
-    l in GF(p); at k = 1 Phi_l itself.  Otherwise, when f >= k, Gaussian
-    periods split Phi_l with GF(p) arithmetic alone (``_split_by_periods``);
-    when k > f the factors are the minimal polynomials of the powers of one
-    element of order l in GF(p**f) (``_split_by_field``).  The period path
-    costs about k gcds with Phi_l, the field path a search for an
-    irreducible of degree f and a power to an exponent of f*log2(p) bits.
-    The f >= k rule is not the measured crossover: the period path already
-    wins at l = 31, f = 5, k = 6 (1.7 against 3.5 ms per prime) and at
-    l = 61, f = 6, k = 10 (5.6 against 6.8 ms), and loses from about
-    k >= 2f (ROADMAP open item 3).  Each factor is checked to have degree f
-    and their product to be Phi_l.  The random choices are seeded
-    per (p, l), so repeated calls do the same work; the sorted output does
-    not depend on them.
+    l in GF(p); at k = 1 Phi_l itself.  Otherwise each factor is built from
+    the power sums of its roots (``_from_power_sums``), read from Gaussian
+    periods where k**2 <= f**3 (``_split_by_periods``, with GF(p)
+    arithmetic alone), else from the traces of the l powers of an element
+    of order l in GF(p**f) (``_split_by_field``).  The period path's work
+    grows as k**3 (Krylov elimination on k x k matrices, the roots of a
+    degree-k polynomial and the period values at each), the field path's as
+    k*f**3 (l products in GF(p**f)), so the rule balances the two; the
+    split study of BENCH_density.json times both methods on either side of
+    it.  When p < k the period path falls back to gcds with Phi_l, as no
+    single period element can separate the factors.  Each factor is checked
+    to have degree f and their product to be Phi_l; at l = 1021 and p near
+    10**6 a call takes under 0.3 s at every f on 2 vCPUs, 0.07-0.1 s of it
+    in that product.  The random choices are seeded per (p, l), so repeated
+    calls do the same work; the sorted output does not depend on them.
     """
     _check_l(l)
     if p == l:
