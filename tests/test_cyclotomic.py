@@ -214,8 +214,9 @@ def test_period_sweep_covers_the_hard_cases():
     # the sweep below reaches both sides of primes_above's rule, p = 2 and 3,
     # primes p <= f, where both paths take Berlekamp-Massey in place of
     # Newton's identities, primes below the number k of factors, which no
-    # single period splits, and k = 2 at p = 1, 3 mod 4 and 1 mod 8, where the
-    # roots of the period's quadratic come from one square root
+    # single period splits, and k = 2 at p = 3 mod 4 (one power) and at
+    # p = 5 and 1 mod 8 (one and more rounds of the Tonelli-Shanks loop), where
+    # the roots of the period's quadratic come from one square root
     cases = [(l, p, multiplicative_order(p, l)) for l in SWEEP_L for p in SWEEP_P
              if p != l and 1 < multiplicative_order(p, l) < l - 1]
     assert any(takes_periods(p, l) for l, p, _ in cases)
@@ -240,8 +241,8 @@ def test_period_split_matches_field_split(l):
 
 
 def test_field_side_at_p_at_most_f():
-    # f = 5, k = 14 and f = 8, k = 39: primes_above takes the field path, whose
-    # power sums p cannot divide by 1..f
+    # f = 5, k = 14 and f = 8, k = 39: primes_above takes the field path, and
+    # as p <= f, Berlekamp-Massey builds the factors from their power sums
     for p, l in ((5, 71), (5, 313)):
         f = multiplicative_order(p, l)
         assert p <= f and not takes_periods(p, l)
