@@ -39,18 +39,22 @@ and once for ``CyclotomicInt.from_int(l, a)``, which takes the power in the
 residue field at every f.
 Five more classes sit on either side of the rule by which ``primes_above``
 picks its splitting method for k = (l-1)/f factors of degree f, Gaussian
-periods where k**2 <= f**3: (13, 2, 17) and (61, 5, 20) take the GF(p**f)
-construction, (13, 4, 17), (31, 10, 20) and (61, 6, 20) the periods.  The
-classes at l = 1021 take 3 primes p >= 2**20 each, at f = 12 and 15 (field
-path) and 17, 30 and 60 (periods), and time no CyclotomicInt symbols, whose
-residue-field powers take seconds at that degree; a result's ``count`` is its
-number of primes.  The split study times the two private splitting methods
-on the same primes, both Gaussian periods (``periods_s``) and the field path
-(``field_s``, its element of order l included), at (l, f) pairs on either side
-of that rule: (7, 2), (13, 2) and (13, 3), (41, 4) and (41, 5), (61, 5) and
-(61, 6), (211, 7) and (211, 10), and (1021, 15) and (1021, 17).  It calls
-functions the parent of its introduction lacks, so it runs without
-``--parent``:
+periods where f >= k, or where p >= k and k**2 <= f**3: (13, 2, 17) and
+(61, 5, 20) take the GF(p**f) construction, (13, 4, 17), (31, 10, 20) and
+(61, 6, 20) the periods.  The classes at l = 1021 take 3 primes p >= 2**20
+each, at f = 12 and 15 (field path) and 17, 30 and 60 (periods), and time no
+CyclotomicInt symbols, whose residue-field powers take seconds at that
+degree; a result's ``count`` is its number of primes.  Two classes take the
+single prime p = 2 below k, with radicands 3 and 5: (127, 7), where k = 18
+and k**2 <= f**3, and (683, 22), where k = 31 and k**2 <= f**3 too; with
+p < k no single period separates the factors, and both take the field path.
+The split study times the two private splitting methods on the same primes,
+both Gaussian periods (``periods_s``) and the field path (``field_s``, its
+element of order l included), at (l, f) pairs on either side of that rule:
+(7, 2), (13, 2) and (13, 3), (41, 4) and (41, 5), (61, 5) and (61, 6),
+(211, 7) and (211, 10), (1021, 15) and (1021, 17), and (127, 7) and
+(683, 22) at p = 2.  It calls functions the parent of its introduction
+lacks, so it runs without ``--parent``:
 
     python3 benchmarks/bench_density.py --study split --runs 7 --label change
 """
@@ -94,11 +98,14 @@ CONFIGS = [
 ] + [
     ("symbol", 1021, (2, 5), (), (f, 21, 3, False), 1) for f in (12, 15, 17, 30, 60)
 ] + [
+    ("symbol", l, (3, 5), (), (f, 2, 1, True), 1) for l, f in ((127, 7), (683, 22))
+] + [
     ("split", l, (2, 5), (), (f, bits, count), 1)
     for l, f, bits, count in ((7, 2, 14, 40), (13, 2, 17, 40), (13, 3, 17, 40),
                               (41, 4, 20, 20), (41, 5, 20, 20), (61, 5, 20, 20),
                               (61, 6, 20, 20), (211, 7, 20, 5), (211, 10, 20, 5),
-                              (1021, 15, 21, 3), (1021, 17, 21, 3))
+                              (1021, 15, 21, 3), (1021, 17, 21, 3), (127, 7, 2, 1),
+                              (683, 22, 2, 1))
 ]
 STUDIES = sorted({config[0] for config in CONFIGS})
 TIMINGS = ("wall_s", "peak_rss_mb", "primes_above_s", "symbols_s", "field_symbols_s",

@@ -9,8 +9,8 @@ held as plain ints at f = 1 and as tuples of f coefficients above, and looks
 the result up in the ideal's table of the powers of zeta.
 
 Phi_l mod p has k = (l-1)/f factors of degree f = ord(p mod l).  Each is
-built from the power sums of its roots, which lie in GF(p): by Newton's
-identities when p > f, else by Berlekamp-Massey.  Where k**2 <= f**3 the
+built from the power sums of its roots, which lie in GF(p), by
+Berlekamp-Massey.  Where f >= k, or where p >= k and k**2 <= f**3, the
 power sums come from Gaussian periods, with GF(p) arithmetic alone:
 Frobenius maps X**j to X**(j*p), so the sums of X**j over the cosets of <p>
 in (Z/l)* span the subalgebra of GF(p)[X]/(Phi_l) that is isomorphic to
@@ -18,8 +18,8 @@ GF(p)**k (Berlekamp's).  One element y of it with k distinct values writes
 each period as a polynomial in y, and the values of the periods where y = r
 are the power sums of one factor; at k = 2 the two values come from one
 square root.  When p < k no y has k distinct values, and gcds of Phi_l with
-y - r over several y group the factors instead.  Where k**2 > f**3 the power
-sums are traces of the powers of an element of order l in GF(p**f).
+y - r over several y group the factors instead.  Elsewhere the power sums
+are traces of the powers of an element of order l in GF(p**f).
 
 A rational integer a prime to p needs no such power at an ideal of inertia
 degree f >= 2: its symbol there is 0.  Since f = ord(p mod l) > 1, l does not
@@ -258,21 +258,14 @@ def _frobenius_orbits(p: int, l: int) -> list[list[int]]:
 
 
 def _from_power_sums(sums: list[int], p: int) -> tuple[int, ...]:
-    """The monic polynomial g of degree f over GF(p) with distinct roots
-    whose power sums are s_m = sums[m], m = 0..2f-1, ascending coefficients.
+    """The monic polynomial g of degree f over GF(p) with distinct nonzero
+    roots whose power sums are s_m = sums[m], m = 0..2f-1, ascending
+    coefficients.
 
-    For p > f by Newton's identities: the coefficient a_m of X**(f-m) solves
-    s_m + a_1 s_(m-1) + ... + a_(m-1) s_1 + m a_m = 0, m = 1..f.  For p <= f,
-    where m may vanish mod p, g is the minimal polynomial of the sequence
-    (each root contributes a geometric term of weight 1), which
-    Berlekamp-Massey reads off its first 2f terms."""
-    f = len(sums) // 2
-    if p > f:
-        a = [1]
-        for m in range(1, f + 1):
-            t = sum(map(operator.mul, reversed(a), sums[1:m + 1]))
-            a.append(-t * pow(m, -1, p) % p)
-        return tuple(reversed(a))
+    Each root r contributes the geometric term r**m of weight 1 to s_m, so g
+    is the minimal polynomial of the sequence, which Berlekamp-Massey reads
+    off its first 2f terms.  It divides by no m, so it holds at every p,
+    p <= f included, where Newton's identities would divide by m = 0."""
     c, b = [1], [1]  # connection polynomials, ascending: c[0] = 1
     length, shift, last = 0, 1, 1
     for n, s in enumerate(sums):
@@ -332,19 +325,19 @@ def _split_by_field(p: int, l: int, f: int, theta: FiniteFieldElement) -> list[t
             for orbit in _frobenius_orbits(p, l)]
 
 
-def _krylov(rows: list[list[int]], p: int, invert: bool):
+def _krylov(rows: list[list[int]], p: int):
     """(m, inverse) for the linear map v -> v * rows over GF(p) and the start
     vector -1 = (p-1, ..., p-1): m is the monic minimal polynomial of the map
-    on that vector, ascending coefficients.  With invert, when m has degree
-    k = len(rows), inverse[t][c] is the coefficient of the image w_t in the
-    unit vector e_c = sum of inverse[t][c] * w_t, t < k; else inverse is None.
+    on that vector, ascending coefficients.  When m has degree k = len(rows),
+    inverse[t][c] is the coefficient of the image w_t in the unit vector
+    e_c = sum of inverse[t][c] * w_t, t < k; else inverse is None.
 
     The k + 1 images w_0, ..., w_k are the columns of a k x (k+1) matrix,
-    followed by the k x k identity when inverting.  Once w_d depends on
-    w_0, ..., w_(d-1), so does every later image, so the pivots before the
-    identity are exactly the columns before d, and the reduced form holds
-    w_d = sum of r[i][d] * w_i; at d = k the identity has become the inverse
-    of the matrix of w_0, ..., w_(k-1).
+    followed by the k x k identity.  Once w_d depends on w_0, ..., w_(d-1),
+    so does every later image, so the pivots before the identity are exactly
+    the columns before d, and the reduced form holds w_d = sum of r[i][d] *
+    w_i; at d = k the identity has become the inverse of the matrix of
+    w_0, ..., w_(k-1).
     """
     k = len(rows)
     images = [[p - 1] * k]
@@ -355,14 +348,11 @@ def _krylov(rows: list[list[int]], p: int, invert: bool):
                 for d, t in enumerate(row):
                     out[d] += wb * t
         images.append([x % p for x in out])
-    a = [list(col) for col in zip(*images)]
-    if invert:
-        for i, row in enumerate(a):
-            row.extend(int(i == c) for c in range(k))
+    a = [list(col) + [int(i == c) for c in range(k)] for i, col in enumerate(zip(*images))]
     r, pivots = _rref_mod(a, p)
     d = sum(1 for c in pivots if c < k)
     m = tuple((-row[d]) % p for row in r[:d]) + (1,)
-    return m, ([row[k + 1:] for row in r] if invert and d == k else None)
+    return m, ([row[k + 1:] for row in r] if d == k else None)
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -433,7 +423,7 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
     g_i's roots, from which ``_from_power_sums`` builds g_i.  Otherwise y
     repeats a value, as it must when p < k: then the gcd of a piece of
     Phi_l with y - r is the product of its g_i with y_i = r, and random y
-    refine the pieces until each has degree f.
+    refine the pieces until each has degree f or one y separates them all.
     """
     orbits = _frobenius_orbits(p, l)
     k = len(orbits)
@@ -446,7 +436,7 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
     # the k values of a random y are uniform in GF(p)**k, so distinct with
     # probability prod(1 - j/p) over j < k: about 0.6 or more when p >= k**2,
     # where up to 4 draws are tried before the gcds; one below that
-    draws = 0 if p < k else 4 if p >= k * k else 1
+    tries = 4 if p >= k * k else 1
     while pieces:
         y = [rng.randrange(p) for _ in range(k)]
         # y * P_b = sum over h in <p> of sigma_h(y * X**j0), j0 in b: each
@@ -460,13 +450,13 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
                     row[where[(i + j0) % l]] += y[where[i]]
             const = f * y[where[l - j0]]
             rows.append([(x - const) % p for x in row])
-        m, inverse = _krylov(rows, p, invert=draws > 0)
-        draws -= 1
+        m, inverse = _krylov(rows, p)
         if inverse is not None:
             # y separates the factors: P_c = h_c(y), h_c's coefficients
             # being column c of the inverse, takes the value h_c(r) mod the
             # factor where y = r
             columns = list(zip(*inverse))
+            factors = []
             for r in _linear_roots(m, p, rng):
                 powers = [1]
                 for _ in range(k - 1):
@@ -475,7 +465,8 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
                 sums = [f] + [values[where[j]] for j in range(1, 2 * f)]
                 factors.append(_from_power_sums(sums, p))
             return factors
-        if draws > 0:
+        tries -= 1
+        if tries > 0:
             continue
         roots = _linear_roots(m, p, rng)
         # y as a polynomial of degree <= l - 2: X**(l-1) = -(1 + ... + X**(l-2))
@@ -506,24 +497,25 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
     k = (l-1)/f of them.  At f = 1 they are X - theta**j for theta of order
     l in GF(p); at k = 1 Phi_l itself.  Otherwise each factor is built from
     the power sums of its roots (``_from_power_sums``), read from Gaussian
-    periods where k**2 <= f**3 (``_split_by_periods``, with GF(p)
-    arithmetic alone), else from the traces of the l powers of an element
-    of order l in GF(p**f) (``_split_by_field``).  The period path's work
-    grows as k**3 (Krylov elimination on k x k matrices, the roots of a
-    degree-k polynomial and the period values at each), the field path's as
-    k*f**3 (l products in GF(p**f)), so the rule balances the two; the
+    periods (``_split_by_periods``, with GF(p) arithmetic alone) or from
+    the traces of the l powers of an element of order l in GF(p**f)
+    (``_split_by_field``).  The period path's work grows as k**3 (Krylov
+    elimination on k x k matrices, the roots of a degree-k polynomial and
+    the period values at each), the field path's as k*f**3 (l products in
+    GF(p**f)), so where p >= k the periods are taken when k**2 <= f**3; the
     split study of BENCH_density.json times both methods on either side of
-    it.  When p < k the period path falls back to gcds with Phi_l, as no
-    single period element can separate the factors.  Each factor is checked
-    to have degree f and their product to be Phi_l; at l = 1021 and p near
-    10**6 a call takes under 0.3 s at every f on 2 vCPUs, 0.07-0.1 s of it
-    in that product.  The random choices are seeded per (p, l), so repeated
+    that rule.  When p < k no single period element separates the factors
+    and the period path falls back to gcds with Phi_l, so there it is taken
+    only where f >= k.  Each factor is checked to have degree f and their
+    product to be Phi_l; at l = 1021 and p near 10**6 a call takes under
+    0.3 s at every f on 2 vCPUs, 0.07-0.1 s of it in that product.  The random choices are seeded per (p, l), so repeated
     calls do the same work; the sorted output does not depend on them.
     """
     _check_l(l)
     if p == l:
         raise RamifiedPrimeError(f"p = l = {l} is ramified; its unique prime is out of scope")
     f = multiplicative_order(p, l)
+    k = (l - 1) // f
     phi = cyclotomic_modulus(l, p)
     if f == l - 1:
         return [PrimeIdeal(l, p, f, phi)]
@@ -540,7 +532,7 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
         for _ in range(l - 1):
             factors.append(((-w) % p, 1))
             w = w * theta % p
-    elif ((l - 1) // f) ** 2 <= f**3:
+    elif f >= k or p >= k and k * k <= f**3:
         factors = _split_by_periods(p, l, f, phi, rng)
     else:
         factors = _split_by_field(p, l, f, _element_of_order_l(p, l, f, rng))

@@ -205,18 +205,20 @@ SWEEP_P = [p for p in range(2, 3000) if is_prime(p)]
 
 
 def takes_periods(p, l):
-    """primes_above's rule: the period path where k**2 <= f**3."""
+    """primes_above's rule: the period path where f >= k, or where p >= k and
+    k**2 <= f**3."""
     f = multiplicative_order(p, l)
-    return ((l - 1) // f) ** 2 <= f**3
+    k = (l - 1) // f
+    return f >= k or p >= k and k * k <= f**3
 
 
 def test_period_sweep_covers_the_hard_cases():
     # the sweep below reaches both sides of primes_above's rule, p = 2 and 3,
-    # primes p <= f, where both paths take Berlekamp-Massey in place of
-    # Newton's identities, primes below the number k of factors, which no
-    # single period splits, and k = 2 at p = 3 mod 4 (one power) and at
-    # p = 5 and 1 mod 8 (one and more rounds of the Tonelli-Shanks loop), where
-    # the roots of the period's quadratic come from one square root
+    # primes p <= f, where Newton's identities would divide by m = 0 mod p,
+    # primes below the number k of factors, which no single period splits,
+    # and k = 2 at p = 3 mod 4 (one power) and at p = 5 and 1 mod 8 (one and
+    # more rounds of the Tonelli-Shanks loop), where the roots of the
+    # period's quadratic come from one square root
     cases = [(l, p, multiplicative_order(p, l)) for l in SWEEP_L for p in SWEEP_P
              if p != l and 1 < multiplicative_order(p, l) < l - 1]
     assert any(takes_periods(p, l) for l, p, _ in cases)
@@ -224,6 +226,7 @@ def test_period_sweep_covers_the_hard_cases():
     assert {(7, 2), (13, 3), (31, 2)} <= {(l, p) for l, p, _ in cases}
     assert any(p <= f and p >= (l - 1) // f for l, p, f in cases)  # (11, 3): f = 5, k = 2
     assert any(p < (l - 1) // f for l, p, f in cases)  # (31, 2): f = 5, k = 6
+    # the period side below k is (43, 2) in the hypothesis twin's examples
     quadratic = {p % 8 for l, p, f in cases if (l - 1) // f == 2 and p > 2}
     assert {1, 3, 5} <= quadratic
 
@@ -246,6 +249,19 @@ def test_field_side_at_p_at_most_f():
     for p, l in ((5, 71), (5, 313)):
         f = multiplicative_order(p, l)
         assert p <= f and not takes_periods(p, l)
+        reference = reference_split(p, l, _element_of_order_l(p, l, f, random.Random(l)))
+        assert [I.g for I in primes_above(p, l)] == sorted(
+            reference, key=lambda g: _canonical_key(g, p))
+
+
+def test_field_side_below_k_factors():
+    # p < k with f < k: no single period separates the factors, so the
+    # period path would fall back to gcds with Phi_l, and primes_above takes
+    # the field path even where k**2 <= f**3, as at (2, 127): f = 7, k = 18
+    for p, l in ((3, 13), (2, 31), (5, 31), (2, 127)):
+        f = multiplicative_order(p, l)
+        k = (l - 1) // f
+        assert p < k and f < k and not takes_periods(p, l)
         reference = reference_split(p, l, _element_of_order_l(p, l, f, random.Random(l)))
         assert [I.g for I in primes_above(p, l)] == sorted(
             reference, key=lambda g: _canonical_key(g, p))
@@ -284,17 +300,20 @@ def test_period_path_builds_no_field_element(monkeypatch):
         raise AssertionError("built a FiniteFieldElement")
 
     monkeypatch.setattr(FiniteFieldElement, "__init__", refuse)
-    # each (p, l) has k**2 <= f**3, so primes_above takes the period path;
-    # 65537 at l = 13 (k = 2) takes the roots of the period's quadratic from
-    # a square root, 83 at l = 13 (k = 3) by Cantor-Zassenhaus, and the
-    # primes p <= f or p < k take Berlekamp-Massey or the gcds
+    # each (p, l) has f >= k, or p >= k and k**2 <= f**3, so primes_above
+    # takes the period path; 65537 at l = 13 (k = 2) takes the roots of the
+    # period's quadratic from a square root, 83 at l = 13 (k = 3) by
+    # Cantor-Zassenhaus, and the primes p <= f or p < k take
+    # Berlekamp-Massey or the gcds
     for p, l in ((2, 7), (5, 13), (2, 17), (7, 31), (3, 11), (2, 43), (65537, 13),
-                 (83, 13), (3, 13)):
+                 (83, 13)):
         f = multiplicative_order(p, l)
         assert 1 < f < l - 1 and takes_periods(p, l), (p, l)
         assert len(primes_above(p, l)) == (l - 1) // f
     with pytest.raises(AssertionError, match="FiniteFieldElement"):
         primes_above(13, 7)  # f = 2, k = 3, k**2 > f**3: the GF(p**f) construction
+    with pytest.raises(AssertionError, match="FiniteFieldElement"):
+        primes_above(2, 127)  # f = 7, k = 18 > p: the GF(p**f) construction
 
 
 def test_linear_roots_of_a_quadratic():
