@@ -39,22 +39,29 @@ and once for ``CyclotomicInt.from_int(l, a)``, which takes the power in the
 residue field at every f.
 Five more classes sit on either side of the rule by which ``primes_above``
 picks its splitting method for k = (l-1)/f factors of degree f, Gaussian
-periods where f >= k, or where p >= k and k**2 <= f**3: (13, 2, 17) and
-(61, 5, 20) take the GF(p**f) construction, (13, 4, 17), (31, 10, 20) and
-(61, 6, 20) the periods.  The classes at l = 1021 take 3 primes p >= 2**20
+periods where f >= k, or where a random period element is likely to
+separate the factors and k**2 <= f**3: (13, 2, 17) and (61, 5, 20) take the
+GF(p**f) construction, (13, 4, 17), (31, 10, 20) and (61, 6, 20) the
+periods.  The classes at l = 1021 take 3 primes p >= 2**20
 each, at f = 12 and 15 (field path) and 17, 30 and 60 (periods), and time no
 CyclotomicInt symbols, whose residue-field powers take seconds at that
 degree; a result's ``count`` is its number of primes.  Two classes take the
 single prime p = 2 below k, with radicands 3 and 5: (127, 7), where k = 18
 and k**2 <= f**3, and (683, 22), where k = 31 and k**2 <= f**3 too; with
 p < k no single period separates the factors, and both take the field path.
+Two classes at l = 1009 take one small prime p >= k: 179 at f = 16, where
+k = 63 and a random period separates with probability about 4e-6, so the
+field path runs although k**2 <= f**3, and 37 at f = 72, where k = 14 and
+that probability is 0.06, so the period path draws up to 32 elements before
+its gcds.
 The split study times the two private splitting methods on the same primes,
 both Gaussian periods (``periods_s``) and the field path (``field_s``, its
 element of order l included), at (l, f) pairs on either side of that rule:
 (7, 2), (13, 2) and (13, 3), (41, 4) and (41, 5), (61, 5) and (61, 6),
-(211, 7) and (211, 10), (1021, 15) and (1021, 17), and (127, 7) and
-(683, 22) at p = 2.  It calls functions the parent of its introduction
-lacks, so it runs without ``--parent``:
+(211, 7) and (211, 10), (1021, 15) and (1021, 17), (127, 7) and (683, 22)
+at p = 2, and (1009, 16) and (1009, 72) at p = 179 and 37.  It calls
+functions the parent of its introduction lacks, so it runs without
+``--parent``:
 
     python3 benchmarks/bench_density.py --study split --runs 7 --label change
 """
@@ -100,12 +107,14 @@ CONFIGS = [
 ] + [
     ("symbol", l, (3, 5), (), (f, 2, 1, True), 1) for l, f in ((127, 7), (683, 22))
 ] + [
+    ("symbol", 1009, (2, 5), (), (f, bits, 1, False), 1) for f, bits in ((16, 8), (72, 6))
+] + [
     ("split", l, (2, 5), (), (f, bits, count), 1)
     for l, f, bits, count in ((7, 2, 14, 40), (13, 2, 17, 40), (13, 3, 17, 40),
                               (41, 4, 20, 20), (41, 5, 20, 20), (61, 5, 20, 20),
                               (61, 6, 20, 20), (211, 7, 20, 5), (211, 10, 20, 5),
                               (1021, 15, 21, 3), (1021, 17, 21, 3), (127, 7, 2, 1),
-                              (683, 22, 2, 1))
+                              (683, 22, 2, 1), (1009, 16, 8, 1), (1009, 72, 6, 1))
 ]
 STUDIES = sorted({config[0] for config in CONFIGS})
 TIMINGS = ("wall_s", "peak_rss_mb", "primes_above_s", "symbols_s", "field_symbols_s",

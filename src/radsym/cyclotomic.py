@@ -10,16 +10,18 @@ the result up in the ideal's table of the powers of zeta.
 
 Phi_l mod p has k = (l-1)/f factors of degree f = ord(p mod l).  Each is
 built from the power sums of its roots, which lie in GF(p), by
-Berlekamp-Massey.  Where f >= k, or where p >= k and k**2 <= f**3, the
-power sums come from Gaussian periods, with GF(p) arithmetic alone:
-Frobenius maps X**j to X**(j*p), so the sums of X**j over the cosets of <p>
-in (Z/l)* span the subalgebra of GF(p)[X]/(Phi_l) that is isomorphic to
-GF(p)**k (Berlekamp's).  One element y of it with k distinct values writes
-each period as a polynomial in y, and the values of the periods where y = r
-are the power sums of one factor; at k = 2 the two values come from one
-square root.  When p < k no y has k distinct values, and gcds of Phi_l with
-y - r over several y group the factors instead.  Elsewhere the power sums
-are traces of the powers of an element of order l in GF(p**f).
+Berlekamp-Massey.  Where f >= k, or where k**2 <= f**3 and a random
+element y of the span of the Gaussian periods is likely to take k distinct
+values (below), the power sums come from those periods, with GF(p)
+arithmetic alone: Frobenius maps X**j to X**(j*p), so the sums of X**j over
+the cosets of <p> in (Z/l)* span the subalgebra of GF(p)[X]/(Phi_l) that is
+isomorphic to GF(p)**k (Berlekamp's).  One element y of it with k
+distinct values writes each period as a polynomial in y, and the values of
+the periods where y = r are the power sums of one factor; at k = 2 the two
+values come from one square root.  When p < k no y has k distinct values,
+and when p is not much larger few do; gcds of Phi_l with y - r over several
+y then group the factors instead.  Elsewhere the power sums are traces of the powers of an
+element of order l in GF(p**f).
 
 A rational integer a prime to p needs no such power at an ideal of inertia
 degree f >= 2: its symbol there is 0.  Since f = ord(p mod l) > 1, l does not
@@ -405,6 +407,15 @@ def _linear_roots(m: tuple[int, ...], p: int, rng: random.Random) -> list[int]:
             return [r for g in parts for r in _linear_roots(g, p, rng)]
 
 
+def _separates(p: int, k: int) -> bool:
+    """Whether one of 32 random period elements is likely to separate the k
+    factors of Phi_l mod p.  The k values of each are uniform in GF(p)**k,
+    so distinct with probability q = prod(1 - j/p) over j < k, which is 0
+    when p < k and about 0.6 or more when p >= k**2; likely means q >= 1/32,
+    where one of 32 draws separates with probability 1 - 1/e or more."""
+    return math.prod(1 - j / p for j in range(k)) >= 1 / 32
+
+
 def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
                       rng: random.Random) -> list[tuple[int, ...]]:
     """The factors of phi = Phi_l mod p by Gaussian periods, with GF(p)
@@ -421,9 +432,11 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
     g_i, with root theta, P_c becomes h_c(y_i), and the period of m's coset
     becomes the sum over h in <p> of theta**(m*h), the m-th power sum of
     g_i's roots, from which ``_from_power_sums`` builds g_i.  Otherwise y
-    repeats a value, as it must when p < k: then the gcd of a piece of
-    Phi_l with y - r is the product of its g_i with y_i = r, and random y
-    refine the pieces until each has degree f or one y separates them all.
+    repeats a value, as it must when p < k, and up to 32 draws are tried
+    where ``_separates`` finds one likely to separate, one elsewhere.  Then
+    the gcd of a piece of Phi_l with y - r is the product of its g_i with
+    y_i = r, and random y refine the pieces until each has degree f or one
+    y separates them all.
     """
     orbits = _frobenius_orbits(p, l)
     k = len(orbits)
@@ -433,10 +446,9 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
             where[j] = c
     pieces = [phi]
     factors: list[tuple[int, ...]] = []
-    # the k values of a random y are uniform in GF(p)**k, so distinct with
-    # probability prod(1 - j/p) over j < k: about 0.6 or more when p >= k**2,
-    # where up to 4 draws are tried before the gcds; one below that
-    tries = 4 if p >= k * k else 1
+    # a draw costs about k*l products and a k x 2k row reduction, the gcds
+    # about k*l**2
+    tries = 32 if _separates(p, k) else 1
     while pieces:
         y = [rng.randrange(p) for _ in range(k)]
         # y * P_b = sum over h in <p> of sigma_h(y * X**j0), j0 in b: each
@@ -502,14 +514,16 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
     (``_split_by_field``).  The period path's work grows as k**3 (Krylov
     elimination on k x k matrices, the roots of a degree-k polynomial and
     the period values at each), the field path's as k*f**3 (l products in
-    GF(p**f)), so where p >= k the periods are taken when k**2 <= f**3; the
-    split study of BENCH_density.json times both methods on either side of
-    that rule.  When p < k no single period element separates the factors
-    and the period path falls back to gcds with Phi_l, so there it is taken
-    only where f >= k.  Each factor is checked to have degree f and their
-    product to be Phi_l; at l = 1021 and p near 10**6 a call takes under
-    0.3 s at every f on 2 vCPUs, 0.07-0.1 s of it in that product.  The random choices are seeded per (p, l), so repeated
-    calls do the same work; the sorted output does not depend on them.
+    GF(p**f)).  So where one of 32 random period elements is likely to
+    separate the factors (``_separates``: always when p >= k**2, never when
+    p < k), the periods are taken when k**2 <= f**3; the split study of
+    BENCH_density.json times both methods on either side of that rule.
+    Elsewhere the period path falls back to gcds with Phi_l, and it is
+    taken only where f >= k.  Each factor is checked to have degree f and
+    their product to be Phi_l; at l = 1021 and p near 10**6 a call takes
+    under 0.3 s at every f on 2 vCPUs, 0.07-0.1 s of it in that product.
+    The random choices are seeded per (p, l), so repeated calls do the same
+    work; the sorted output does not depend on them.
     """
     _check_l(l)
     if p == l:
@@ -532,7 +546,7 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
         for _ in range(l - 1):
             factors.append(((-w) % p, 1))
             w = w * theta % p
-    elif f >= k or p >= k and k * k <= f**3:
+    elif f >= k or _separates(p, k) and k * k <= f**3:
         factors = _split_by_periods(p, l, f, phi, rng)
     else:
         factors = _split_by_field(p, l, f, _element_of_order_l(p, l, f, rng))

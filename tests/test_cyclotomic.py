@@ -34,6 +34,7 @@ from radsym.cyclotomic import (
     _element_of_order_l,
     _frobenius_orbits,
     _linear_roots,
+    _separates,
     _split_by_field,
     _split_by_periods,
 )
@@ -205,11 +206,11 @@ SWEEP_P = [p for p in range(2, 3000) if is_prime(p)]
 
 
 def takes_periods(p, l):
-    """primes_above's rule: the period path where f >= k, or where p >= k and
-    k**2 <= f**3."""
+    """primes_above's rule: the period path where f >= k, or where a random
+    period element is likely to separate the factors and k**2 <= f**3."""
     f = multiplicative_order(p, l)
     k = (l - 1) // f
-    return f >= k or p >= k and k * k <= f**3
+    return f >= k or _separates(p, k) and k * k <= f**3
 
 
 def test_period_sweep_covers_the_hard_cases():
@@ -254,14 +255,16 @@ def test_field_side_at_p_at_most_f():
             reference, key=lambda g: _canonical_key(g, p))
 
 
-def test_field_side_below_k_factors():
-    # p < k with f < k: no single period separates the factors, so the
-    # period path would fall back to gcds with Phi_l, and primes_above takes
-    # the field path even where k**2 <= f**3, as at (2, 127): f = 7, k = 18
-    for p, l in ((3, 13), (2, 31), (5, 31), (2, 127)):
+def test_field_side_where_no_period_separates():
+    # f < k, and a random period element is unlikely to separate the
+    # factors: never where p < k, rarely at (7, 43) (f = 6, k = 7, each draw
+    # with probability 7!/7**7) and (41, 137) (f = 8, k = 17); the period
+    # path would fall back to gcds with Phi_l, so primes_above takes the
+    # field path even where k**2 <= f**3, as at (2, 127): f = 7, k = 18
+    for p, l in ((3, 13), (2, 31), (5, 31), (2, 127), (7, 43), (41, 137)):
         f = multiplicative_order(p, l)
         k = (l - 1) // f
-        assert p < k and f < k and not takes_periods(p, l)
+        assert f < k and not _separates(p, k) and not takes_periods(p, l)
         reference = reference_split(p, l, _element_of_order_l(p, l, f, random.Random(l)))
         assert [I.g for I in primes_above(p, l)] == sorted(
             reference, key=lambda g: _canonical_key(g, p))
@@ -314,6 +317,8 @@ def test_period_path_builds_no_field_element(monkeypatch):
         primes_above(13, 7)  # f = 2, k = 3, k**2 > f**3: the GF(p**f) construction
     with pytest.raises(AssertionError, match="FiniteFieldElement"):
         primes_above(2, 127)  # f = 7, k = 18 > p: the GF(p**f) construction
+    with pytest.raises(AssertionError, match="FiniteFieldElement"):
+        primes_above(7, 43)  # f = 6, k = 7 = p: one draw rarely separates
 
 
 def test_linear_roots_of_a_quadratic():
