@@ -446,8 +446,8 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
             where[j] = c
     pieces = [phi]
     factors: list[tuple[int, ...]] = []
-    # a draw costs about k*l products and a k x 2k row reduction, the gcds
-    # about k*l**2
+    # draws before the gcds: a draw costs about k*l products and a k x 2k
+    # row reduction, the gcds about k*l**2
     tries = 32 if _separates(p, k) else 1
     while pieces:
         y = [rng.randrange(p) for _ in range(k)]
