@@ -52,16 +52,18 @@ p < k no single period separates the factors, and both take the field path.
 Two classes at l = 1009 take one small prime p >= k: 179 at f = 16, where
 k = 63 and a random period separates with probability about 4e-6, so the
 field path runs although k**2 <= f**3, and 37 at f = 72, where k = 14 and
-that probability is 0.06, so the period path draws up to 32 elements before
-its gcds.
+that probability is 0.06, so the period path splits the factors in several
+rounds of draws more often than in one.  Two more take one prime p with
+f >= k but p far below k**2, where the periods need several rounds: 41 at
+(1009, 36), k = 28, and 3 at (1021, 34), k = 30.
 The split study times the two private splitting methods on the same primes,
 both Gaussian periods (``periods_s``) and the field path (``field_s``, its
 element of order l included), at (l, f) pairs on either side of that rule:
 (7, 2), (13, 2) and (13, 3), (41, 4) and (41, 5), (61, 5) and (61, 6),
 (211, 7) and (211, 10), (1021, 15) and (1021, 17), (127, 7) and (683, 22)
-at p = 2, and (1009, 16) and (1009, 72) at p = 179 and 37.  It calls
-functions the parent of its introduction lacks, so it runs without
-``--parent``:
+at p = 2, (1009, 16), (1009, 72) and (1009, 36) at p = 179, 37 and 41, and
+(1021, 34) at p = 3.  It calls private functions whose signatures change
+between commits, so it runs without ``--parent``:
 
     python3 benchmarks/bench_density.py --study split --runs 7 --label change
 """
@@ -107,14 +109,18 @@ CONFIGS = [
 ] + [
     ("symbol", l, (3, 5), (), (f, 2, 1, True), 1) for l, f in ((127, 7), (683, 22))
 ] + [
-    ("symbol", 1009, (2, 5), (), (f, bits, 1, False), 1) for f, bits in ((16, 8), (72, 6))
+    ("symbol", 1009, (2, 5), (), (f, bits, 1, False), 1)
+    for f, bits in ((16, 8), (72, 6), (36, 6))
+] + [
+    ("symbol", 1021, (2, 5), (), (34, 2, 1, False), 1),
 ] + [
     ("split", l, (2, 5), (), (f, bits, count), 1)
     for l, f, bits, count in ((7, 2, 14, 40), (13, 2, 17, 40), (13, 3, 17, 40),
                               (41, 4, 20, 20), (41, 5, 20, 20), (61, 5, 20, 20),
                               (61, 6, 20, 20), (211, 7, 20, 5), (211, 10, 20, 5),
                               (1021, 15, 21, 3), (1021, 17, 21, 3), (127, 7, 2, 1),
-                              (683, 22, 2, 1), (1009, 16, 8, 1), (1009, 72, 6, 1))
+                              (683, 22, 2, 1), (1009, 16, 8, 1), (1009, 72, 6, 1),
+                              (1009, 36, 6, 1), (1021, 34, 2, 1))
 ]
 STUDIES = sorted({config[0] for config in CONFIGS})
 TIMINGS = ("wall_s", "peak_rss_mb", "primes_above_s", "symbols_s", "field_symbols_s",
@@ -152,8 +158,7 @@ if study in ("symbol", "split"):
         p += 1
 if study == "split":
     import random
-    from radsym.cyclotomic import (_element_of_order_l, _split_by_field, _split_by_periods,
-                                   cyclotomic_modulus)
+    from radsym.cyclotomic import _element_of_order_l, _split_by_field, _split_by_periods
     split = {"periods_s": 0.0, "field_s": 0.0}
 if study == "symbol":
     field = bound[3]
@@ -184,7 +189,7 @@ elif study == "split":
     for p in primes:
         seed = p * 1_000_003 + l * 1_009
         t1 = time.perf_counter()
-        periods = _split_by_periods(p, l, f, cyclotomic_modulus(l, p), random.Random(seed))
+        periods = _split_by_periods(p, l, f, random.Random(seed))
         t2 = time.perf_counter()
         field = _split_by_field(p, l, f, _element_of_order_l(p, l, f, random.Random(seed)))
         split["periods_s"] += t2 - t1

@@ -45,9 +45,10 @@ EXIT_INTERNAL = 3
 # 2-vCPU host that took 0.07-0.3 s at every f below l - 1 (f = l - 1 costs
 # nothing): most at f = 1, with 1020 linear factors, and at f = 15 and 17,
 # where the period and field paths meet; 0.07-0.1 s of it is the check that
-# the factors multiply to Phi_l, whose cost grows as l**2.  Small p can take
-# up to about 2 s, where f >= k and few period elements separate the k
-# factors, so the period path falls back to gcds of degree-(l-1) polynomials.
+# the factors multiply to Phi_l, whose cost grows as l**2.  At l near 1000,
+# p < 200 with f >= k, where one period element rarely separates the k
+# factors and the period path takes several rounds of draws, took
+# 0.03-0.08 s.
 MAX_L = 1024
 
 

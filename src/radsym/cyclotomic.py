@@ -11,17 +11,15 @@ the result up in the ideal's table of the powers of zeta.
 Phi_l mod p has k = (l-1)/f factors of degree f = ord(p mod l).  Each is
 built from the power sums of its roots, which lie in GF(p), by
 Berlekamp-Massey.  Where f >= k, or where k**2 <= f**3 and a random
-element y of the span of the Gaussian periods is likely to take k distinct
-values (below), the power sums come from those periods, with GF(p)
-arithmetic alone: Frobenius maps X**j to X**(j*p), so the sums of X**j over
-the cosets of <p> in (Z/l)* span the subalgebra of GF(p)[X]/(Phi_l) that is
-isomorphic to GF(p)**k (Berlekamp's).  One element y of it with k
-distinct values writes each period as a polynomial in y, and the values of
-the periods where y = r are the power sums of one factor; at k = 2 the two
-values come from one square root.  When p < k no y has k distinct values,
-and when p is not much larger few do; gcds of Phi_l with y - r over several
-y then group the factors instead.  Elsewhere the power sums are traces of the powers of an
-element of order l in GF(p**f).
+element of the span of the Gaussian periods is likely to take k distinct
+values, the power sums come from those periods, with GF(p) arithmetic
+alone: Frobenius maps X**j to X**(j*p), so the sums of X**j over the cosets
+of <p> in (Z/l)* span the subalgebra of GF(p)[X]/(Phi_l) that is
+isomorphic to GF(p)**k (Berlekamp's).  Random elements of it split its
+identity into the k primitive idempotents, one per factor, and the trace
+form reads each factor's power sums from its idempotent; at k = 2 the two
+values of an element come from one square root.  Elsewhere the power sums
+are traces of the powers of an element of order l in GF(p**f).
 
 A rational integer a prime to p needs no such power at an ideal of inertia
 degree f >= 2: its symbol there is 0.  Since f = ord(p mod l) > 1, l does not
@@ -46,7 +44,6 @@ from .arith import (
     _check_l,
     _mulmod,
     _powmod,
-    _rref_mod,
     factorize,
     ff_from_int,
     ff_from_poly,
@@ -327,36 +324,6 @@ def _split_by_field(p: int, l: int, f: int, theta: FiniteFieldElement) -> list[t
             for orbit in _frobenius_orbits(p, l)]
 
 
-def _krylov(rows: list[list[int]], p: int):
-    """(m, inverse) for the linear map v -> v * rows over GF(p) and the start
-    vector -1 = (p-1, ..., p-1): m is the monic minimal polynomial of the map
-    on that vector, ascending coefficients.  When m has degree k = len(rows),
-    inverse[t][c] is the coefficient of the image w_t in the unit vector
-    e_c = sum of inverse[t][c] * w_t, t < k; else inverse is None.
-
-    The k + 1 images w_0, ..., w_k are the columns of a k x (k+1) matrix,
-    followed by the k x k identity.  Once w_d depends on w_0, ..., w_(d-1),
-    so does every later image, so the pivots before the identity are exactly
-    the columns before d, and the reduced form holds w_d = sum of r[i][d] *
-    w_i; at d = k the identity has become the inverse of the matrix of
-    w_0, ..., w_(k-1).
-    """
-    k = len(rows)
-    images = [[p - 1] * k]
-    for _ in range(k):
-        out = [0] * k
-        for wb, row in zip(images[-1], rows):
-            if wb:
-                for d, t in enumerate(row):
-                    out[d] += wb * t
-        images.append([x % p for x in out])
-    a = [list(col) + [int(i == c) for c in range(k)] for i, col in enumerate(zip(*images))]
-    r, pivots = _rref_mod(a, p)
-    d = sum(1 for c in pivots if c < k)
-    m = tuple((-row[d]) % p for row in r[:d]) + (1,)
-    return m, ([row[k + 1:] for row in r] if d == k else None)
-
-
 def _sqrt_mod(a: int, p: int) -> int:
     """A square root of the nonzero square a mod the odd prime p, by
     Tonelli-Shanks: one power at p = 3 mod 4, else a loop over the 2-part of
@@ -408,35 +375,39 @@ def _linear_roots(m: tuple[int, ...], p: int, rng: random.Random) -> list[int]:
 
 
 def _separates(p: int, k: int) -> bool:
-    """Whether one of 32 random period elements is likely to separate the k
-    factors of Phi_l mod p.  The k values of each are uniform in GF(p)**k,
-    so distinct with probability q = prod(1 - j/p) over j < k, which is 0
-    when p < k and about 0.6 or more when p >= k**2; likely means q >= 1/32,
-    where one of 32 draws separates with probability 1 - 1/e or more."""
+    """Whether one random period element is likely to take k distinct
+    values, one at each factor of Phi_l mod p, which ``primes_above``'s path
+    rule reads.  The k values are uniform in GF(p)**k, so distinct with
+    probability q = prod(1 - j/p) over j < k, which is 0 when p < k and
+    about 0.6 or more when p >= k**2; likely means q >= 1/32.  Below that
+    the period split mostly takes several rounds of draws, so the rule
+    keeps it only where f >= k."""
     return math.prod(1 - j / p for j in range(k)) >= 1 / 32
 
 
-def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
-                      rng: random.Random) -> list[tuple[int, ...]]:
-    """The factors of phi = Phi_l mod p by Gaussian periods, with GF(p)
+def _split_by_periods(p: int, l: int, f: int, rng: random.Random) -> list[tuple[int, ...]]:
+    """The factors of Phi_l mod p by Gaussian periods, with GF(p)
     arithmetic.
 
     The periods P_c = sum of X**j over the k cosets c of <p> are fixed by
-    Frobenius, so they span the subalgebra of GF(p)[X]/(Phi_l) isomorphic to
-    GF(p)**k: each y = sum a_c P_c takes one value y_i in GF(p) modulo each
-    factor g_i.  Its minimal polynomial, found by Krylov elimination in the
-    period basis, is the product of T - r over those values.
+    Frobenius, so they span the subalgebra B of A = GF(p)[X]/(Phi_l)
+    isomorphic to GF(p)**k: each y = sum a_c P_c takes one value in GF(p)
+    modulo each factor g_i, and B's primitive idempotents e_i, 1 modulo g_i
+    and 0 modulo the others, pick the factors out (Berlekamp).  Starting
+    from the single block 1 = -sum P_c, each round draws a random y and
+    splits every block e by y's values on it: the images e, e*y, e*y**2, ...
+    in the period basis first depend on each other at the minimal
+    polynomial m of y on e*B, the product of T - r over those values, and
+    q(y)*e / q(r) with q = m / (T - r) is the idempotent of e's factors
+    where y = r.  Rounds go on until there are k blocks, one per factor.
 
-    When it has degree k, y separates the factors, and each period is a
-    polynomial h_c(y) read off the inverse of the Krylov matrix.  Modulo
-    g_i, with root theta, P_c becomes h_c(y_i), and the period of m's coset
-    becomes the sum over h in <p> of theta**(m*h), the m-th power sum of
-    g_i's roots, from which ``_from_power_sums`` builds g_i.  Otherwise y
-    repeats a value, as it must when p < k, and up to 32 draws are tried
-    where ``_separates`` finds one likely to separate, one elsewhere.  Then
-    the gcd of a piece of Phi_l with y - r is the product of its g_i with
-    y_i = r, and random y refine the pieces until each has degree f or one
-    y separates them all.
+    The trace of A, a sum over the l - 1 roots zeta**j of Phi_l, reads
+    each factor's power sums from its idempotent a = sum a_c P_c: s_m =
+    Tr(a * X**m), and Tr(X**n) = -1 unless l divides n, where it is l - 1.
+    Of the f terms X**(j+m) of P_c * X**m, only j = -m mod l can have
+    trace l - 1, so s_m = l * a_(c(-m)) - f * sum a_c for the coset c(-m)
+    of -m; this holds at every m in 1..2f-1, none a multiple of l since
+    2f - 1 < l, and s_0 = f.  ``_from_power_sums`` builds g_i from them.
     """
     orbits = _frobenius_orbits(p, l)
     k = len(orbits)
@@ -444,12 +415,8 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
     for c, orbit in enumerate(orbits):
         for j in orbit:
             where[j] = c
-    pieces = [phi]
-    factors: list[tuple[int, ...]] = []
-    # draws before the gcds: a draw costs about k*l products and a k x 2k
-    # row reduction, the gcds about k*l**2
-    tries = 32 if _separates(p, k) else 1
-    while pieces:
+    blocks = [[p - 1] * k]  # the identity, -sum P_c
+    while len(blocks) < k:
         y = [rng.randrange(p) for _ in range(k)]
         # y * P_b = sum over h in <p> of sigma_h(y * X**j0), j0 in b: each
         # X**m with m != 0 becomes P of m's coset, X**0 becomes f = -f * sum P_c
@@ -462,43 +429,47 @@ def _split_by_periods(p: int, l: int, f: int, phi: tuple[int, ...],
                     row[where[(i + j0) % l]] += y[where[i]]
             const = f * y[where[l - j0]]
             rows.append([(x - const) % p for x in row])
-        m, inverse = _krylov(rows, p)
-        if inverse is not None:
-            # y separates the factors: P_c = h_c(y), h_c's coefficients
-            # being column c of the inverse, takes the value h_c(r) mod the
-            # factor where y = r
-            columns = list(zip(*inverse))
-            factors = []
-            for r in _linear_roots(m, p, rng):
-                powers = [1]
-                for _ in range(k - 1):
-                    powers.append(powers[-1] * r % p)
-                values = [sum(map(operator.mul, powers, col)) % p for col in columns]
-                sums = [f] + [values[where[j]] for j in range(1, 2 * f)]
-                factors.append(_from_power_sums(sums, p))
-            return factors
-        tries -= 1
-        if tries > 0:
-            continue
-        roots = _linear_roots(m, p, rng)
-        # y as a polynomial of degree <= l - 2: X**(l-1) = -(1 + ... + X**(l-2))
-        top = y[where[l - 1]]
-        ypoly = [-top] + [y[where[j]] - top for j in range(1, l - 1)]
-        refine = []
-        for piece in pieces:
-            # each factor of the piece has one of the roots as its value; the
-            # factors left after all but the last root have the last one
-            for r in roots[:-1]:
-                if len(piece) == 1:
+        columns = list(zip(*rows))
+        split = []
+        for e in blocks:
+            # each image e*y**t is reduced against the earlier ones, scaled
+            # to 1 at their pivots, along with its combination of the images
+            images, reduced = [e], []
+            while True:
+                t = len(images) - 1
+                v, comb = list(images[-1]), [0] * t + [1]
+                for pivot, u, cu in reduced:
+                    c = v[pivot]
+                    if c:
+                        v = [(a - c * b) % p for a, b in zip(v, u)]
+                        for i, b in enumerate(cu):
+                            comb[i] = (comb[i] - c * b) % p
+                pivot = next((i for i, a in enumerate(v) if a), None)
+                if pivot is None:
                     break
-                ypoly[0] = -top - r
-                g = poly_gcd(piece, ypoly, p)
-                if len(g) > 1:
-                    (factors if len(g) - 1 == f else refine).append(g)
-                    piece = poly_divmod(piece, g, p)[0]
-            if len(piece) > 1:
-                (factors if len(piece) - 1 == f else refine).append(piece)
-        pieces = refine
+                inv = pow(v[pivot], -1, p)
+                reduced.append((pivot, [a * inv % p for a in v], [a * inv % p for a in comb]))
+                w = images[-1]
+                images.append([sum(map(operator.mul, w, col)) % p for col in columns])
+            if t == 1:
+                split.append(e)
+                continue
+            # comb is m, monic of degree t; its quotient q by T - r, by
+            # Horner's rule, weighs the images e*y**i, i < t
+            for r in _linear_roots(tuple(comb), p, rng):
+                q, acc = [0] * t, 0
+                for i in range(t, 0, -1):
+                    acc = (acc * r + comb[i]) % p
+                    q[i - 1] = acc
+                scale = pow(sum(c * pow(r, i, p) for i, c in enumerate(q)), -1, p)
+                split.append([sum(map(operator.mul, q, col)) * scale % p
+                              for col in zip(*images[:t])])
+        blocks = split
+    factors = []
+    for a in blocks:
+        total = f * sum(a)
+        sums = [f] + [(l * a[where[l - m]] - total) % p for m in range(1, 2 * f)]
+        factors.append(_from_power_sums(sums, p))
     return factors
 
 
@@ -511,17 +482,19 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
     the power sums of its roots (``_from_power_sums``), read from Gaussian
     periods (``_split_by_periods``, with GF(p) arithmetic alone) or from
     the traces of the l powers of an element of order l in GF(p**f)
-    (``_split_by_field``).  The period path's work grows as k**3 (Krylov
-    elimination on k x k matrices, the roots of a degree-k polynomial and
-    the period values at each), the field path's as k*f**3 (l products in
-    GF(p**f)).  So where one of 32 random period elements is likely to
-    separate the factors (``_separates``: always when p >= k**2, never when
-    p < k), the periods are taken when k**2 <= f**3; the split study of
+    (``_split_by_field``).  The period path's work grows as k**3 per round
+    of draws (the images of each idempotent under a k x k matrix, their
+    elimination and the roots of a polynomial of degree up to k), the field
+    path's as k*f**3 (l products in GF(p**f)).  One round does where a
+    random period element takes k distinct values, which ``_separates``
+    finds likely always when p >= k**2 and never when p < k; there the
+    periods are taken when k**2 <= f**3, and the split study of
     BENCH_density.json times both methods on either side of that rule.
-    Elsewhere the period path falls back to gcds with Phi_l, and it is
-    taken only where f >= k.  Each factor is checked to have degree f and
-    their product to be Phi_l; at l = 1021 and p near 10**6 a call takes
-    under 0.3 s at every f on 2 vCPUs, 0.07-0.1 s of it in that product.
+    Elsewhere the periods are taken only where f >= k, in several rounds.
+    Each factor is checked to have degree f and their product to be Phi_l;
+    at l = 1021 and p near 10**6 a call takes under 0.3 s at every f on 2
+    vCPUs, 0.07-0.1 s of it in that product, and at l near 1000 and p < 50,
+    where f >= k but one draw rarely separates, 0.03-0.08 s.
     The random choices are seeded per (p, l), so repeated calls do the same
     work; the sorted output does not depend on them.
     """
@@ -547,7 +520,7 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
             factors.append(((-w) % p, 1))
             w = w * theta % p
     elif f >= k or _separates(p, k) and k * k <= f**3:
-        factors = _split_by_periods(p, l, f, phi, rng)
+        factors = _split_by_periods(p, l, f, rng)
     else:
         factors = _split_by_field(p, l, f, _element_of_order_l(p, l, f, rng))
 

@@ -13,16 +13,17 @@ from radsym.arith import (
     ff_from_poly,
     is_prime,
     multiplicative_order,
+    poly_gcd,
     poly_is_irreducible,
     poly_trim,
 )
+from radsym import cyclotomic
 from radsym.cyclotomic import (
     CyclotomicInt,
     PrimeIdeal,
     SymbolUndefinedError,
     UnsupportedModulusError,
     cyclo_norm,
-    cyclotomic_modulus,
     eisenstein_check,
     is_primary,
     primes_above,
@@ -195,7 +196,7 @@ def all_splits(p, l):
     f = multiplicative_order(p, l)
     seed = p * 1_000_003 + l * 1_009
     theta = _element_of_order_l(p, l, f, random.Random(seed))
-    splits = (_split_by_periods(p, l, f, cyclotomic_modulus(l, p), random.Random(seed)),
+    splits = (_split_by_periods(p, l, f, random.Random(seed)),
               _split_by_field(p, l, f, theta),
               reference_split(p, l, theta))
     return [sorted(split, key=lambda g: _canonical_key(g, p)) for split in splits]
@@ -259,7 +260,7 @@ def test_field_side_where_no_period_separates():
     # f < k, and a random period element is unlikely to separate the
     # factors: never where p < k, rarely at (7, 43) (f = 6, k = 7, each draw
     # with probability 7!/7**7) and (41, 137) (f = 8, k = 17); the period
-    # path would fall back to gcds with Phi_l, so primes_above takes the
+    # path would need several rounds of draws, so primes_above takes the
     # field path even where k**2 <= f**3, as at (2, 127): f = 7, k = 18
     for p, l in ((3, 13), (2, 31), (5, 31), (2, 127), (7, 43), (41, 137)):
         f = multiplicative_order(p, l)
@@ -286,6 +287,7 @@ def test_primes_above_factors_irreducible_and_canonical(l):
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from([q for q in range(5, 44) if is_prime(q)]), st.integers(2, 2**20))
 @example(43, 2)  # f = 14 >= k = 3 > p: primes_above refines by several periods
+@example(31, 2)  # f = 5, k = 6 > p: primes_above takes the field path, the periods several rounds
 def test_period_split_matches_field_split_at_random_primes(l, n):
     p = n
     while p == l or not is_prime(p):
@@ -298,6 +300,31 @@ def test_period_split_matches_field_split_at_random_primes(l, n):
     assert [I.g for I in primes_above(p, l)] == periods
 
 
+def test_period_split_near_the_cap(monkeypatch):
+    # f >= k with p far below k**2, so one random period element rarely
+    # separates the factors and the split takes several rounds; no gcd may
+    # reach a polynomial of degree above k, as one with Phi_l would
+    def small_gcd(a, b, p):
+        assert max(len(a), len(b)) - 1 <= k, "gcd above degree k"
+        return poly_gcd(a, b, p)
+
+    monkeypatch.setattr(cyclotomic, "poly_gcd", small_gcd)
+    for p, l in ((41, 1009), (13, 1009), (3, 1021)):
+        f = multiplicative_order(p, l)
+        k = (l - 1) // f
+        assert f >= k and not _separates(p, k) and takes_periods(p, l)
+        seed = p * 1_000_003 + l * 1_009
+        periods = _split_by_periods(p, l, f, random.Random(seed))
+        field = _split_by_field(p, l, f, _element_of_order_l(p, l, f, random.Random(seed)))
+        assert sorted(periods, key=lambda g: _canonical_key(g, p)) == sorted(
+            field, key=lambda g: _canonical_key(g, p)), (p, l)
+        ideals = primes_above(p, l)
+        assert len(ideals) == k and all(I.f == f for I in ideals)
+        assert all(poly_is_irreducible(I.g, p) for I in ideals), (p, l)
+        keys = [_canonical_key(I.g, p) for I in ideals]
+        assert keys == sorted(keys) and len(set(keys)) == k
+
+
 def test_period_path_builds_no_field_element(monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError("built a FiniteFieldElement")
@@ -307,7 +334,7 @@ def test_period_path_builds_no_field_element(monkeypatch):
     # takes the period path; 65537 at l = 13 (k = 2) takes the roots of the
     # period's quadratic from a square root, 83 at l = 13 (k = 3) by
     # Cantor-Zassenhaus, and the primes p <= f or p < k take
-    # Berlekamp-Massey or the gcds
+    # Berlekamp-Massey or several rounds of period draws
     for p, l in ((2, 7), (5, 13), (2, 17), (7, 31), (3, 11), (2, 43), (65537, 13),
                  (83, 13)):
         f = multiplicative_order(p, l)
