@@ -48,7 +48,7 @@ EXIT_INTERNAL = 3
 # the factors multiply to Phi_l, whose cost grows as l**2.  At l near 1000,
 # p < 200 with f >= k, where one period element rarely separates the k
 # factors and the period path takes several rounds of draws, took
-# 0.03-0.08 s.
+# 0.03-0.12 s, most of it in that check.
 MAX_L = 1024
 
 

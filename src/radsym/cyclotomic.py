@@ -493,8 +493,9 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
     Elsewhere the periods are taken only where f >= k, in several rounds.
     Each factor is checked to have degree f and their product to be Phi_l;
     at l = 1021 and p near 10**6 a call takes under 0.3 s at every f on 2
-    vCPUs, 0.07-0.1 s of it in that product, and at l near 1000 and p < 50,
-    where f >= k but one draw rarely separates, 0.03-0.08 s.
+    vCPUs, 0.07-0.1 s of it in that product, and at l near 1000 and p < 200,
+    where f >= k but one draw rarely separates, 0.03-0.12 s, most of it in
+    the product too.
     The random choices are seeded per (p, l), so repeated calls do the same
     work; the sorted output does not depend on them.
     """
