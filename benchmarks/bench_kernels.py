@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Benchmark the numpy ``powmod`` kernel against a pure-Python baseline.
 
-Times ``powmod`` on the split primes below a bound, plus a pure Python
+Times ``powmod`` on the split primes from 8 to a bound, plus a pure Python
 per-element ``pow`` loop, and optionally an end-to-end density experiment in
 the same process.  ``powmod`` is also timed both ways the scan could call it
 for three radicands, block by block as the scan does: one stacked (3, n) call
 per block against shared exponents and moduli, and three 1-D calls per block.
-Below the float64 limit of about 1.9e8 these take ``powmod``'s float64
-reduction, so the stacked call is timed once more on the split primes of
-[2**30, 2**30 + bound), which take the int64 path.  The per-block work the
-scan does on those residues v gets one row each, at targets (0, 1, 2): the
-subgroup guard v**l, one ``powmod`` call with a 0-d exponent, and
-``_match_counts``, whose powers w**s are (n,) lane products (here w = v_1,
-as the inverse of the first nonzero target is 1, and w**2 is one product).
+The stacked call is timed again as the scan makes it, with ``order=l``, which
+checks the subgroup guard v**l == 1 inside the same ladder; the two stacked
+rows differ by the guard's cost.  Below the float64 limit of about 1.9e8
+these take ``powmod``'s float64 reduction, so the checked call is timed once
+more on the split primes of [2**30, 2**30 + bound), which take the int64
+path.  ``_match_counts`` on the residues v gets one row, at targets
+(0, 1, 2): its powers w**s are (n,) lane products (here w = v_1, as the
+inverse of the first nonzero target is 1, and w**2 is one product).
 
     python3 benchmarks/bench_kernels.py --bound 2000000 --end-to-end
 """
@@ -42,11 +43,11 @@ def python_powmod(base, exp, mod):
 
 
 def bench_kernels(bound: int, l: int) -> None:
-    primes = kernels.sieve_primes(bound, 0, l)
+    primes = kernels.sieve_primes(bound, 8, l)  # as the scan, none dividing 2, 5 or 7
     exps = (primes - 1) // l
     base = np.full(primes.size, 2, dtype=np.int64)
     stacked = np.stack([np.full(primes.size, b, dtype=np.int64) for b in (2, 5, 7)])
-    print(f"split primes <= {bound}: {primes.size} lanes (l = {l})")
+    print(f"split primes 7 < p <= {bound}: {primes.size} lanes (l = {l})")
 
     def one_d(block) -> None:
         for row in stacked[:, block]:
@@ -66,11 +67,12 @@ def bench_kernels(bound: int, l: int) -> None:
         ("powmod", timeit(lambda: kernels.powmod(base, exps, primes))),
         ("powmod (2,5,7) stacked", timeit(lambda: per_block(
             lambda b: kernels.powmod(stacked[:, b], exps[b], primes[b])))),
+        (f"powmod (2,5,7) stacked, order={l}", timeit(lambda: per_block(
+            lambda b: kernels.powmod(stacked[:, b], exps[b], primes[b], order=l)))),
         ("powmod (2,5,7) 3 x 1-D", timeit(lambda: per_block(one_d))),
-        ("powmod (2,5,7) stacked, p near 2**30", timeit(lambda: per_block(
-            lambda b: kernels.powmod(high_stacked[:, b], high_exps[b], high[b]), high.size))),
-        ("powmod guard v**l, 0-d exponent", timeit(lambda: per_block(
-            lambda b: kernels.powmod(residues[:, b], l, primes[b])))),
+        (f"powmod (2,5,7) stacked, order={l}, p near 2**30", timeit(lambda: per_block(
+            lambda b: kernels.powmod(high_stacked[:, b], high_exps[b], high[b], order=l),
+            high.size))),
         (f"match counts, lane powers w**s, s={TARGETS}", timeit(lambda: per_block(
             lambda b: _match_counts(l, primes[b], residues[:, b], TARGETS)))),
         ("powmod/python", timeit(lambda: python_powmod(base, exps, primes), 1)),

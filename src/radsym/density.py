@@ -15,9 +15,11 @@ never builds the ideals themselves:
   target is 0, all l-1 ideals match if every v_j is 1 and none does
   otherwise.  Else the first nonzero target s_i pins the only candidate,
   w = v_i**(1/s_i), which matches when v_i != 1 and v_j == w**s_j for every
-  j.  So one powmod per radicand and prime, plus the subgroup guard v**l
-  and at most one root v_i**(1/s_i), both with a scalar exponent, count the
-  matching ideals above p: l-1, 1 or 0.  The powers w**s the targets use
+  j.  So one powmod per radicand and prime, which checks the subgroup guard
+  v**l == 1 inside its own ladder, plus at most one root v_i**(1/s_i) with
+  a scalar exponent, count the matching ideals above p: l-1, 1 or 0.  Below
+  p = 1.9e8 the guard stays in powmod's float64 regime with the residues
+  it checks.  The powers w**s the targets use
   are built one lane product at a time on (n,) arrays and compared row by
   row, so no (m, n) array of powers is ever formed.
 * At an ideal of inertia degree f >= 2, (p**f - 1)/l is a multiple of
@@ -66,9 +68,9 @@ MAX_THREADS = 64
 # powmod cuts a block into cache-sized chunks itself; a block this long
 # keeps each numpy pass over it long enough (tens of microseconds) for a
 # second scan thread to run while this one is inside numpy, which shorter
-# float64 passes did not.  The guard v**l and the root v_i**(1/s_i) take a
-# scalar exponent, and the powers w**s of the match counts are (n,) lane
-# products, each a block-long pass.
+# float64 passes did not.  The guard v**l runs inside the residue call, the
+# root v_i**(1/s_i) takes a scalar exponent, and the powers w**s of the
+# match counts are (n,) lane products, each a block-long pass.
 _BLOCK = 1 << 15
 
 # Sieve window, in terms of the progression 1 + 2l*i per unit of
@@ -182,13 +184,14 @@ def _bases(radicands: tuple[int, ...], primes: np.ndarray) -> np.ndarray:
 
 def _residues(l: int, primes: np.ndarray, radicands: tuple[int, ...]) -> np.ndarray:
     """The power residues v[j, i] = radicands[j]**((p-1)/l) mod p at
-    p = primes[i], shape (len(radicands), len(primes)).  Each must lie in the
-    order-l subgroup, so v**l == 1 mod p; a residue that does not (0, when p
-    divides a radicand) means corruption and raises AssertionError."""
-    vals = kernels.powmod(_bases(radicands, primes), (primes - 1) // l, primes)
-    if not (kernels.powmod(vals, l, primes) == 1).all():
-        raise AssertionError("symbol value fell outside the root-of-unity subgroup")
-    return vals
+    p = primes[i], shape (len(radicands), len(primes)), from one powmod
+    call.  Each must lie in the order-l subgroup, so v**l == 1 mod p; a
+    residue that does not (0, when p divides a radicand) means corruption,
+    and powmod's ``order`` check raises AssertionError ("symbol value fell
+    outside the root-of-unity subgroup").  It checks the residues with the
+    ladder and reduction that made them, the float64 ones while still
+    balanced, which is exact: their one conversion to [0, p) is one to one."""
+    return kernels.powmod(_bases(radicands, primes), (primes - 1) // l, primes, order=l)
 
 
 def _match_counts(l: int, primes: np.ndarray, vals: np.ndarray, targets) -> np.ndarray:

@@ -16,7 +16,13 @@ reductions, which is all its regimes differ in: the int64 ``%``, or a
 float64 quotient when every product it forms is an integer below 2**53,
 which float64 holds exactly: for exponents above 4 bits and moduli below
 about 1.9e8, so every scan up to 1e8 and about a fifth of the split primes
-of a scan to 1e9.  Its docstring gives the proof.
+of a scan to 1e9.  The ladder starts from an exact small power of the base,
+b**(e >> k0) below every p/2, so with the scan's small radicands it skips
+the exponent's top bits.  With ``order`` the same ladder and reduction
+also check that every result lies in the subgroup of that order, which is
+the scan's guard v**l == 1; in the float64 regime this runs on the
+balanced residues before their one conversion to [0, p), so the scan
+never leaves float64 below 1.9e8.  ``powmod``'s docstring gives the proofs.
 """
 
 from __future__ import annotations
@@ -123,25 +129,38 @@ _EXACT = 1 << 53
 # two square-and-multiply steps cost less than the float64 conversions.
 _INT64_BITS = 4
 
+# What powmod's ``order`` check raises on.
+_OUTSIDE = "symbol value fell outside the root-of-unity subgroup"
+
 # Most elements per chunk of the float64 path.  It makes more passes per
 # bit than the int64 path and wins only while its working arrays stay in a
 # core's 2 MB L2 cache.
 _FLOAT_CHUNK = 1 << 16
 
 
-def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+def powmod(
+    base: np.ndarray, exp: np.ndarray, mod: np.ndarray, *, order: int | None = None
+) -> np.ndarray:
     """Elementwise base**exp % mod by left-to-right square-and-multiply.
 
     Shapes broadcast, so an (m, n) block of bases against (n,) exponents and
     moduli raises m rows per lane in one pass over the exponent bits.  The
     result is an int64 array of residues in [0, mod).  One ladder,
-    ``_ladder``, serves every call: each bit squares and then multiplies by
-    the base where the bit is set and by 1 elsewhere.  A 0-d exponent, as
-    in the scan's guard v**l and its root v**(1/s), walks its own bits in
-    Python and multiplies only where a bit is set, with no per-lane
-    multiplier.  The two regimes below differ only in how the ladder
-    reduces a product, chosen per call from the moduli, bases and
-    exponents; both give the same residues, lane for lane.
+    ``_ladder``, serves every call.  It starts from the exact power
+    b**(e >> k0) for the least k0 with max(|b|, 2)**max(e >> k0) < min(p)//2,
+    or from the top bit alone when no k0 qualifies; such a start is below
+    every p/2, so it is already a reduced, balanced residue in both regimes
+    below, and the ladder walks only the low k0 bits.  (The int64 regime
+    takes |b| after reducing the bases into [0, p), where a negative base
+    is no longer small.)  For the radicands (2, 5, 7) of a scan to 3e7 that
+    skips 2 or 3 of the 18 to 23 steps of the top-bit start.  Each bit
+    squares and then multiplies by the base where the bit is set and by 1
+    elsewhere.  A 0-d exponent, as in the subgroup check below and the
+    scan's root v**(1/s), walks its own bits in Python and multiplies only
+    where a bit is set, with no per-lane multiplier.  The two regimes below
+    differ only in how the ladder reduces a product, chosen per call from
+    the moduli, bases and exponents; both give the same residues, lane for
+    lane.
 
     float64, for exponents above 4 bits when every p >= 5 and
     (p//2 + 2)**2 + p < 2**53, i.e. p < 189,812,526:  a product x is reduced
@@ -153,12 +172,22 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     largest p and |base| (bases up to 7: p < 71,742,390).  Otherwise the
     bases are balanced too, |b| <= p//2, and each product is reduced on its
     own.  As p >= 5 keeps p//2 + 2 below p, adding p to the negative
-    residues at the end gives [0, p).
+    residues at the end gives [0, p), one to one.
 
     int64, for every other call:  bases are reduced into [0, p), a product
     is reduced by ``%``, and the square and the multiply share one ``%``
     when the largest p squared times the largest base is below 2**63;
     otherwise each is reduced on its own.
+
+    With ``order``, every result r must also satisfy r**order == 1 mod p,
+    as a power residue in the order-l subgroup does for order = l;
+    AssertionError otherwise.  Each regime checks its own residues with
+    the same ladder and reduction.  The float64 one checks them balanced,
+    before the final step to [0, p); that step maps them one to one onto
+    the results, so a result passes exactly when its balanced residue
+    does.  The balanced power has |r**order| <= p//2 + 2, below p - 1 once
+    p >= 7, so there it is 1 mod p only when it equals 1; below 7 it may
+    also be 1 - p.  The int64 one checks its output against 1 % p.
     """
     mod = np.asarray(mod, dtype=np.int64)
     e = np.asarray(exp, dtype=np.int64)
@@ -167,9 +196,10 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     _check_exponents(e)
     shape = np.broadcast_shapes(base.shape, e.shape, mod.shape)
     one = 1 % mod
-    bits = int(e.max()).bit_length() if e.size else 0
+    emax = int(e.max()) if e.size else 0
+    bits = emax.bit_length()
     if bits == 0 or math.prod(shape) == 0:
-        return np.broadcast_to(one, shape).copy()
+        return np.broadcast_to(one, shape).copy()  # 1 % p, whose every power is 1 % p
     lo, hi, low, high = int(base.min()), int(base.max()), int(mod.min()), int(mod.max())
     top = high // 2 + 2  # the largest balanced float residue
     if bits > _INT64_BITS and low >= 5 and top * top + high < _EXACT:
@@ -179,33 +209,80 @@ def powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         if not fused and largest > low // 2:
             b = _reduced(base, mod, lo, hi, low)
             b = np.where(2 * b > mod, b - mod, b)
-        return _powmod_float(b, e, mod, shape, bits, fused)
+            largest = high // 2
+        # a balanced residue is at most top, so its check fuses when top**3 fits
+        guard = None if order is None else (order, top**3 + high < _EXACT)
+        k0 = _start_shift(largest, emax, low)
+        return _powmod_float(b, e, mod, shape, k0, fused, guard)
     b = _reduced(base, mod, lo, hi, low)
-    fused = high**2 * int(b.max()) < 1 << 63
-    return _ladder(b, e, bits, fused, one, shape, lambda x: np.remainder(x, mod, out=x))
+    largest = int(b.max())
+    fused = high**2 * largest < 1 << 63
+
+    def reduce(x):
+        np.remainder(x, mod, out=x)
+
+    r = _ladder(b, e, _start_shift(largest, emax, low), fused, one, shape, reduce)
+    if order is not None:
+        power = _ladder(r, np.int64(order), order.bit_length() - 1,
+                        high**2 * (high - 1) < 1 << 63, one, shape, reduce)
+        if not (power == one).all():
+            raise AssertionError(_OUTSIDE)
+    return r
 
 
-def _ladder(b, e, bits: int, fused: bool, one, shape: tuple, reduce) -> np.ndarray:
-    """powmod's ladder, see there, in b's dtype: b**e over ``shape``, with
-    ``one`` for a clear top bit.  ``reduce`` takes a product back to a
-    residue in place; the square and the multiply share one when ``fused``."""
+def _start_shift(largest: int, emax: int, low: int) -> int:
+    """k0 for the ladder's exact start b**(e >> k0), given |b| <= largest,
+    the largest exponent emax and the smallest modulus low: the least k0
+    with max(largest, 2)**(emax >> k0) < low // 2, or the top bit alone,
+    k0 = bits - 1, when none qualifies."""
+    bound = max(largest, 2)
+    k0 = emax.bit_length() - 1
+    while k0 and bound ** (emax >> (k0 - 1)) < low // 2:
+        k0 -= 1
+    return k0
+
+
+def _ladder(b, e, k0: int, fused: bool, one, shape: tuple, reduce) -> np.ndarray:
+    """powmod's ladder, see there, in b's dtype: b**e over ``shape``.  It
+    starts from b**(e >> k0), formed without reduction (so every such power
+    must be a residue already, or e >> k0 at most 1, with ``one`` for 0),
+    and walks the low k0 bits.  ``reduce`` takes a product back to a residue
+    in place; the square and the multiply share one when ``fused``."""
     if e.ndim == 0:
+        bits = bin(int(e))[3:]
+        exact = len(bits) - k0  # the bits after the top one that the start holds
         r = np.broadcast_to(b, shape).copy()  # the top bit
-        for bit in bin(int(e))[3:]:
+        for i, bit in enumerate(bits):
             r *= r
             if bit == "1":
-                if not fused:
+                if not fused and i >= exact:
                     reduce(r)
                 r *= b
-            reduce(r)
+            if i >= exact:
+                reduce(r)
         return r
     r = np.empty(shape, dtype=b.dtype)
-    r[...] = np.where((e >> (bits - 1)) & 1 == 1, b, one)
+    xmax = int(e.max()) >> k0
+    if xmax <= 1:
+        r[...] = np.where(e >> k0 == 1, b, one)
+    else:
+        # powers[..., j] = b**j; the start gathers b**(e >> k0) from the flat table
+        powers = np.empty(b.shape + (xmax + 1,), dtype=b.dtype)
+        powers[..., 0] = 1
+        for j in range(1, xmax + 1):
+            np.multiply(powers[..., j - 1], b, out=powers[..., j])
+        r[...] = np.take(powers, np.arange(b.size).reshape(b.shape) * (xmax + 1) + (e >> k0))
     b_minus_1 = b - 1
     mult = np.empty_like(r)
-    for k in range(bits - 2, -1, -1):
-        # the bit cast to b's dtype first: a mixed-dtype multiply casts slower
-        np.multiply(b_minus_1, ((e >> k) & 1).astype(b.dtype, copy=False), out=mult)
+    bit = np.empty(e.shape, dtype=e.dtype)
+    # the bit cast to b's dtype first: a mixed-dtype multiply casts slower
+    bit_b = bit if b.dtype == e.dtype else np.empty(e.shape, dtype=b.dtype)
+    for k in range(k0 - 1, -1, -1):
+        np.right_shift(e, k, out=bit)
+        bit &= 1
+        if bit_b is not bit:
+            bit_b[...] = bit
+        np.multiply(b_minus_1, bit_b, out=mult)
         mult += 1  # b where bit k is set, 1 elsewhere
         r *= r
         if not fused:
@@ -225,10 +302,12 @@ def _reduced(base: np.ndarray, mod: np.ndarray, lo: int, hi: int, low: int) -> n
 
 
 def _powmod_float(
-    b: np.ndarray, e: np.ndarray, mod: np.ndarray, shape: tuple, bits: int, fused: bool
+    b: np.ndarray, e: np.ndarray, mod: np.ndarray, shape: tuple, k0: int, fused: bool,
+    guard: tuple[int, bool] | None,
 ) -> np.ndarray:
     """powmod's float64 regime, see there: the ladder on float64 copies of
-    the bases, in chunks of about _FLOAT_CHUNK elements along the last axis."""
+    the bases, in chunks of about _FLOAT_CHUNK elements along the last axis.
+    ``guard`` is (order, fused) for the subgroup check, or None."""
     out = np.empty(shape, dtype=np.int64)
     parts = -(-math.prod(shape) // _FLOAT_CHUNK)
     step = -(-shape[-1] // parts)  # equal chunks along the last axis
@@ -236,17 +315,23 @@ def _powmod_float(
         lanes = np.s_[..., i : i + step]
         bc, ec, mc = (a if a.ndim == 0 or a.shape[-1] == 1 else a[lanes] for a in (b, e, mod))
         p = mc.astype(np.float64)
-        inv = 1.0 / p
-        r = _ladder(bc.astype(np.float64), ec, bits, fused, 1.0, out[lanes].shape,
-                    partial(_reduce, p=p, inv=inv))
+        reduce = partial(_reduce, p=p, inv=1.0 / p, q=np.empty(out[lanes].shape))
+        r = _ladder(bc.astype(np.float64), ec, k0, fused, 1.0, out[lanes].shape, reduce)
+        if guard is not None:
+            order, guard_fused = guard
+            power = _ladder(r, np.int64(order), order.bit_length() - 1, guard_fused, 1.0,
+                            r.shape, reduce)
+            # |power| <= p//2 + 2 < p - 1 once p >= 7; below that 1 - p is 1 mod p too
+            if not (power == 1).all() and not (power + p * (power < 0) == 1).all():
+                raise AssertionError(_OUTSIDE)
         r += p * (r < 0)  # into [0, p), as |r| <= p//2 + 2 < p
         out[lanes] = r
     return out
 
 
-def _reduce(r: np.ndarray, p: np.ndarray, inv: np.ndarray) -> None:
-    """r -= rint(r * inv) * p in place."""
-    q = r * inv
+def _reduce(r: np.ndarray, p: np.ndarray, inv: np.ndarray, q: np.ndarray) -> None:
+    """r -= rint(r * inv) * p in place, with q as scratch of r's shape."""
+    np.multiply(r, inv, out=q)
     np.rint(q, out=q)
     q *= p
     r -= q

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import radsym.cli
 import radsym.density
 import radsym.radical
 from radsym import kernels
@@ -320,10 +321,10 @@ def test_character_sum_scan_above_the_fused_range(monkeypatch):
     exact_blocks = []
     real = kernels.powmod
 
-    def spy(base, exp, mod):
+    def spy(base, exp, mod, **kwargs):
         reduced = int((np.asarray(base) % mod).max())
         exact_blocks.append(int(mod.max()) ** 2 * reduced >= 2**63)
-        return real(base, exp, mod)
+        return real(base, exp, mod, **kwargs)
 
     monkeypatch.setattr(kernels, "powmod", spy)
     rep = character_sum(n, l, bound)
@@ -480,22 +481,24 @@ def test_matched_roots_count_the_matching_exponents(data):
 
 
 def test_matched_roots_stay_lane_sized(monkeypatch):
-    """The scan raises residues per radicand against (n,) exponents and
-    guards and takes roots with a scalar exponent; no powmod call gets a 2-D
-    exponent, so the powers w**s are built on (n,) lanes, never as an
-    (m, n) block."""
-    shapes = []
+    """The scan raises residues per radicand against (n,) exponents, with
+    the subgroup guard inside that one call, and takes roots with a scalar
+    exponent; no powmod call gets a 2-D exponent, so the powers w**s are
+    built on (n,) lanes, never as an (m, n) block."""
+    calls = []
     real = kernels.powmod
 
-    def spy(base, exp, mod):
-        shapes.append(np.shape(exp))
-        return real(base, exp, mod)
+    def spy(base, exp, mod, **kwargs):
+        calls.append((np.shape(exp), kwargs))
+        return real(base, exp, mod, **kwargs)
 
     monkeypatch.setattr(kernels, "powmod", spy)
-    rep = density_experiment(normalize_inputs(7, [2, 3, 5]), (0, 1, 2), 10**5)
+    rep = density_experiment(normalize_inputs(7, [2, 3, 5]), (0, 3, 2), 10**5)
     assert rep.matches > 0
-    assert () in shapes  # the guard v**l
-    assert all(len(shape) < 2 for shape in shapes), shapes
+    assert ((), {}) in calls  # the root v**(1/3), as 3 * 5 == 1 mod 7
+    residues = [shape for shape, kwargs in calls if kwargs == {"order": 7}]
+    assert residues and all(shape != () for shape in residues)  # one guarded call per block
+    assert all(len(shape) < 2 for shape, _ in calls), calls
 
 
 def test_scan_refuses_a_residue_outside_the_subgroup(monkeypatch):
@@ -503,6 +506,93 @@ def test_scan_refuses_a_residue_outside_the_subgroup(monkeypatch):
     monkeypatch.setattr(radsym.density, "_excluded_primes", lambda s: frozenset({s.l}))
     with pytest.raises(AssertionError, match="subgroup"):
         density_experiment(normalize_inputs(3, [7]), (1,), 1000)
+
+
+# Windows of split primes for l = 3 in each of powmod's regimes, with their
+# radicands: (2, 5, 7) below 7.1e7 share one float64 reduction per bit, 41
+# near 3e7 does not, and above 1.9e8 the residues take the int64 one.  The
+# last pair is a window and radicands where some p divides a radicand: 7
+# itself, or a prime of the window.
+GUARD_WINDOWS = {
+    "float-fused": ((2, 5, 7), 10**6, 10**6 + 10**5, (2, 5, 7), 7, 20_000),
+    "float": ((2, 41), 3 * 10**7 - 10**5, 3 * 10**7, (2, 41, 29_999_989), None, None),
+    "int64": ((2, 5, 7), 2 * 10**8, 2 * 10**8 + 10**5, (2, 5, 200_000_083), None, None),
+}
+
+
+def _regime_spy(monkeypatch) -> list[str]:
+    """The regimes of the powmod calls from here on: "float-fused" or
+    "float" per float64 call; int64 calls leave no entry."""
+    took = []
+    real = kernels._powmod_float
+
+    def spy(b, e, m, shape, k0, fused, guard):
+        took.append("float-fused" if fused else "float")
+        return real(b, e, m, shape, k0, fused, guard)
+
+    monkeypatch.setattr(kernels, "_powmod_float", spy)
+    return took
+
+
+def _corrupt_first_ladder(monkeypatch) -> list[int]:
+    """Make the first residue ladder inside powmod return its last lane, of
+    its largest p, set to 2: a cube root of unity only mod 7, as 2**3 - 1 is
+    7.  The list gets an entry then."""
+    hits = []
+    real = kernels._ladder
+
+    def corrupted(b, e, *args):
+        r = real(b, e, *args)
+        if e.ndim and not hits:  # the residues, not the guard's 0-d walk
+            hits.append(r.size - 1)
+            r.flat[-1] = 2
+        return r
+
+    monkeypatch.setattr(kernels, "_ladder", corrupted)
+    return hits
+
+
+@pytest.mark.parametrize("regime", GUARD_WINDOWS)
+def test_residue_guard_passes_every_true_residue(monkeypatch, regime):
+    radicands, lo, hi, *_ = GUARD_WINDOWS[regime]
+    primes = kernels.sieve_primes(hi, lo, 3)
+    took = _regime_spy(monkeypatch)
+    vals = radsym.density._residues(3, primes, radicands)
+    assert (took or ["int64"]) == [regime]
+    assert vals.tolist() == [[pow(a, (p - 1) // 3, p) for p in primes.tolist()] for a in radicands]
+
+
+@pytest.mark.parametrize("regime", GUARD_WINDOWS)
+def test_residue_guard_fires_on_one_corrupted_lane(monkeypatch, regime):
+    """One lane set to 2 inside powmod's residue ladder, before its check."""
+    radicands, lo, hi, *_ = GUARD_WINDOWS[regime]
+    primes = kernels.sieve_primes(hi, lo, 3)
+    took = _regime_spy(monkeypatch)
+    hits = _corrupt_first_ladder(monkeypatch)
+    with pytest.raises(AssertionError, match="symbol value fell outside the root-of-unity"):
+        radsym.density._residues(3, primes, radicands)
+    assert hits and (took or ["int64"]) == [regime]
+
+
+@pytest.mark.parametrize("regime", GUARD_WINDOWS)
+def test_residue_guard_fires_where_p_divides_a_radicand(monkeypatch, regime):
+    """v = 0 at a prime dividing a radicand, in the regime named."""
+    _, lo, hi, radicands, zero_lo, zero_hi = GUARD_WINDOWS[regime]
+    primes = kernels.sieve_primes(zero_hi or hi, zero_lo or lo, 3)
+    assert any(a in primes.tolist() for a in radicands)
+    took = _regime_spy(monkeypatch)
+    with pytest.raises(AssertionError, match="symbol value fell outside the root-of-unity"):
+        radsym.density._residues(3, primes, radicands)
+    assert (took or ["int64"]) == [regime]
+
+
+def test_guard_failure_exits_3_without_a_traceback(monkeypatch, capsys):
+    """A corrupted residue reaches the CLI as an internal error, exit 3."""
+    hits = _corrupt_first_ladder(monkeypatch)
+    code = radsym.cli.main(["density", "-l", "3", "-x", "100000", "--targets", "0,0", "2", "5"])
+    out, err = capsys.readouterr()
+    assert hits and (code, out) == (3, "")
+    assert err == "error: internal: symbol value fell outside the root-of-unity subgroup\n"
 
 
 def test_windows_tile_the_range():
@@ -527,3 +617,94 @@ def test_scan_memory_does_not_grow_with_the_bound():
     eightfold may grow its peak allocation only through the window size
     (sqrt(8) < 3), not in proportion to the bound."""
     assert _peak_traced_bytes(8 * 10**6) < 3 * _peak_traced_bytes(10**6)
+
+
+def _form_primes(c: int, d: int, lo: int, hi: int) -> np.ndarray:
+    """Ascending primes p in [lo, hi] with d*p == x**2 + c*y**2 for some
+    x, y >= 1, by enumerating y and a numpy range of x: no symbol
+    arithmetic.  For p = 1 mod 3 (Gauss; Cox, Primes of the Form x^2 + ny^2,
+    Thm 4.15, and Ireland & Rosen, ch. 9), (27, 1) gives the p at which 2
+    is a cubic residue and (243, 4) those at which 3 is; neither form takes
+    a prime p = 2 mod 3."""
+    found = []
+    for y in range(1, math.isqrt(d * hi // c) + 1):
+        least, most = d * lo - c * y * y, d * hi - c * y * y
+        x = np.arange(math.isqrt(least - 1) + 1 if least > 0 else 1, math.isqrt(most) + 1)
+        n = x * x + c * y * y
+        found.append(n[n % d == 0] // d)
+    n = np.sort(np.concatenate(found))
+    primes = kernels.sieve_primes(hi, lo)
+    n = n[primes[np.minimum(np.searchsorted(primes, n), primes.size - 1)] == n]
+    return n[np.r_[True, n[1:] != n[:-1]]]  # each prime once, whatever (x, y) gave it
+
+
+# Ascending primes at which 2, or 3, is a cubic residue: (c, d) of the form.
+CUBIC_FORMS = {2: (27, 1), 3: (243, 4)}
+
+
+@cache
+def _cubic_residue_primes(a: int, hi: int) -> np.ndarray:
+    return _form_primes(*CUBIC_FORMS[a], 1, hi)
+
+
+def test_cubic_forms_count_the_residues_of_2_and_3():
+    """The form counts at 1e6, against the scan's v = 1 count there."""
+    assert _cubic_residue_primes(2, 10**6).size == 13032
+    rep = character_sum(2, 3, 10**6)
+    split = sum(1 for p in kernels.sieve_primes(10**6).tolist() if p % 3 == 1)
+    assert split - rep.final.tallies[1] == 13032
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_character_sum_matches_the_cubic_forms(n):
+    """At every checkpoint to 1e7: n's symbol is 0 at both ideals above a
+    split p exactly where the form represents p (tally 0, beside the
+    degree-2 ideals above p = 2 mod 3), and 1 and 2 once each elsewhere."""
+    bound = 10**7
+    rep = character_sum(n, 3, bound)
+    form = _cubic_residue_primes(n, bound)
+    primes = kernels.sieve_primes(bound)
+    primes = primes[primes != n]
+    for row in rep.checkpoints:
+        split = int(np.count_nonzero((primes % 3 == 1) & (primes <= row.bound)))
+        inert = int(np.count_nonzero((primes % 3 == 2) & (primes * primes <= row.bound)))
+        cubic = int(np.searchsorted(form, row.bound, side="right"))
+        assert row.tallies == (2 * cubic + inert, split - cubic, split - cubic)
+
+
+@pytest.mark.parametrize("radicands", [(2,), (3,), (2, 3)])
+def test_density_matches_the_cubic_forms(radicands):
+    """All-zero targets match both ideals above p where every radicand is a
+    cubic residue (the primes every form represents) and every degree-2
+    ideal, at each checkpoint to 1e7."""
+    bound = 10**7
+    rep = density_experiment(normalize_inputs(3, list(radicands)), (0,) * len(radicands), bound)
+    both = _cubic_residue_primes(radicands[0], bound)
+    for a in radicands[1:]:
+        both = np.intersect1d(both, _cubic_residue_primes(a, bound))
+    primes = kernels.sieve_primes(bound)
+    inert = primes[(primes % 3 == 2) & ~np.isin(primes, radicands)]
+    for row in rep.checkpoints:
+        cubic = int(np.searchsorted(both, row.bound, side="right"))
+        high = int(np.searchsorted(inert * inert, row.bound, side="right"))
+        assert row.matches == 2 * cubic + high
+
+
+# Windows of [lo, hi] in powmod's float64 regime just below 1.9e8, across
+# that limit and just below 2**31 (both int64), and the regime each takes.
+FORM_WINDOWS = [
+    (189_000_000, 189_800_000, "float"),
+    (189_400_000, 190_200_000, "int64"),
+    (2**31 - 800_000, 2**31 - 1, "int64"),
+]
+
+
+@pytest.mark.parametrize("lo, hi, regime", FORM_WINDOWS)
+def test_residues_match_the_cubic_forms_near_the_regime_limits(monkeypatch, lo, hi, regime):
+    """Lane for lane, v == 1 exactly at the primes each form represents."""
+    primes = kernels.sieve_primes(hi, lo, 3)
+    took = _regime_spy(monkeypatch)
+    vals = radsym.density._residues(3, primes, (2, 3))
+    assert (took or ["int64"]) == [regime]
+    for row, a in zip(vals, (2, 3)):
+        assert np.array_equal(primes[row == 1], _form_primes(*CUBIC_FORMS[a], lo, hi))

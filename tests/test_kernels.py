@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radsym import kernels
+from radsym import density, kernels
 
 
 def test_sieve_matches_trial_division():
@@ -145,46 +145,72 @@ def test_float_limits_match_the_documented_values():
 
 
 def _powmod_and_regime(monkeypatch, base, exp, mod):
-    """powmod's result and the reduction it took: "float-fused", "float"
-    (square and multiply reduced one at a time) or "int64"."""
-    seen = []
-    real = kernels._powmod_float
+    """powmod's result, the reduction it took ("float-fused", "float"
+    (square and multiply reduced one at a time) or "int64") and the k0 of
+    its ladder's exact start b**(e >> k0)."""
+    seen, shifts = [], []
+    real, real_shift = kernels._powmod_float, kernels._start_shift
 
-    def spy(b, e, m, shape, bits, fused):
+    def spy(b, e, m, shape, k0, fused, guard):
         seen.append("float-fused" if fused else "float")
-        return real(b, e, m, shape, bits, fused)
+        return real(b, e, m, shape, k0, fused, guard)
+
+    def shift_spy(largest, emax, low):
+        shifts.append(real_shift(largest, emax, low))
+        return shifts[-1]
 
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "_powmod_float", spy)
+        patch.setattr(kernels, "_start_shift", shift_spy)
         got = kernels.powmod(base, exp, mod)
-    return got, seen[0] if seen else "int64"
+    return got, seen[0] if seen else "int64", shifts[0] if shifts else None
 
 
-# Moduli in [low, high], the bases (a (5, 1) column of small ones, or 3 rows
-# drawn from [-bound, bound]) and the regime the call must take.
-SMALL = np.array([2, 5, 7, -7, -3], dtype=np.int64).reshape(-1, 1)
+def _column(*bases):
+    return np.array(bases, dtype=np.int64).reshape(-1, 1)
+
+
+# The largest |base| whose cube plus a modulus of 3000 stays below 2**53, so
+# that against moduli up to 3000 its square and multiply share one reduction.
+FUSED_BASE = 208_063
+
+# Moduli in [low, high], the bases (an (m, 1) column, or 3 rows drawn from
+# [-bound, bound]) and the regime the call must take.
+SMALL = _column(2, 5, 7, -7, -3, 0, 1, -1)
+# Bases small enough for an exact start of 25 bits against moduli from
+# 2**26 up.  The int64 regime reduces bases into [0, p) first, where a
+# negative one is no longer small, so its row takes non-negative ones.
+TWO = _column(2, -2, 1, -1, 0)
+TWO_UNSIGNED = _column(2, 1, 0)
 ANY = 2**63 - 1
 REGIMES = [
     (FUSED_LIMIT - 3000, FUSED_LIMIT, SMALL, "float-fused"),
+    (FUSED_LIMIT - 3000, FUSED_LIMIT, TWO, "float-fused"),
     (FUSED_LIMIT + 1, FUSED_LIMIT + 3000, SMALL, "float"),
     (FLOAT_LIMIT - 3000, FLOAT_LIMIT, ANY, "float"),
     (FLOAT_LIMIT + 1, FLOAT_LIMIT + 3000, SMALL, "int64"),
+    (FLOAT_LIMIT + 1, FLOAT_LIMIT + 3000, TWO_UNSIGNED, "int64"),
     (FLOAT_LIMIT + 1, FLOAT_LIMIT + 3000, ANY, "int64"),
     (2**31 - 3000, 2**31 - 1, ANY, "int64"),
     (5, 3000, ANY, "float"),
     (5, 3000, 2**28, "float"),  # bases above p//2 + 2 whose cube overflows 2**53
     (5, 3000, 2**17, "float-fused"),  # ... and whose cube fits
+    (5, 3000, _column(FUSED_BASE, -FUSED_BASE, 0, 1), "float-fused"),
+    (5, 3000, _column(FUSED_BASE + 1, -FUSED_BASE, 0, 1), "float"),
     (5, 3000, SMALL, "float-fused"),
     (1, 3000, SMALL, "int64"),  # moduli below 5 keep the int64 path
 ]
 
 
-REGIME_IDS = ["at-fused-limit", "above-fused-limit", "at-float-limit", "above-float-limit-small",
-              "above-float-limit", "near-2**31", "tiny-any", "tiny-2**28", "tiny-2**17",
-              "tiny-small", "below-5"]
+REGIME_IDS = ["at-fused-limit", "at-fused-limit-two", "above-fused-limit", "at-float-limit",
+              "above-float-limit-small", "above-float-limit-two", "above-float-limit",
+              "near-2**31", "tiny-any", "tiny-2**28", "tiny-2**17", "tiny-fused-base",
+              "tiny-above-fused-base", "tiny-small", "below-5"]
 # One exponent per lane, or one 0-d exponent for all of them, which takes the
 # ladder's Python bit walk: every bit of 2**40 - 1 set, or a random 30 bits.
-EXPONENTS = {"": "lanes", "-0d-2**40-1": 2**40 - 1, "-0d-30-bit": "30-bit"}
+# Per-lane exponents up to 25 stay above 4 bits but fit in the exact start
+# of bases up to 2 against moduli from 2**26 up (k0 = 0).
+EXPONENTS = {"": "lanes", "-0d-2**40-1": 2**40 - 1, "-0d-30-bit": "30-bit", "-upto-25": "25"}
 
 
 @pytest.mark.parametrize(
@@ -197,7 +223,9 @@ def test_powmod_regime_boundaries_against_python_pow(
 ):
     """Lanes on both sides of each proven limit, with moduli up to the limit
     itself, give Python's pow in the regime the limits call for, with
-    per-lane and with 0-d exponents."""
+    per-lane and with 0-d exponents.  The ladder's exact start covers the
+    top bits where the bases are small and, for bases up to 2 and per-lane
+    exponents up to 25 against moduli from 2**26 up, every bit."""
     rng = np.random.default_rng(low)
     n = 1200
     mod = rng.integers(low, high, size=n, endpoint=True).astype(np.int64)
@@ -211,13 +239,21 @@ def test_powmod_regime_boundaries_against_python_pow(
     if exponent == "lanes":
         exp = rng.integers(0, 2**40, size=n).astype(np.int64)
         exp[:3] = 0, 1, 2**40 - 1
+    elif exponent == "25":
+        exp = rng.integers(0, 26, size=n).astype(np.int64)
+        exp[:3] = 0, 1, 25
     elif exponent == "30-bit":
         exp = int(rng.integers(2**29, 2**30))
     else:
         exp = exponent
-    got, took = _powmod_and_regime(monkeypatch, base, exp, mod)
+    got, took, k0 = _powmod_and_regime(monkeypatch, base, exp, mod)
     assert took == regime
     assert np.array_equal(got, _python_pow(base, exp, mod))
+    bits = int(np.max(exp)).bit_length()
+    if base is TWO or base is TWO_UNSIGNED:
+        assert k0 == 0 if exponent == "25" else k0 < bits - 1
+    elif base is SMALL and regime.startswith("float") and low > 3000:
+        assert k0 < bits - 1  # the start takes more than the top bit
 
 
 @pytest.mark.parametrize("regime", ["float-fused", "float", "int64-fused", "int64"])
@@ -245,7 +281,7 @@ def test_powmod_stacked_against_python_pow(monkeypatch, regime):
     if regime.startswith("int64"):
         fused = int(mod.max()) ** 2 * int(reduced.max()) < 2**63
         assert fused == (regime == "int64-fused")
-    got, took = _powmod_and_regime(monkeypatch, base, exp, mod)
+    got, took, _ = _powmod_and_regime(monkeypatch, base, exp, mod)
     assert took == ("int64" if regime.startswith("int64") else regime)
     assert got.shape == (3, n)
     assert np.array_equal(got, _python_pow(base, exp, mod))
@@ -269,26 +305,42 @@ def test_powmod_tiny_moduli(mod):
         )
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=120)
 @given(st.data())
 def test_powmod_random_calls_against_python_pow(data):
     """Any int64 bases, moduli in [1, 2**31) and exponents up to 2**40, in
-    1-D and stacked calls, some moduli bunched near one scale so that every
-    regime is reached."""
+    1-D, stacked and (m, 1) column calls against per-lane or 0-d exponents,
+    some moduli bunched near one scale so that every regime is reached.
+    Small bases (0, +-1, negative ones, 7, the largest the scan fuses) and
+    small exponents give exact starts of some or all of the exponent's bits.
+    Radicands of any size reach powmod through ``density._bases`` as the
+    scan passes them, which reduces those from 2**62 up lane by lane."""
     n = data.draw(st.integers(1, 40))
     m = data.draw(st.integers(1, 3))
     scale = data.draw(st.sampled_from([2**31 - 1, FLOAT_LIMIT, FUSED_LIMIT, 2**16, 8]))
-    moduli = st.integers(1, scale)
+    moduli = st.integers(1, scale) | st.integers(max(1, scale - 2**20), scale)
     mod = np.array(data.draw(st.lists(moduli, min_size=n, max_size=n)), dtype=np.int64)
-    ints = st.integers(-(2**63), 2**63 - 1) | st.integers(-8, 8)
+    ints = st.integers(-(2**63), 2**63 - 1) | st.integers(-8, 8) | st.sampled_from([0, 1, -1, 7])
+    column = data.draw(st.booleans())
+    width = 1 if column else n
     base = np.array(
-        data.draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)),
+        data.draw(st.lists(st.lists(ints, min_size=width, max_size=width),
+                           min_size=m, max_size=m)),
         dtype=np.int64,
     )
     exps = st.integers(0, 2**40) | st.integers(0, 40)
-    exp = np.array(data.draw(st.lists(exps, min_size=n, max_size=n)), dtype=np.int64)
+    if data.draw(st.booleans()):
+        exp = np.array(data.draw(st.lists(exps, min_size=n, max_size=n)), dtype=np.int64)
+    else:
+        exp = np.int64(data.draw(exps))
     assert np.array_equal(kernels.powmod(base, exp, mod), _python_pow(base, exp, mod))
     assert np.array_equal(kernels.powmod(base[0], exp, mod), _python_pow(base[0], exp, mod))
+    big = st.integers(-(2**70), 2**70) | st.integers(2**62, 2**63) | st.integers(-8, 8)
+    radicands = tuple(data.draw(st.lists(big, min_size=1, max_size=3)))
+    got = kernels.powmod(density._bases(radicands, mod), exp, mod)
+    want = [[pow(a, int(x), int(p)) for x, p in zip(np.broadcast_to(exp, mod.shape), mod)]
+            for a in radicands]
+    assert got.tolist() == want
 
 
 def test_powmod_zero_exponents_and_empty_blocks():
