@@ -221,10 +221,10 @@ def powmod(
     def reduce(x):
         np.remainder(x, mod, out=x)
 
-    r = _ladder(b, e, _start_shift(largest, emax, low), fused, one, shape, reduce)
+    r = _ladder(b, e, _start_shift(largest, emax, low), fused, shape, reduce)
     if order is not None:
         power = _ladder(r, np.int64(order), order.bit_length() - 1,
-                        high**2 * (high - 1) < 1 << 63, one, shape, reduce)
+                        high**2 * (high - 1) < 1 << 63, shape, reduce)
         if not (power == one).all():
             raise AssertionError(_OUTSIDE)
     return r
@@ -242,12 +242,14 @@ def _start_shift(largest: int, emax: int, low: int) -> int:
     return k0
 
 
-def _ladder(b, e, k0: int, fused: bool, one, shape: tuple, reduce) -> np.ndarray:
+def _ladder(b, e, k0: int, fused: bool, shape: tuple, reduce) -> np.ndarray:
     """powmod's ladder, see there, in b's dtype: b**e over ``shape``.  It
-    starts from b**(e >> k0), formed without reduction (so every such power
-    must be a residue already, or e >> k0 at most 1, with ``one`` for 0),
-    and walks the low k0 bits.  ``reduce`` takes a product back to a residue
-    in place; the square and the multiply share one when ``fused``."""
+    starts from b**(e >> k0), formed without reduction, which must therefore
+    already be a residue; b**0 = 1 stands in for 1 % p until the first
+    reduction (a start that holds every bit, k0 = 0, is reduced once on its
+    own).  It then walks the low k0 bits.  ``reduce`` takes a product back
+    to a residue in place; the square and the multiply share one when
+    ``fused``."""
     if e.ndim == 0:
         bits = bin(int(e))[3:]
         exact = len(bits) - k0  # the bits after the top one that the start holds
@@ -261,17 +263,17 @@ def _ladder(b, e, k0: int, fused: bool, one, shape: tuple, reduce) -> np.ndarray
             if i >= exact:
                 reduce(r)
         return r
-    r = np.empty(shape, dtype=b.dtype)
+    # powers[..., j] = b**j; the start gathers b**(e >> k0) from the flat table
     xmax = int(e.max()) >> k0
-    if xmax <= 1:
-        r[...] = np.where(e >> k0 == 1, b, one)
-    else:
-        # powers[..., j] = b**j; the start gathers b**(e >> k0) from the flat table
-        powers = np.empty(b.shape + (xmax + 1,), dtype=b.dtype)
-        powers[..., 0] = 1
-        for j in range(1, xmax + 1):
-            np.multiply(powers[..., j - 1], b, out=powers[..., j])
-        r[...] = np.take(powers, np.arange(b.size).reshape(b.shape) * (xmax + 1) + (e >> k0))
+    powers = np.empty(b.shape + (xmax + 1,), dtype=b.dtype)
+    powers[..., 0] = 1
+    for j in range(1, xmax + 1):
+        np.multiply(powers[..., j - 1], b, out=powers[..., j])
+    r = np.empty(shape, dtype=b.dtype)
+    r[...] = np.take(powers, np.arange(b.size).reshape(b.shape) * (xmax + 1) + (e >> k0))
+    if k0 == 0:
+        reduce(r)
+        return r
     b_minus_1 = b - 1
     mult = np.empty_like(r)
     bit = np.empty(e.shape, dtype=e.dtype)
@@ -316,11 +318,11 @@ def _powmod_float(
         bc, ec, mc = (a if a.ndim == 0 or a.shape[-1] == 1 else a[lanes] for a in (b, e, mod))
         p = mc.astype(np.float64)
         reduce = partial(_reduce, p=p, inv=1.0 / p, q=np.empty(out[lanes].shape))
-        r = _ladder(bc.astype(np.float64), ec, k0, fused, 1.0, out[lanes].shape, reduce)
+        r = _ladder(bc.astype(np.float64), ec, k0, fused, out[lanes].shape, reduce)
         if guard is not None:
             order, guard_fused = guard
-            power = _ladder(r, np.int64(order), order.bit_length() - 1, guard_fused, 1.0,
-                            r.shape, reduce)
+            power = _ladder(r, np.int64(order), order.bit_length() - 1, guard_fused, r.shape,
+                            reduce)
             # |power| <= p//2 + 2 < p - 1 once p >= 7; below that 1 - p is 1 mod p too
             if not (power == 1).all() and not (power + p * (power < 0) == 1).all():
                 raise AssertionError(_OUTSIDE)

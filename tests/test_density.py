@@ -554,6 +554,7 @@ def _corrupt_first_ladder(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("regime", GUARD_WINDOWS)
 def test_residue_guard_passes_every_true_residue(monkeypatch, regime):
+    """Uncorrupted windows pass the guard and give Python's pow."""
     radicands, lo, hi, *_ = GUARD_WINDOWS[regime]
     primes = kernels.sieve_primes(hi, lo, 3)
     took = _regime_spy(monkeypatch)
@@ -638,7 +639,8 @@ def _form_primes(c: int, d: int, lo: int, hi: int) -> np.ndarray:
     return n[np.r_[True, n[1:] != n[:-1]]]  # each prime once, whatever (x, y) gave it
 
 
-# Ascending primes at which 2, or 3, is a cubic residue: (c, d) of the form.
+# (c, d) with d*p == x**2 + c*y**2 exactly at the primes p = 1 mod 3 where
+# 2, or 3, is a cubic residue.
 CUBIC_FORMS = {2: (27, 1), 3: (243, 4)}
 
 
@@ -648,11 +650,13 @@ def _cubic_residue_primes(a: int, hi: int) -> np.ndarray:
 
 
 def test_cubic_forms_count_the_residues_of_2_and_3():
-    """The form counts at 1e6, against the scan's v = 1 count there."""
+    """The form counts at 1e6 against the scan's count of split primes
+    with v = 1 there, 13032 for radicand 2."""
     assert _cubic_residue_primes(2, 10**6).size == 13032
-    rep = character_sum(2, 3, 10**6)
     split = sum(1 for p in kernels.sieve_primes(10**6).tolist() if p % 3 == 1)
-    assert split - rep.final.tallies[1] == 13032
+    for n in (2, 3):
+        rep = character_sum(n, 3, 10**6)
+        assert split - rep.final.tallies[1] == _cubic_residue_primes(n, 10**6).size
 
 
 @pytest.mark.parametrize("n", [2, 3])
