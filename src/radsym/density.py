@@ -19,9 +19,9 @@ never builds the ideals themselves:
   v**l == 1 inside its own ladder, plus at most one root v_i**(1/s_i) with
   a scalar exponent, count the matching ideals above p: l-1, 1 or 0.  Below
   p = 1.9e8 the guard stays in powmod's float64 regime with the residues
-  it checks.  The powers w**s the targets use
-  are built one lane product at a time on (n,) arrays and compared row by
-  row, so no (m, n) array of powers is ever formed.
+  it checks.  The powers w**s the targets use are built one lane product
+  at a time on (n,) arrays and compared row by row, so no (m, n) array of
+  powers is ever formed.
 * At an ideal of inertia degree f >= 2, (p**f - 1)/l is a multiple of
   p - 1, so every rational argument has symbol 0 there.  These ideals are
   counted in closed form, (l-1)/f of norm p**f above each such p, and

@@ -234,7 +234,7 @@ def _start_shift(largest: int, emax: int, low: int) -> int:
     """k0 for the ladder's exact start b**(e >> k0), given |b| <= largest,
     the largest exponent emax and the smallest modulus low: the least k0
     with max(largest, 2)**(emax >> k0) < low // 2, or the top bit alone,
-    k0 = bits - 1, when none qualifies."""
+    k0 = emax.bit_length() - 1, when none qualifies."""
     bound = max(largest, 2)
     k0 = emax.bit_length() - 1
     while k0 and bound ** (emax >> (k0 - 1)) < low // 2:
