@@ -153,14 +153,14 @@ def powmod(
     below, and the ladder walks only the low k0 bits.  (The int64 regime
     takes |b| after reducing the bases into [0, p), where a negative base
     is no longer small.)  For the radicands (2, 5, 7) of a scan to 3e7 that
-    skips 2 or 3 of the 18 to 23 steps of the top-bit start.  Each bit
-    squares and then multiplies by the base where the bit is set and by 1
-    elsewhere.  A 0-d exponent, as in the subgroup check below and the
-    scan's root v**(1/s), walks its own bits in Python and multiplies only
-    where a bit is set, with no per-lane multiplier.  The two regimes below
-    differ only in how the ladder reduces a product, chosen per call from
-    the moduli, bases and exponents; both give the same residues, lane for
-    lane.
+    skips 2 or 3 of the 17 to 23 steps of the top-bit start in 36 of its 38
+    blocks.  Each bit squares and then multiplies by the base where the bit
+    is set and by 1 elsewhere.  A 0-d exponent, as in the subgroup check
+    below and the scan's root v**(1/s), walks its own bits in Python and
+    multiplies only where a bit is set, with no per-lane multiplier.  The
+    two regimes below differ only in how the ladder reduces a product,
+    chosen per call from the moduli, bases and exponents; both give the
+    same residues, lane for lane.
 
     float64, for exponents above 4 bits when every p >= 5 and
     (p//2 + 2)**2 + p < 2**53, i.e. p < 189,812,526:  a product x is reduced
