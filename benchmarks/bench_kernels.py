@@ -8,7 +8,10 @@ for three radicands, block by block as the scan does: one stacked (3, n) call
 per block against shared exponents and moduli, and three 1-D calls per block.
 The stacked call is timed again as the scan makes it, with ``order=l``, which
 checks the subgroup guard v**l == 1 inside the same ladder; the two stacked
-rows differ by the guard's cost.  Below the float64 limit of about 1.9e8
+rows differ by the guard's cost.  The checked call is timed again on the
+same lanes shuffled: ascending exponents give ``powmod`` run steps at their
+top bits, shuffled ones only per-lane steps, so the two rows differ by what
+the run steps save.  Below the float64 limit of about 1.9e8
 these take ``powmod``'s float64 reduction, so the checked call is timed once
 more on the split primes of [2**30, 2**30 + bound), which take the int64
 path.  ``_match_counts`` on the residues v gets one row, at targets
@@ -63,12 +66,17 @@ def bench_kernels(bound: int, l: int) -> None:
             call(np.s_[lo : lo + _BLOCK])
 
     residues = kernels.powmod(stacked, exps, primes)
+    shuffled = np.random.default_rng(0).permutation(primes.size)
+    shuffled_exps, shuffled_primes = exps[shuffled], primes[shuffled]
     rows = [
         ("powmod", timeit(lambda: kernels.powmod(base, exps, primes))),
         ("powmod (2,5,7) stacked", timeit(lambda: per_block(
             lambda b: kernels.powmod(stacked[:, b], exps[b], primes[b])))),
         (f"powmod (2,5,7) stacked, order={l}", timeit(lambda: per_block(
             lambda b: kernels.powmod(stacked[:, b], exps[b], primes[b], order=l)))),
+        (f"powmod (2,5,7) stacked, order={l}, lanes shuffled", timeit(lambda: per_block(
+            lambda b: kernels.powmod(stacked[:, b], shuffled_exps[b], shuffled_primes[b],
+                                     order=l)))),
         ("powmod (2,5,7) 3 x 1-D", timeit(lambda: per_block(one_d))),
         (f"powmod (2,5,7) stacked, order={l}, p near 2**30", timeit(lambda: per_block(
             lambda b: kernels.powmod(high_stacked[:, b], high_exps[b], high[b], order=l),

@@ -491,11 +491,14 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
     periods are taken when k**2 <= f**3, and the split study of
     BENCH_density.json times both methods on either side of that rule.
     Elsewhere the periods are taken only where f >= k, in several rounds.
-    Each factor is checked to have degree f and their product to be Phi_l;
-    at l = 1021 and p near 10**6 a call takes under 0.3 s at every f on 2
-    vCPUs, 0.07-0.1 s of it in that product, and at l near 1000 and p < 200,
-    where f >= k but one draw rarely separates, 0.03-0.12 s, most of it in
-    the product too.
+    Each factor is checked to have degree f and their product to be Phi_l:
+    at f = 1 by its roots, l-1 distinct w != 1 with w**l == 1 of monic
+    linear factors, which Phi_l has and no other polynomial of its degree;
+    at f >= 2 by multiplying them out.  At l = 1021 and p near 10**6 an
+    f = 1 call takes about 2.5 ms on 2 vCPUs, where the product took
+    0.17-0.29 s; every other f takes under 0.3 s, 0.07-0.1 s of it in the
+    product, and at l near 1000 and p < 200, where f >= k but one draw
+    rarely separates, 0.03-0.12 s, most of it in the product too.
     The random choices are seeded per (p, l), so repeated calls do the same
     work; the sorted output does not depend on them.
     """
@@ -510,30 +513,46 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
 
     rng = random.Random(p * 1_000_003 + l * 1_009)
     if f == 1:
-        e = (p - 1) // l
-        while True:
-            theta = pow(rng.randrange(2, p), e, p)
-            if theta > 1:
-                break
-        factors = []
-        w = theta
-        for _ in range(l - 1):
-            factors.append(((-w) % p, 1))
-            w = w * theta % p
+        factors = _linear_factors(p, l, rng)
     elif f >= k or _separates(p, k) and k * k <= f**3:
         factors = _split_by_periods(p, l, f, rng)
     else:
         factors = _split_by_field(p, l, f, _element_of_order_l(p, l, f, rng))
 
     factors.sort(key=lambda g: _canonical_key(g, p))
-    product: tuple[int, ...] = (1,)
-    for g in factors:
-        if len(g) - 1 != f:
-            raise AssertionError("factor degree disagrees with the inertia degree")
-        product = poly_mul(product, g, p)
-    if product != phi:
+    if any(len(g) - 1 != f for g in factors):
+        raise AssertionError("factor degree disagrees with the inertia degree")
+    if f == 1:
+        # Phi_l is monic of degree l-1 and its roots are the w != 1 with
+        # w**l == 1, so l-1 distinct such roots of monic X - w give it whole
+        roots = {(-g[0]) % p for g in factors if g[1] == 1}
+        whole = len(factors) == len(roots) == l - 1 and all(
+            w != 1 and pow(w, l, p) == 1 for w in roots
+        )
+    else:
+        product: tuple[int, ...] = (1,)
+        for g in factors:
+            product = poly_mul(product, g, p)
+        whole = product == phi
+    if not whole:
         raise AssertionError("factor product does not reproduce the cyclotomic polynomial")
     return [PrimeIdeal(l, p, f, g) for g in factors]
+
+
+def _linear_factors(p: int, l: int, rng: random.Random) -> list[tuple[int, ...]]:
+    """The factors X - theta**j, j = 1 .. l-1, of Phi_l mod p at f = 1, for
+    a random theta of order l in GF(p)."""
+    e = (p - 1) // l
+    while True:
+        theta = pow(rng.randrange(2, p), e, p)
+        if theta > 1:
+            break
+    factors = []
+    w = theta
+    for _ in range(l - 1):
+        factors.append(((-w) % p, 1))
+        w = w * theta % p
+    return factors
 
 
 def residue_symbol(alpha: "CyclotomicInt | int", ideal: PrimeIdeal) -> int:

@@ -261,12 +261,14 @@ def _scan(
     """Counts at every checkpoint bound up to norm_bound.
 
     Each window sieves its split primes, drops the excluded ones and feeds
-    equal blocks of them through powmod and ``_match_counts``, then adds per
-    checkpoint bound its split primes, the matches for ``targets`` (none
-    counted when None) and the nontrivial residues per radicand.  Only these
-    integer sums outlive a window, and they do not depend on the order in
-    which threads take windows.  The degree >= 2 ideals are counted per
-    bound in closed form, by ``_high_degree_norms``.
+    equal blocks of them through powmod and ``_match_counts``.  Per
+    checkpoint bound, with k the number of a block's primes up to it, the
+    block adds k split primes, the sum of its first k match counts for
+    ``targets`` (none counted when None) and, per radicand, the count of its
+    first k residues other than 1; no per-lane column array is built.  Only
+    these integer sums outlive a window, and they do not depend on the
+    order in which threads take windows.  The degree >= 2 ideals are
+    counted per bound in closed form, by ``_high_degree_norms``.
     """
     bounds = np.array(_checkpoint_bounds(norm_bound), dtype=np.int64)
     skip = np.array(sorted(p for p in exclude if p % l == 1), dtype=np.int64)
@@ -282,14 +284,16 @@ def _scan(
         for start in range(0, primes.size, step):
             chunk = primes[start : start + step]
             vals = _residues(l, chunk, radicands)
-            cols = np.zeros((2 + len(radicands), chunk.size), dtype=np.int64)
-            cols[0] = 1
             if targets is not None:
-                cols[1] = _match_counts(l, chunk, vals, targets)
-            cols[2:] = vals != 1
+                counts = _match_counts(l, chunk, vals, targets)
+            nontrivial = vals != 1
             for row, k in enumerate(np.searchsorted(chunk, bounds, side="right").tolist()):
                 if k:
-                    out[row] += cols[:, :k].sum(axis=1)
+                    out[row, 0] += k
+                    if targets is not None:
+                        out[row, 1] += counts[:k].sum()
+                    for j, v in enumerate(nontrivial, 2):
+                        out[row, j] += np.count_nonzero(v[:k])
         return out
 
     windows = _windows(l, norm_bound)

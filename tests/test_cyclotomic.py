@@ -132,6 +132,31 @@ def test_primes_above_ramified():
         primes_above(5, 5)
 
 
+@pytest.mark.parametrize("p, l", [(7, 3), (31, 5), (1021001, 1021)])
+def test_split_prime_root_check_fires_on_bad_roots(monkeypatch, p, l):
+    """At f = 1 primes_above checks its linear factors by their roots, and
+    raises as the product check did when one root is no l-th root of
+    unity, is 1, or repeats another, or when the leading coefficient is off."""
+    assert multiplicative_order(p, l) == 1
+    real = cyclotomic._linear_factors
+    good = real(p, l, random.Random(0))
+    w = (-good[0][0]) % p
+    stranger = next(x for x in range(2, p) if pow(x, l, p) != 1)
+    corruptions = {
+        "not a root": [((-stranger) % p, 1)] + good[1:],
+        "root 1": [(p - 1, 1)] + good[1:],
+        "repeated root": [good[1]] + good[1:],
+        "not monic": [((-w) % p, 2)] + good[1:],
+        "one missing": good[1:],
+    }
+    assert primes_above(p, l)  # the true factors pass
+    for name, factors in corruptions.items():
+        monkeypatch.setattr(cyclotomic, "_linear_factors", lambda p, l, rng, fs=factors: fs)
+        with pytest.raises(AssertionError, match="does not reproduce the cyclotomic"):
+            primes_above(p, l)
+        monkeypatch.setattr(cyclotomic, "_linear_factors", real)
+
+
 @pytest.mark.parametrize("l", [3, 5, 7, 11, 13])
 def test_primes_above_invariants(l):
     phi = tuple([1] * l)

@@ -178,10 +178,9 @@ FUSED_BASE = 208_063
 # [-bound, bound]) and the regime the call must take.
 SMALL = _column(2, 5, 7, -7, -3, 0, 1, -1)
 # Bases small enough for an exact start of 25 bits against moduli from
-# 2**26 up.  The int64 regime reduces bases into [0, p) first, where a
-# negative one is no longer small, so its row takes non-negative ones.
+# 2**26 up, in either regime: the int64 one keeps bases below every modulus
+# signed, so a negative one stays small.
 TWO = _column(2, -2, 1, -1, 0)
-TWO_UNSIGNED = _column(2, 1, 0)
 ANY = 2**63 - 1
 REGIMES = [
     (FUSED_LIMIT - 3000, FUSED_LIMIT, SMALL, "float-fused"),
@@ -189,7 +188,7 @@ REGIMES = [
     (FUSED_LIMIT + 1, FUSED_LIMIT + 3000, SMALL, "float"),
     (FLOAT_LIMIT - 3000, FLOAT_LIMIT, ANY, "float"),
     (FLOAT_LIMIT + 1, FLOAT_LIMIT + 3000, SMALL, "int64"),
-    (FLOAT_LIMIT + 1, FLOAT_LIMIT + 3000, TWO_UNSIGNED, "int64"),
+    (FLOAT_LIMIT + 1, FLOAT_LIMIT + 3000, TWO, "int64"),
     (FLOAT_LIMIT + 1, FLOAT_LIMIT + 3000, ANY, "int64"),
     (2**31 - 3000, 2**31 - 1, ANY, "int64"),
     (5, 3000, ANY, "float"),
@@ -209,8 +208,10 @@ REGIME_IDS = ["at-fused-limit", "at-fused-limit-two", "above-fused-limit", "at-f
 # One exponent per lane, or one 0-d exponent for all of them, which takes the
 # ladder's Python bit walk: every bit of 2**40 - 1 set, or a random 30 bits.
 # Per-lane exponents up to 25 stay above 4 bits but fit in the exact start
-# of bases up to 2 against moduli from 2**26 up (k0 = 0).
-EXPONENTS = {"": "lanes", "-0d-2**40-1": 2**40 - 1, "-0d-30-bit": "30-bit", "-upto-25": "25"}
+# of bases up to 2 against moduli from 2**26 up (k0 = 0).  Sorted per-lane
+# exponents give (m, 1) bases run steps at their top bits.
+EXPONENTS = {"": "lanes", "-0d-2**40-1": 2**40 - 1, "-0d-30-bit": "30-bit", "-upto-25": "25",
+             "-sorted": "sorted"}
 
 
 @pytest.mark.parametrize(
@@ -236,9 +237,11 @@ def test_powmod_regime_boundaries_against_python_pow(
         base[:, 4:8] = [mod[4:8] // 2, -(mod[4:8] // 2), mod[4:8] - 1]  # the extreme residues
     else:
         base = bases
-    if exponent == "lanes":
+    if exponent in ("lanes", "sorted"):
         exp = rng.integers(0, 2**40, size=n).astype(np.int64)
         exp[:3] = 0, 1, 2**40 - 1
+        if exponent == "sorted":
+            exp.sort()
     elif exponent == "25":
         exp = rng.integers(0, 26, size=n).astype(np.int64)
         exp[:3] = 0, 1, 25
@@ -250,7 +253,7 @@ def test_powmod_regime_boundaries_against_python_pow(
     assert took == regime
     assert np.array_equal(got, _python_pow(base, exp, mod))
     bits = int(np.max(exp)).bit_length()
-    if base is TWO or base is TWO_UNSIGNED:
+    if base is TWO:
         assert k0 == 0 if exponent == "25" else k0 < bits - 1
     elif base is SMALL and regime.startswith("float") and low > 3000:
         assert k0 < bits - 1  # the start takes more than the top bit
@@ -287,6 +290,62 @@ def test_powmod_stacked_against_python_pow(monkeypatch, regime):
     assert np.array_equal(got, _python_pow(base, exp, mod))
     rows = np.stack([kernels.powmod(row, exp, mod) for row in base])
     assert np.array_equal(got, rows)
+
+
+def _run_primes(l, k, v0, changes, rng):
+    """Ascending primes p == 1 mod l whose exponents (p - 1)/l >> k take
+    every value v0 .. v0 + changes, so that bit k changes parity exactly
+    ``changes`` times along them, with up to 40 primes per value."""
+    picks = []
+    for v in range(v0, v0 + changes + 1):
+        lo, hi = l * (v << k) + 1, l * ((v + 1) << k)
+        primes = kernels.sieve_primes(hi, lo, l)
+        assert primes.size, v
+        picks.append(np.sort(rng.choice(primes, size=min(40, primes.size), replace=False)))
+    return np.concatenate(picks)
+
+
+@pytest.mark.parametrize("changes", [0, 1, 15, 16, 17])
+@pytest.mark.parametrize("regime", ["float", "int64"])
+def test_powmod_run_steps_against_python_pow(monkeypatch, regime, changes):
+    """The scan's call shape, ascending exponents (p - 1)/l against (m, 1)
+    bases, takes run steps at the top bits where e >> k takes at most 16
+    values: here at bit 12 with 0, 1 and 15 parity changes along the lanes,
+    not with 16 or 17.  Every lane equals Python's pow, and so do the same
+    lanes shuffled and reversed and (m, n) bases, which take only array
+    steps; the call checked with order=l equals the unchecked one."""
+    l, k = 3, 12
+    rng = np.random.default_rng(changes)
+    v0 = 2**10 + 1 if regime == "float" else 2**14 + 1  # p near 1.3e7 or 2e8
+    mod = _run_primes(l, k, v0, changes, rng)
+    exp = (mod - 1) // l
+    assert np.all(np.diff(exp) >= 0)
+    assert np.unique(exp >> k).size == changes + 1
+    column = _column(2, 5, 7, -3, 1)
+    lanes = rng.integers(-(2**40), 2**40, size=(2, mod.size), dtype=np.int64)
+    lanes[lanes % mod == 0] = 2  # the check needs bases prime to p
+    taken = []
+    real = kernels._run_steps
+
+    def spy(r, b, e, k, fused, reduce):
+        taken.append((k, real(r, b, e, k, fused, reduce)))
+        return taken[-1][1]
+
+    monkeypatch.setattr(kernels, "_run_steps", spy)
+    ascending = np.arange(mod.size)
+    for order in (ascending, rng.permutation(mod.size), ascending[::-1]):
+        e, m = exp[order], mod[order]
+        for base in (column, lanes[:, order]):
+            taken.clear()
+            got, took, _ = _powmod_and_regime(monkeypatch, base, e, m)
+            assert took.startswith(regime)  # fused for the column, not for (m, n)
+            assert np.array_equal(got, _python_pow(base, e, m))
+            assert np.array_equal(kernels.powmod(base, e, m, order=l), got)
+            runs = [j for top, end in taken for j in range(top, end, -1)]
+            if base is column and order is ascending:
+                assert runs and (k in runs) == (changes < 16)
+            else:
+                assert not runs
 
 
 @pytest.mark.parametrize("mod", [1, 2, 3, 4, 5])
