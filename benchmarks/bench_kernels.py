@@ -8,8 +8,8 @@ for three radicands, block by block as the scan does: one stacked (3, n) call
 per block against shared exponents and moduli, and three 1-D calls per block.
 The stacked call is timed again as the scan makes it, with ``order=l``, which
 checks the subgroup guard v**l == 1 inside the same ladder; the two stacked
-rows differ by the guard's cost.  The checked call is timed again on the
-same lanes shuffled: ascending exponents give ``powmod`` run steps at their
+rows differ by the guard's cost.  The checked call is timed again on each
+block's lanes shuffled: ascending exponents give ``powmod`` run steps at their
 top bits, shuffled ones only per-lane steps, so the two rows differ by what
 the run steps save.  Below the float64 limit of about 1.9e8
 these take ``powmod``'s float64 reduction, so the checked call is timed once
@@ -66,7 +66,9 @@ def bench_kernels(bound: int, l: int) -> None:
             call(np.s_[lo : lo + _BLOCK])
 
     residues = kernels.powmod(stacked, exps, primes)
-    shuffled = np.random.default_rng(0).permutation(primes.size)
+    rng = np.random.default_rng(0)  # each block's own lanes, in random order
+    shuffled = np.concatenate([lo + rng.permutation(min(_BLOCK, primes.size - lo))
+                               for lo in range(0, primes.size, _BLOCK)])
     shuffled_exps, shuffled_primes = exps[shuffled], primes[shuffled]
     rows = [
         ("powmod", timeit(lambda: kernels.powmod(base, exps, primes))),

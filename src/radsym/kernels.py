@@ -23,7 +23,7 @@ each row has one base, as in every scan block, the next bits take run
 steps: at a bit k where e >> k takes at most 16 values, the lanes fall
 into that many runs, and the step multiplies only the runs where bit k is
 set by the base instead of every lane by a per-lane multiplier that is 1
-elsewhere.  It forms the same products less the multiplies by 1, so every
+elsewhere (in calls of at least 2048 elements per run).  It forms the same products less the multiplies by 1, so every
 result is the same, lane for lane.  With ``order`` the same ladder and
 reduction also check that every result lies in the subgroup of that order,
 which is the scan's guard v**l == 1; in the float64 regime this runs on
@@ -145,8 +145,11 @@ _FLOAT_CHUNK = 1 << 16
 
 # Most values of e >> k at which a ladder over sorted exponents takes a run
 # step for bit k: up to this many slice multiplies, one per run of lanes
-# where the bit is set, cost less than building a per-lane multiplier.
+# where the bit is set, cost less than building a per-lane multiplier.  Each
+# run must also span _RUN_ELEMENTS elements of the result on average; below
+# that the numpy calls per run outweigh the passes a run step saves.
 _RUNS = 16
+_RUN_ELEMENTS = 1 << 11
 
 
 def powmod(
@@ -170,7 +173,8 @@ def powmod(
     is set, with no per-lane multiplier.  So does a run step, taken with
     1-D non-decreasing exponents and one base per row (b of shape (m, 1)
     or 0-d) at each bit k, from the top, at which e >> k takes at most
-    _RUNS = 16 values: the lanes of each value form one run, found by one
+    _RUNS = 16 values and at most one per _RUN_ELEMENTS = 2048 elements of
+    the result: the lanes of each value form one run, found by one
     searchsorted, and the step squares every lane, multiplies the runs of
     odd e >> k by the base and reduces as the other steps do.  A lane
     outside those runs skips only the multiply by 1, which is exact in
@@ -331,14 +335,15 @@ def _run_steps(r, b, e, k: int, fused: bool, reduce) -> int:
     """The ladder's run steps from bit k down, on r in place, given one
     base per row; returns the bit the per-lane steps go on from, -1 when
     none is left.  Only non-decreasing 1-D exponents take them, along which
-    e >> k is constant on runs of lanes: at most _RUNS runs at every bit
-    they take.  A run step squares, multiplies by b only the runs where
+    e >> k is constant on runs of lanes: at most _RUNS runs, and at most one
+    per _RUN_ELEMENTS elements of r, at every bit they take.  A run step squares, multiplies by b only the runs where
     bit k is set and reduces, as the per-lane step would, less the
     multiplies by 1."""
+    runs = min(_RUNS, r.size // _RUN_ELEMENTS)
     first, last = int(e[0]), int(e[-1])
-    if (last >> k) - (first >> k) >= _RUNS or not bool((e[1:] >= e[:-1]).all()):
+    if (last >> k) - (first >> k) >= runs or not bool((e[1:] >= e[:-1]).all()):
         return k
-    while k >= 0 and (last >> k) - (first >> k) < _RUNS:
+    while k >= 0 and (last >> k) - (first >> k) < runs:
         lo, hi = first >> k, last >> k
         # run j holds the lanes with e >> k == lo + j
         cuts = [0, *np.searchsorted(e, np.arange(lo + 1, hi + 1) << k).tolist(), r.shape[-1]]

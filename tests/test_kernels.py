@@ -249,6 +249,8 @@ def test_powmod_regime_boundaries_against_python_pow(
         exp = int(rng.integers(2**29, 2**30))
     else:
         exp = exponent
+    if exponent == "sorted":  # let these few lanes take run steps
+        monkeypatch.setattr(kernels, "_RUN_ELEMENTS", 1)
     got, took, k0 = _powmod_and_regime(monkeypatch, base, exp, mod)
     assert took == regime
     assert np.array_equal(got, _python_pow(base, exp, mod))
@@ -313,7 +315,9 @@ def test_powmod_run_steps_against_python_pow(monkeypatch, regime, changes):
     values: here at bit 12 with 0, 1 and 15 parity changes along the lanes,
     not with 16 or 17.  Every lane equals Python's pow, and so do the same
     lanes shuffled and reversed and (m, n) bases, which take only array
-    steps; the call checked with order=l equals the unchecked one."""
+    steps; the call checked with order=l equals the unchecked one.  The
+    few lanes here would not pay for a run step's numpy calls, so the test
+    lifts the size rule to reach them."""
     l, k = 3, 12
     rng = np.random.default_rng(changes)
     v0 = 2**10 + 1 if regime == "float" else 2**14 + 1  # p near 1.3e7 or 2e8
@@ -332,6 +336,7 @@ def test_powmod_run_steps_against_python_pow(monkeypatch, regime, changes):
         return taken[-1][1]
 
     monkeypatch.setattr(kernels, "_run_steps", spy)
+    monkeypatch.setattr(kernels, "_RUN_ELEMENTS", 1)
     ascending = np.arange(mod.size)
     for order in (ascending, rng.permutation(mod.size), ascending[::-1]):
         e, m = exp[order], mod[order]
@@ -346,6 +351,29 @@ def test_powmod_run_steps_against_python_pow(monkeypatch, regime, changes):
                 assert runs and (k in runs) == (changes < 16)
             else:
                 assert not runs
+
+
+@pytest.mark.parametrize("lanes, taken", [(4 * 2048 - 1, False), (4 * 2048, True)])
+def test_run_step_needs_elements_per_run(monkeypatch, lanes, taken):
+    """A bit at which e >> k takes 4 values is a run step only once the
+    call has 4 * _RUN_ELEMENTS elements; the bits above it, with 1 or 2
+    values, are run steps either way, and every lane is Python's pow."""
+    assert kernels._RUN_ELEMENTS == 2048
+    rng = np.random.default_rng(lanes)
+    exp = np.sort(rng.integers(2**20, 2**20 + 4 * 2**10, size=lanes)).astype(np.int64)
+    mod = rng.integers(2**20, 2**24, size=lanes).astype(np.int64)
+    steps = []
+    real = kernels._run_steps
+
+    def spy(r, b, e, k, fused, reduce):
+        steps.append((k, real(r, b, e, k, fused, reduce)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(kernels, "_run_steps", spy)
+    got = kernels.powmod(_column(3), exp, mod)
+    assert np.array_equal(got, _python_pow(_column(3), exp, mod))
+    (top, end), = steps
+    assert top > 11 and end < 11 and (end < 10) == taken
 
 
 @pytest.mark.parametrize("mod", [1, 2, 3, 4, 5])
