@@ -4,8 +4,9 @@
 Times ``powmod`` on the split primes from 8 to a bound, plus a pure Python
 per-element ``pow`` loop, and optionally an end-to-end density experiment in
 the same process.  ``powmod`` is also timed both ways the scan could call it
-for three radicands, block by block as the scan does: one stacked (3, n) call
-per block against shared exponents and moduli, and three 1-D calls per block.
+for three radicands, block by block as the scan does: one stacked call per
+block on the (3, 1) column of radicands against shared exponents and moduli,
+as the scan passes them, and three 1-D calls per block.
 The stacked call is timed again as the scan makes it, with ``order=l``, which
 checks the subgroup guard v**l == 1 inside the same ladder; the two stacked
 rows differ by the guard's cost.  The checked call is timed again on each
@@ -49,16 +50,15 @@ def bench_kernels(bound: int, l: int) -> None:
     primes = kernels.sieve_primes(bound, 8, l)  # as the scan, none dividing 2, 5 or 7
     exps = (primes - 1) // l
     base = np.full(primes.size, 2, dtype=np.int64)
-    stacked = np.stack([np.full(primes.size, b, dtype=np.int64) for b in (2, 5, 7)])
+    stacked = np.array([[2], [5], [7]], dtype=np.int64)  # the scan's radicand column
     print(f"split primes 7 < p <= {bound}: {primes.size} lanes (l = {l})")
 
     def one_d(block) -> None:
-        for row in stacked[:, block]:
+        for row in stacked:
             kernels.powmod(row, exps[block], primes[block])
 
     high = kernels.sieve_primes(2**30 + bound - 1, 2**30, l)  # the int64 path
     high_exps = (high - 1) // l
-    high_stacked = stacked[:, :1].repeat(high.size, axis=1)
     print(f"split primes in [2**30, 2**30 + {bound}): {high.size} lanes")
 
     def per_block(call, size=primes.size) -> None:
@@ -73,15 +73,14 @@ def bench_kernels(bound: int, l: int) -> None:
     rows = [
         ("powmod", timeit(lambda: kernels.powmod(base, exps, primes))),
         ("powmod (2,5,7) stacked", timeit(lambda: per_block(
-            lambda b: kernels.powmod(stacked[:, b], exps[b], primes[b])))),
+            lambda b: kernels.powmod(stacked, exps[b], primes[b])))),
         (f"powmod (2,5,7) stacked, order={l}", timeit(lambda: per_block(
-            lambda b: kernels.powmod(stacked[:, b], exps[b], primes[b], order=l)))),
+            lambda b: kernels.powmod(stacked, exps[b], primes[b], order=l)))),
         (f"powmod (2,5,7) stacked, order={l}, lanes shuffled", timeit(lambda: per_block(
-            lambda b: kernels.powmod(stacked[:, b], shuffled_exps[b], shuffled_primes[b],
-                                     order=l)))),
+            lambda b: kernels.powmod(stacked, shuffled_exps[b], shuffled_primes[b], order=l)))),
         ("powmod (2,5,7) 3 x 1-D", timeit(lambda: per_block(one_d))),
         (f"powmod (2,5,7) stacked, order={l}, p near 2**30", timeit(lambda: per_block(
-            lambda b: kernels.powmod(high_stacked[:, b], high_exps[b], high[b], order=l),
+            lambda b: kernels.powmod(stacked, high_exps[b], high[b], order=l),
             high.size))),
         (f"match counts, lane powers w**s, s={TARGETS}", timeit(lambda: per_block(
             lambda b: _match_counts(l, primes[b], residues[:, b], TARGETS)))),

@@ -23,12 +23,13 @@ each row has one base, as in every scan block, the next bits take run
 steps: at a bit k where e >> k takes at most 16 values, the lanes fall
 into that many runs, and the step multiplies only the runs where bit k is
 set by the base instead of every lane by a per-lane multiplier that is 1
-elsewhere (in calls of at least 2048 elements per run).  It forms the same products less the multiplies by 1, so every
-result is the same, lane for lane.  With ``order`` the same ladder and
-reduction also check that every result lies in the subgroup of that order,
-which is the scan's guard v**l == 1; in the float64 regime this runs on
-the balanced residues before their one conversion to [0, p), so the scan
-never leaves float64 below 1.9e8.  ``powmod``'s docstring gives the proofs.
+elsewhere (in calls of at least 2048 elements per run).  It forms the same
+products less the multiplies by 1, so every result is the same, lane for
+lane.  With ``order`` the same ladder and reduction also check that every
+result lies in the subgroup of that order, which is the scan's guard
+v**l == 1; in the float64 regime this runs on the balanced residues before
+their one conversion to [0, p), so the scan never leaves float64 below
+1.9e8.  ``powmod``'s docstring gives the proofs.
 """
 
 from __future__ import annotations
@@ -336,9 +337,9 @@ def _run_steps(r, b, e, k: int, fused: bool, reduce) -> int:
     base per row; returns the bit the per-lane steps go on from, -1 when
     none is left.  Only non-decreasing 1-D exponents take them, along which
     e >> k is constant on runs of lanes: at most _RUNS runs, and at most one
-    per _RUN_ELEMENTS elements of r, at every bit they take.  A run step squares, multiplies by b only the runs where
-    bit k is set and reduces, as the per-lane step would, less the
-    multiplies by 1."""
+    per _RUN_ELEMENTS elements of r, at every bit they take.  A run step
+    squares, multiplies by b only the runs where bit k is set and reduces,
+    as the per-lane step would, less the multiplies by 1."""
     runs = min(_RUNS, r.size // _RUN_ELEMENTS)
     first, last = int(e[0]), int(e[-1])
     if (last >> k) - (first >> k) >= runs or not bool((e[1:] >= e[:-1]).all()):

@@ -307,6 +307,20 @@ def _run_primes(l, k, v0, changes, rng):
     return np.concatenate(picks)
 
 
+def _record_run_steps(monkeypatch) -> list:
+    """Patch kernels._run_steps to record, per call, the bit it starts from
+    and the bit the per-lane steps go on from."""
+    taken = []
+    real = kernels._run_steps
+
+    def spy(r, b, e, k, fused, reduce):
+        taken.append((k, real(r, b, e, k, fused, reduce)))
+        return taken[-1][1]
+
+    monkeypatch.setattr(kernels, "_run_steps", spy)
+    return taken
+
+
 @pytest.mark.parametrize("changes", [0, 1, 15, 16, 17])
 @pytest.mark.parametrize("regime", ["float", "int64"])
 def test_powmod_run_steps_against_python_pow(monkeypatch, regime, changes):
@@ -328,14 +342,7 @@ def test_powmod_run_steps_against_python_pow(monkeypatch, regime, changes):
     column = _column(2, 5, 7, -3, 1)
     lanes = rng.integers(-(2**40), 2**40, size=(2, mod.size), dtype=np.int64)
     lanes[lanes % mod == 0] = 2  # the check needs bases prime to p
-    taken = []
-    real = kernels._run_steps
-
-    def spy(r, b, e, k, fused, reduce):
-        taken.append((k, real(r, b, e, k, fused, reduce)))
-        return taken[-1][1]
-
-    monkeypatch.setattr(kernels, "_run_steps", spy)
+    taken = _record_run_steps(monkeypatch)
     monkeypatch.setattr(kernels, "_RUN_ELEMENTS", 1)
     ascending = np.arange(mod.size)
     for order in (ascending, rng.permutation(mod.size), ascending[::-1]):
@@ -362,14 +369,7 @@ def test_run_step_needs_elements_per_run(monkeypatch, lanes, taken):
     rng = np.random.default_rng(lanes)
     exp = np.sort(rng.integers(2**20, 2**20 + 4 * 2**10, size=lanes)).astype(np.int64)
     mod = rng.integers(2**20, 2**24, size=lanes).astype(np.int64)
-    steps = []
-    real = kernels._run_steps
-
-    def spy(r, b, e, k, fused, reduce):
-        steps.append((k, real(r, b, e, k, fused, reduce)))
-        return steps[-1][1]
-
-    monkeypatch.setattr(kernels, "_run_steps", spy)
+    steps = _record_run_steps(monkeypatch)
     got = kernels.powmod(_column(3), exp, mod)
     assert np.array_equal(got, _python_pow(_column(3), exp, mod))
     (top, end), = steps
