@@ -11,25 +11,26 @@ resolves all four names.  No benchmark row times these two.
 
 All kernels take and return int64 arrays.  Moduli must stay below 2**31 so
 that a product of two reduced residues fits in int64 without overflow.
-``powmod`` runs one square-and-multiply ladder under either of two
+``powmod`` walks a call in chunks of at most 2**16 elements along the last
+axis, and runs one square-and-multiply ladder per chunk under either of two
 reductions, which is all its regimes differ in: the int64 ``%``, or a
 float64 quotient when every product it forms is an integer below 2**53,
 which float64 holds exactly: for exponents above 4 bits and moduli below
 about 1.9e8, so every scan up to 1e8 and about a fifth of the split primes
 of a scan to 1e9.  The ladder starts from an exact small power of the base,
 b**(e >> k0) below every p/2, so with the scan's small radicands it skips
-the exponent's top bits.  Where the exponents ascend along the lanes and
-each row has one base, as in every scan block, the next bits take run
-steps: at a bit k where e >> k takes at most 16 values, the lanes fall
-into that many runs, and the step multiplies only the runs where bit k is
-set by the base instead of every lane by a per-lane multiplier that is 1
-elsewhere (in calls of at least 2048 elements per run).  It forms the same
-products less the multiplies by 1, so every result is the same, lane for
-lane.  With ``order`` the same ladder and reduction also check that every
-result lies in the subgroup of that order, which is the scan's guard
-v**l == 1; in the float64 regime this runs on the balanced residues before
-their one conversion to [0, p), so the scan never leaves float64 below
-1.9e8.  ``powmod``'s docstring gives the proofs.
+the exponent's top bits.  Each lower bit takes one step with one rule: it
+squares, multiplies by the base only the lanes where the bit is set, and
+reduces.  A 0-d exponent multiplies every lane or none; ascending
+exponents with one base per row, as in every scan block, multiply the runs
+of lanes where the bit is set, while there are few enough runs; any other
+step multiplies every lane by a per-lane multiplier that is 1 where the bit
+is clear.  The forms differ only in multiplies by 1, so every result is the
+same, lane for lane.  With ``order`` the same ladder and reduction also
+check that every result of the chunk lies in the subgroup of that order,
+which is the scan's guard v**l == 1; in the float64 regime this runs on the
+balanced residues before their one conversion to [0, p), so the scan never
+leaves float64 below 1.9e8.  ``powmod``'s docstring gives the proofs.
 """
 
 from __future__ import annotations
@@ -139,17 +140,14 @@ _INT64_BITS = 4
 # What powmod's ``order`` check raises on.
 _OUTSIDE = "symbol value fell outside the root-of-unity subgroup"
 
-# Most elements per chunk of the float64 path.  It makes more passes per
-# bit than the int64 path and wins only while its working arrays stay in a
-# core's 2 MB L2 cache.
-_FLOAT_CHUNK = 1 << 16
+# Most elements per chunk of a powmod call.  The float64 regime makes more
+# passes per bit than the int64 one and wins only while a chunk's working
+# arrays stay in a core's 2 MB L2 cache.
+_CHUNK = 1 << 16
 
-# Most values of e >> k at which a ladder over sorted exponents takes a run
-# step for bit k: up to this many slice multiplies, one per run of lanes
-# where the bit is set, cost less than building a per-lane multiplier.  Each
-# run must also span _RUN_ELEMENTS elements of the result on average; below
-# that the numpy calls per run outweigh the passes a run step saves.
-_RUNS = 16
+# A ladder over sorted exponents takes a run step at bit k only while e >> k
+# takes at most one value per this many elements of the chunk: below that
+# the numpy calls per run outweigh the passes a run step saves.
 _RUN_ELEMENTS = 1 << 11
 
 
@@ -160,31 +158,32 @@ def powmod(
 
     Shapes broadcast, so an (m, n) block of bases against (n,) exponents and
     moduli raises m rows per lane in one pass over the exponent bits.  The
-    result is an int64 array of residues in [0, mod).  One ladder,
-    ``_ladder``, serves every call.  It starts from the exact power
-    b**(e >> k0) for the least k0 with max(|b|, 2)**max(e >> k0) < min(p)//2,
-    or from the top bit alone when no k0 qualifies; such a start is below
-    every p/2, so it is already a reduced, balanced residue in both regimes
-    below, and the ladder walks only the low k0 bits.  For the radicands
-    (2, 5, 7) of a scan to 3e7 that skips 2 or 3 of the 17 to 23 steps of
-    the top-bit start in 36 of its 38 blocks.  Each bit squares and then
-    multiplies by the base where the bit is set and by 1 elsewhere.  A 0-d
-    exponent, as in the subgroup check below and the scan's root
-    v**(1/s), walks its own bits in Python and multiplies only where a bit
-    is set, with no per-lane multiplier.  So does a run step, taken with
-    1-D non-decreasing exponents and one base per row (b of shape (m, 1)
-    or 0-d) at each bit k, from the top, at which e >> k takes at most
-    _RUNS = 16 values and at most one per _RUN_ELEMENTS = 2048 elements of
-    the result: the lanes of each value form one run, found by one
-    searchsorted, and the step squares every lane, multiplies the runs of
-    odd e >> k by the base and reduces as the other steps do.  A lane
-    outside those runs skips only the multiply by 1, which is exact in
-    both regimes, so every lane gets the same residue as from the per-lane
-    step and the proofs below hold unchanged.  In a scan block to 3e7 the
-    run steps take 5.3 of the 19.3 steps per lane.  The two regimes below
-    differ only in how the ladder reduces a product, chosen per call from
-    the moduli, bases and exponents; both give the same residues, lane for
-    lane.
+    result is an int64 array of residues in [0, mod).  The call runs in
+    chunks of about _CHUNK = 2**16 elements along the last axis, each
+    through one ladder, ``_ladder``, under one of the two reductions below,
+    chosen per call from the moduli, bases and exponents; both give the same
+    residues, lane for lane.
+
+    The ladder starts from the exact power b**(e >> k0) for the least k0
+    with max(|b|, 2)**max(e >> k0) < min(p)//2, or from the top bit alone
+    when no k0 qualifies; such a start is below every p/2, so it is already
+    a reduced, balanced residue in both regimes, and the ladder walks only
+    the low k0 bits.  For the radicands (2, 5, 7) of a scan to 3e7 that
+    skips 2 or 3 of the 17 to 23 steps of the top-bit start in 36 of its 38
+    blocks.  Each bit k takes one step: it squares, multiplies by the base
+    the lanes where bit k is set, and reduces.  One rule, ``_set_lanes``,
+    says how a step multiplies.  With a 0-d exponent, as in the subgroup
+    check below and the scan's root v**(1/s), the multiply covers every lane
+    or none.  With 1-D non-decreasing exponents and one base per row (b of
+    shape (m, 1) or 0-d), as in every scan block, it covers the runs of
+    lanes on which e >> k is odd, found by one searchsorted, while e >> k
+    takes at most one value per _RUN_ELEMENTS = 2048 elements of the chunk.
+    Otherwise, and at every lower bit once a step has needed it, every lane
+    is multiplied by a per-lane multiplier, the base where bit k is set and
+    1 elsewhere.  A lane left out of a multiply skips only a multiply by 1,
+    which is exact in both regimes, so every form of the step gives every
+    lane the same residue and the proofs below hold for all of them.  In a
+    scan block to 3e7 the run steps take 5.3 of the 19.3 steps per lane.
 
     float64, for exponents above 4 bits when every p >= 5 and
     (p//2 + 2)**2 + p < 2**53, i.e. p < 189,812,526:  a product x is reduced
@@ -194,27 +193,29 @@ def powmod(
     balanced, |r| <= p//2 + 2.  The square and the multiply share one
     reduction when max(p//2 + 2, |base|)**2 * |base| + p < 2**53 for the
     largest p and |base| (bases up to 7: p < 71,742,390).  Otherwise the
-    bases are balanced too, |b| <= p//2, and each product is reduced on its
-    own.  As p >= 5 keeps p//2 + 2 below p, adding p to the negative
-    residues at the end gives [0, p), one to one.
+    bases are balanced too, |b| <= p//2, and a step that multiplies some
+    lane reduces its square first.  As p >= 5 keeps p//2 + 2 below p,
+    adding p to the negative residues at the end gives [0, p), one to one.
 
     int64, for every other call:  bases are reduced into [0, p) unless
     every |b| is below the smallest p, in which case they keep their sign
     and the exact start bounds them by |b| as the float64 regime does; a
     product is reduced by ``%``, which returns [0, p) from either sign,
     and the square and the multiply share one ``%`` when the largest p
-    squared times the largest |b| is below 2**63; otherwise each is
-    reduced on its own.
+    squared times the largest |b| is below 2**63; otherwise a step that
+    multiplies reduces its square first.
 
     With ``order``, every result r must also satisfy r**order == 1 mod p,
     as a power residue in the order-l subgroup does for order = l;
-    AssertionError otherwise.  Each regime checks its own residues with
-    the same ladder and reduction.  The float64 one checks them balanced,
-    before the final step to [0, p); that step maps them one to one onto
-    the results, so a result passes exactly when its balanced residue
-    does.  The balanced power has |r**order| <= p//2 + 2, below p - 1 once
-    p >= 7, so there it is 1 mod p only when it equals 1; below 7 it may
-    also be 1 - p.  The int64 one checks its output against 1 % p.
+    AssertionError otherwise.  Each chunk checks its residues with the same
+    ladder and reduction that made them, and one test serves both regimes:
+    the power is 1 on every lane, or 1 mod p on every lane.  The float64
+    regime checks its residues balanced, before the final step to [0, p);
+    that step maps them one to one onto the results, so a result passes
+    exactly when its balanced residue does.  A balanced power has
+    |r**order| <= p//2 + 2, below p - 1 once p >= 7, so there it is 1 mod p
+    only when it equals 1; below 7 it may also be 1 - p, and an int64 power
+    mod 1 is 0.
     """
     mod = np.asarray(mod, dtype=np.int64)
     e = np.asarray(exp, dtype=np.int64)
@@ -228,7 +229,8 @@ def powmod(
         return np.broadcast_to(1 % mod, shape).copy()  # 1 % p, whose every power is 1 % p
     lo, hi, low, high = int(base.min()), int(base.max()), int(mod.min()), int(mod.max())
     top = high // 2 + 2  # the largest balanced float residue
-    if bits > _INT64_BITS and low >= 5 and top * top + high < _EXACT:
+    floats = bits > _INT64_BITS and low >= 5 and top * top + high < _EXACT
+    if floats:
         largest = max(-lo, hi)
         fused = max(top, largest) ** 2 * largest + high < _EXACT
         b = base
@@ -237,24 +239,35 @@ def powmod(
             b = np.where(2 * b > mod, b - mod, b)
             largest = high // 2
         # a balanced residue is at most top, so its check fuses when top**3 fits
-        guard = None if order is None else (order, top**3 + high < _EXACT)
-        k0 = _start_shift(largest, emax, low)
-        return _powmod_float(b, e, mod, shape, k0, fused, guard)
-    # |b| < min(p) keeps its sign: % takes every product into [0, p) anyway
-    b = base if max(-lo, hi) < low else _reduced(base, mod, lo, hi, low)
-    largest = max(-int(b.min()), int(b.max()))
-    fused = high**2 * largest < 1 << 63
-
-    def reduce(x):
-        np.remainder(x, mod, out=x)
-
-    r = _ladder(b, e, _start_shift(largest, emax, low), fused, shape, reduce)
-    if order is not None:
-        power = _ladder(r, np.int64(order), order.bit_length() - 1,
-                        high**2 * (high - 1) < 1 << 63, shape, reduce)
-        if not (power == 1 % mod).all():
-            raise AssertionError(_OUTSIDE)
-    return r
+        guard_fused = top**3 + high < _EXACT
+    else:
+        # |b| < min(p) keeps its sign: % takes every product into [0, p) anyway
+        b = base if max(-lo, hi) < low else _reduced(base, mod, lo, hi, low)
+        largest = max(-int(b.min()), int(b.max()))
+        fused = high**2 * largest < 1 << 63
+        guard_fused = high**2 * (high - 1) < 1 << 63
+    k0 = _start_shift(largest, emax, low)
+    out = np.empty(shape, dtype=np.int64)
+    parts = -(-math.prod(shape) // _CHUNK)
+    step = -(-shape[-1] // parts)  # equal chunks along the last axis
+    for i in range(0, shape[-1], step):
+        chunk = out[..., i : i + step]
+        bc, ec, p = (a if a.ndim == 0 or a.shape[-1] == 1 else a[..., i : i + step]
+                     for a in (b, e, mod))
+        reduce = partial(_reduce, p=p)
+        if floats:
+            bc, p = bc.astype(np.float64), p.astype(np.float64)
+            reduce = partial(_reduce, p=p, inv=1.0 / p, q=np.empty(chunk.shape))
+        r = _ladder(bc, ec, k0, fused, chunk.shape, reduce)
+        if order is not None:
+            power = _ladder(r, np.int64(order), order.bit_length() - 1, guard_fused, r.shape,
+                            reduce)
+            if not ((power == 1).all() or ((power - 1) % p == 0).all()):
+                raise AssertionError(_OUTSIDE)
+        if floats:
+            r += p * (r < 0)  # into [0, p), as |r| <= p//2 + 2 < p
+        chunk[...] = r
+    return out
 
 
 def _start_shift(largest: int, emax: int, low: int) -> int:
@@ -274,88 +287,77 @@ def _ladder(b, e, k0: int, fused: bool, shape: tuple, reduce) -> np.ndarray:
     starts from b**(e >> k0), formed without reduction, which must therefore
     already be a residue; b**0 = 1 stands in for 1 % p until the first
     reduction (a start that holds every bit, k0 = 0, is reduced once on its
-    own).  It then walks the low k0 bits, the top ones by ``_run_steps``
-    where the call allows.  ``reduce`` takes a product back to a residue in
-    place; the square and the multiply share one when ``fused``."""
-    if e.ndim == 0:
-        bits = bin(int(e))[3:]
-        exact = len(bits) - k0  # the bits after the top one that the start holds
-        r = np.broadcast_to(b, shape).copy()  # the top bit
-        for i, bit in enumerate(bits):
-            r *= r
-            if bit == "1":
-                if not fused and i >= exact:
-                    reduce(r)
-                r *= b
-            if i >= exact:
-                reduce(r)
-        if k0 == 0:
-            reduce(r)
-        return r
-    # powers[..., j] = b**j; the start gathers b**(e >> k0) from this table
-    xmax = int(e.max()) >> k0
-    powers = np.empty(b.shape + (xmax + 1,), dtype=b.dtype)
-    powers[..., 0] = 1
-    for j in range(1, xmax + 1):
-        np.multiply(powers[..., j - 1], b, out=powers[..., j])
-    r = np.empty(shape, dtype=b.dtype)
+    own).  Each of the low k0 bits then squares, multiplies by b the lanes
+    that ``_set_lanes`` names, or every lane by the per-lane multiplier where
+    it names none, and reduces.  ``reduce`` takes a product back to a
+    residue in place; the square and the multiply share one when ``fused``,
+    and otherwise the square is reduced first where the step multiplies."""
     per_row = e.ndim == 1 and (b.ndim == 0 or b.shape[-1] == 1)  # one base per row
-    if per_row:
-        # as the scan's (m, 1) radicands: a take along the last axis copies
-        # row by row, several times faster than a flat take
-        r[...] = np.take(powers.reshape(b.shape[:-1] + (xmax + 1,)), e >> k0, axis=-1)
+    if e.ndim == 0:  # b**(e >> k0) is b itself in the guard and the root
+        r = np.broadcast_to(b, shape).copy()
+        for _ in range((int(e) >> k0) - 1):
+            r *= b
     else:
-        r[...] = np.take(powers, np.arange(b.size).reshape(b.shape) * (xmax + 1) + (e >> k0))
+        # powers[..., j] = b**j; the start gathers b**(e >> k0) from this table
+        xmax = int(e.max()) >> k0
+        powers = np.empty(b.shape + (xmax + 1,), dtype=b.dtype)
+        powers[..., 0] = 1
+        for j in range(1, xmax + 1):
+            np.multiply(powers[..., j - 1], b, out=powers[..., j])
+        r = np.empty(shape, dtype=b.dtype)
+        if per_row:
+            # as the scan's (m, 1) radicands: a take along the last axis copies
+            # row by row, several times faster than a flat take
+            r[...] = np.take(powers.reshape(b.shape[:-1] + (xmax + 1,)), e >> k0, axis=-1)
+        else:
+            r[...] = np.take(powers, np.arange(b.size).reshape(b.shape) * (xmax + 1) + (e >> k0))
     if k0 == 0:
         reduce(r)
-        return r
-    k = _run_steps(r, b, e, k0 - 1, fused, reduce) if per_row else k0 - 1
-    if k < 0:
-        return r
-    b_minus_1 = b - 1
-    mult = np.empty_like(r)
-    bit = np.empty(e.shape, dtype=e.dtype)
-    # the bit cast to b's dtype first: a mixed-dtype multiply casts slower
-    bit_b = bit if b.dtype == e.dtype else np.empty(e.shape, dtype=b.dtype)
-    for k in range(k, -1, -1):
-        np.right_shift(e, k, out=bit)
-        bit &= 1
-        if bit_b is not bit:
-            bit_b[...] = bit
-        np.multiply(b_minus_1, bit_b, out=mult)
-        mult += 1  # b where bit k is set, 1 elsewhere
+    # runs need sorted exponents; a limit of 0 leaves every step per-lane
+    limit = r.size // _RUN_ELEMENTS if per_row and bool((e[1:] >= e[:-1]).all()) else 0
+    mult = None  # the per-lane multiplier, from the first step that needs it down
+    for k in range(k0 - 1, -1, -1):
+        lanes = _set_lanes(e, k, limit) if mult is None else None
+        factor = b
+        if lanes is None:
+            if mult is None:
+                mult, b_minus_1, bit = np.empty_like(r), b - 1, np.empty(e.shape, dtype=e.dtype)
+                # the bit cast to b's dtype first: a mixed-dtype multiply casts slower
+                bit_b = bit if b.dtype == e.dtype else np.empty(e.shape, dtype=b.dtype)
+            np.right_shift(e, k, out=bit)
+            bit &= 1
+            if bit_b is not bit:
+                bit_b[...] = bit
+            np.multiply(b_minus_1, bit_b, out=mult)
+            mult += 1  # b where bit k is set, 1 elsewhere
+            lanes, factor = [...], mult
         r *= r
-        if not fused:
-            reduce(r)
-        r *= mult
+        if lanes:
+            if not fused:
+                reduce(r)
+            for s in lanes:
+                r[s] *= factor
         reduce(r)
     return r
 
 
-def _run_steps(r, b, e, k: int, fused: bool, reduce) -> int:
-    """The ladder's run steps from bit k down, on r in place, given one
-    base per row; returns the bit the per-lane steps go on from, -1 when
-    none is left.  Only non-decreasing 1-D exponents take them, along which
-    e >> k is constant on runs of lanes: at most _RUNS runs, and at most one
-    per _RUN_ELEMENTS elements of r, at every bit they take.  A run step
-    squares, multiplies by b only the runs where bit k is set and reduces,
-    as the per-lane step would, less the multiplies by 1."""
-    runs = min(_RUNS, r.size // _RUN_ELEMENTS)
-    first, last = int(e[0]), int(e[-1])
-    if (last >> k) - (first >> k) >= runs or not bool((e[1:] >= e[:-1]).all()):
-        return k
-    while k >= 0 and (last >> k) - (first >> k) < runs:
-        lo, hi = first >> k, last >> k
-        # run j holds the lanes with e >> k == lo + j
-        cuts = [0, *np.searchsorted(e, np.arange(lo + 1, hi + 1) << k).tolist(), r.shape[-1]]
-        r *= r
-        if not fused:
-            reduce(r)
-        for j in range((lo + 1) % 2, hi - lo + 1, 2):  # the odd lo + j
-            r[..., cuts[j] : cuts[j + 1]] *= b
-        reduce(r)
-        k -= 1
-    return k
+def _set_lanes(e, k: int, limit: int) -> list | None:
+    """The lanes that ladder step k multiplies by the base, as a list of
+    index expressions into the ladder's result, or None where the step
+    needs the per-lane multiplier.  A 0-d exponent gives every lane or
+    none.  1-D non-decreasing exponents under a ``limit`` above 0 give the
+    runs of lanes on which e >> k is odd, while e >> k takes at most
+    ``limit`` values; any other exponent, with limit 0, gives None."""
+    if e.ndim == 0:
+        return [...] if int(e) >> k & 1 else []
+    if limit == 0:
+        return None
+    lo, hi = int(e[0]) >> k, int(e[-1]) >> k
+    if hi - lo >= limit:
+        return None
+    # run j holds the lanes with e >> k == lo + j; the last one runs to the end
+    cuts = [0, *np.searchsorted(e, np.arange(lo + 1, hi + 1) << k).tolist(), None]
+    return [np.s_[..., cuts[j] : cuts[j + 1]] for j in range((lo + 1) % 2, hi - lo + 1, 2)]
 
 
 def _reduced(base: np.ndarray, mod: np.ndarray, lo: int, hi: int, low: int) -> np.ndarray:
@@ -367,36 +369,14 @@ def _reduced(base: np.ndarray, mod: np.ndarray, lo: int, hi: int, low: int) -> n
     return np.mod(base, mod)
 
 
-def _powmod_float(
-    b: np.ndarray, e: np.ndarray, mod: np.ndarray, shape: tuple, k0: int, fused: bool,
-    guard: tuple[int, bool] | None,
-) -> np.ndarray:
-    """powmod's float64 regime, see there: the ladder on float64 copies of
-    the bases, in chunks of about _FLOAT_CHUNK elements along the last axis.
-    ``guard`` is (order, fused) for the subgroup check, or None."""
-    out = np.empty(shape, dtype=np.int64)
-    parts = -(-math.prod(shape) // _FLOAT_CHUNK)
-    step = -(-shape[-1] // parts)  # equal chunks along the last axis
-    for i in range(0, shape[-1], step):
-        lanes = np.s_[..., i : i + step]
-        bc, ec, mc = (a if a.ndim == 0 or a.shape[-1] == 1 else a[lanes] for a in (b, e, mod))
-        p = mc.astype(np.float64)
-        reduce = partial(_reduce, p=p, inv=1.0 / p, q=np.empty(out[lanes].shape))
-        r = _ladder(bc.astype(np.float64), ec, k0, fused, out[lanes].shape, reduce)
-        if guard is not None:
-            order, guard_fused = guard
-            power = _ladder(r, np.int64(order), order.bit_length() - 1, guard_fused, r.shape,
-                            reduce)
-            # |power| <= p//2 + 2 < p - 1 once p >= 7; below that 1 - p is 1 mod p too
-            if not (power == 1).all() and not (power + p * (power < 0) == 1).all():
-                raise AssertionError(_OUTSIDE)
-        r += p * (r < 0)  # into [0, p), as |r| <= p//2 + 2 < p
-        out[lanes] = r
-    return out
-
-
-def _reduce(r: np.ndarray, p: np.ndarray, inv: np.ndarray, q: np.ndarray) -> None:
-    """r -= rint(r * inv) * p in place, with q as scratch of r's shape."""
+def _reduce(r: np.ndarray, p: np.ndarray, inv: np.ndarray | None = None,
+            q: np.ndarray | None = None) -> None:
+    """r to a residue mod p in place: r % p for int64, without ``inv``;
+    else the balanced r - rint(r * inv) * p, with q as scratch of r's
+    shape."""
+    if inv is None:
+        np.remainder(r, p, out=r)
+        return
     np.multiply(r, inv, out=q)
     np.rint(q, out=q)
     q *= p

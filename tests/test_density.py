@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import residue_regimes, spy_ladder
 import radsym.cli
 import radsym.density
 import radsym.radical
@@ -520,46 +521,14 @@ GUARD_WINDOWS = {
 }
 
 
-def _regime_spy(monkeypatch) -> list[str]:
-    """The regimes of the powmod calls from here on: "float-fused" or
-    "float" per float64 call; int64 calls leave no entry."""
-    took = []
-    real = kernels._powmod_float
-
-    def spy(b, e, m, shape, k0, fused, guard):
-        took.append("float-fused" if fused else "float")
-        return real(b, e, m, shape, k0, fused, guard)
-
-    monkeypatch.setattr(kernels, "_powmod_float", spy)
-    return took
-
-
-def _corrupt_first_ladder(monkeypatch) -> list[int]:
-    """Make the first residue ladder inside powmod return its last lane, of
-    its largest p, set to 2: a cube root of unity only mod 7, as 2**3 - 1 is
-    7.  The list gets an entry then."""
-    hits = []
-    real = kernels._ladder
-
-    def corrupted(b, e, *args):
-        r = real(b, e, *args)
-        if e.ndim and not hits:  # the residues, not the guard's 0-d walk
-            hits.append(r.size - 1)
-            r.flat[-1] = 2
-        return r
-
-    monkeypatch.setattr(kernels, "_ladder", corrupted)
-    return hits
-
-
 @pytest.mark.parametrize("regime", GUARD_WINDOWS)
 def test_residue_guard_passes_every_true_residue(monkeypatch, regime):
     """Uncorrupted windows pass the guard and give Python's pow."""
     radicands, lo, hi, *_ = GUARD_WINDOWS[regime]
     primes = kernels.sieve_primes(hi, lo, 3)
-    took = _regime_spy(monkeypatch)
+    calls = spy_ladder(monkeypatch)
     vals = radsym.density._residues(3, primes, radicands)
-    assert (took or ["int64"]) == [regime]
+    assert residue_regimes(calls) == [regime]
     assert vals.tolist() == [[pow(a, (p - 1) // 3, p) for p in primes.tolist()] for a in radicands]
 
 
@@ -568,11 +537,10 @@ def test_residue_guard_fires_on_one_corrupted_lane(monkeypatch, regime):
     """One lane set to 2 inside powmod's residue ladder, before its check."""
     radicands, lo, hi, *_ = GUARD_WINDOWS[regime]
     primes = kernels.sieve_primes(hi, lo, 3)
-    took = _regime_spy(monkeypatch)
-    hits = _corrupt_first_ladder(monkeypatch)
+    calls = spy_ladder(monkeypatch, corrupt=0)
     with pytest.raises(AssertionError, match="symbol value fell outside the root-of-unity"):
         radsym.density._residues(3, primes, radicands)
-    assert hits and (took or ["int64"]) == [regime]
+    assert residue_regimes(calls) == [regime]  # one chunk, corrupted
 
 
 @pytest.mark.parametrize("regime", GUARD_WINDOWS)
@@ -581,18 +549,18 @@ def test_residue_guard_fires_where_p_divides_a_radicand(monkeypatch, regime):
     _, lo, hi, radicands, zero_lo, zero_hi = GUARD_WINDOWS[regime]
     primes = kernels.sieve_primes(zero_hi or hi, zero_lo or lo, 3)
     assert any(a in primes.tolist() for a in radicands)
-    took = _regime_spy(monkeypatch)
+    calls = spy_ladder(monkeypatch)
     with pytest.raises(AssertionError, match="symbol value fell outside the root-of-unity"):
         radsym.density._residues(3, primes, radicands)
-    assert (took or ["int64"]) == [regime]
+    assert residue_regimes(calls) == [regime]
 
 
 def test_guard_failure_exits_3_without_a_traceback(monkeypatch, capsys):
     """A corrupted residue reaches the CLI as an internal error, exit 3."""
-    hits = _corrupt_first_ladder(monkeypatch)
+    calls = spy_ladder(monkeypatch, corrupt=0)
     code = radsym.cli.main(["density", "-l", "3", "-x", "100000", "--targets", "0,0", "2", "5"])
     out, err = capsys.readouterr()
-    assert hits and (code, out) == (3, "")
+    assert residue_regimes(calls) and (code, out) == (3, "")
     assert err == "error: internal: symbol value fell outside the root-of-unity subgroup\n"
 
 
@@ -707,8 +675,8 @@ FORM_WINDOWS = [
 def test_residues_match_the_cubic_forms_near_the_regime_limits(monkeypatch, lo, hi, regime):
     """Lane for lane, v == 1 exactly at the primes each form represents."""
     primes = kernels.sieve_primes(hi, lo, 3)
-    took = _regime_spy(monkeypatch)
+    calls = spy_ladder(monkeypatch)
     vals = radsym.density._residues(3, primes, (2, 3))
-    assert (took or ["int64"]) == [regime]
+    assert residue_regimes(calls) == [regime]
     for row, a in zip(vals, (2, 3)):
         assert np.array_equal(primes[row == 1], _form_primes(*CUBIC_FORMS[a], lo, hi))

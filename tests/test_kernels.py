@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import residue_regimes, spy_ladder, spy_run_steps
 from radsym import density, kernels
 
 
@@ -147,23 +148,13 @@ def test_float_limits_match_the_documented_values():
 def _powmod_and_regime(monkeypatch, base, exp, mod):
     """powmod's result, the reduction it took ("float-fused", "float"
     (square and multiply reduced one at a time) or "int64") and the k0 of
-    its ladder's exact start b**(e >> k0)."""
-    seen, shifts = [], []
-    real, real_shift = kernels._powmod_float, kernels._start_shift
-
-    def spy(b, e, m, shape, k0, fused, guard):
-        seen.append("float-fused" if fused else "float")
-        return real(b, e, m, shape, k0, fused, guard)
-
-    def shift_spy(largest, emax, low):
-        shifts.append(real_shift(largest, emax, low))
-        return shifts[-1]
-
+    its ladder's exact start b**(e >> k0), as its first chunk's ladder ran
+    them."""
     with monkeypatch.context() as patch:
-        patch.setattr(kernels, "_powmod_float", spy)
-        patch.setattr(kernels, "_start_shift", shift_spy)
+        calls = spy_ladder(patch)
         got = kernels.powmod(base, exp, mod)
-    return got, seen[0] if seen else "int64", shifts[0] if shifts else None
+    regime, k0, _ = calls[0]
+    return got, regime, k0
 
 
 def _column(*bases):
@@ -205,8 +196,8 @@ REGIME_IDS = ["at-fused-limit", "at-fused-limit-two", "above-fused-limit", "at-f
               "above-float-limit-small", "above-float-limit-two", "above-float-limit",
               "near-2**31", "tiny-any", "tiny-2**28", "tiny-2**17", "tiny-fused-base",
               "tiny-above-fused-base", "tiny-small", "below-5"]
-# One exponent per lane, or one 0-d exponent for all of them, which takes the
-# ladder's Python bit walk: every bit of 2**40 - 1 set, or a random 30 bits.
+# One exponent per lane, or one 0-d exponent for all of them, whose steps
+# multiply every lane or none: every bit of 2**40 - 1 set, or a random 30 bits.
 # Per-lane exponents up to 25 stay above 4 bits but fit in the exact start
 # of bases up to 2 against moduli from 2**26 up (k0 = 0).  Sorted per-lane
 # exponents give (m, 1) bases run steps at their top bits.
@@ -307,31 +298,18 @@ def _run_primes(l, k, v0, changes, rng):
     return np.concatenate(picks)
 
 
-def _record_run_steps(monkeypatch) -> list:
-    """Patch kernels._run_steps to record, per call, the bit it starts from
-    and the bit the per-lane steps go on from."""
-    taken = []
-    real = kernels._run_steps
-
-    def spy(r, b, e, k, fused, reduce):
-        taken.append((k, real(r, b, e, k, fused, reduce)))
-        return taken[-1][1]
-
-    monkeypatch.setattr(kernels, "_run_steps", spy)
-    return taken
-
-
 @pytest.mark.parametrize("changes", [0, 1, 15, 16, 17])
 @pytest.mark.parametrize("regime", ["float", "int64"])
 def test_powmod_run_steps_against_python_pow(monkeypatch, regime, changes):
     """The scan's call shape, ascending exponents (p - 1)/l against (m, 1)
-    bases, takes run steps at the top bits where e >> k takes at most 16
-    values: here at bit 12 with 0, 1 and 15 parity changes along the lanes,
-    not with 16 or 17.  Every lane equals Python's pow, and so do the same
-    lanes shuffled and reversed and (m, n) bases, which take only array
-    steps; the call checked with order=l equals the unchecked one.  The
-    few lanes here would not pay for a run step's numpy calls, so the test
-    lifts the size rule to reach them."""
+    bases, takes run steps at the top bits where e >> k takes at most one
+    value per _RUN_ELEMENTS elements.  The few lanes here would not pay for
+    a run step's numpy calls, so the test sets _RUN_ELEMENTS to make that
+    limit 16 values for the column: then bit 12 is a run step with 0, 1 and
+    15 parity changes along the lanes, not with 16 or 17.  Every lane
+    equals Python's pow, and so do the same lanes shuffled and reversed and
+    (m, n) bases, which take only per-lane steps; the call checked with
+    order=l equals the unchecked one."""
     l, k = 3, 12
     rng = np.random.default_rng(changes)
     v0 = 2**10 + 1 if regime == "float" else 2**14 + 1  # p near 1.3e7 or 2e8
@@ -342,8 +320,10 @@ def test_powmod_run_steps_against_python_pow(monkeypatch, regime, changes):
     column = _column(2, 5, 7, -3, 1)
     lanes = rng.integers(-(2**40), 2**40, size=(2, mod.size), dtype=np.int64)
     lanes[lanes % mod == 0] = 2  # the check needs bases prime to p
-    taken = _record_run_steps(monkeypatch)
-    monkeypatch.setattr(kernels, "_RUN_ELEMENTS", 1)
+    taken = spy_run_steps(monkeypatch)
+    elements = column.size * mod.size  # the column's call, in one chunk
+    monkeypatch.setattr(kernels, "_RUN_ELEMENTS", elements // 16)
+    assert elements < kernels._CHUNK and elements // kernels._RUN_ELEMENTS == 16
     ascending = np.arange(mod.size)
     for order in (ascending, rng.permutation(mod.size), ascending[::-1]):
         e, m = exp[order], mod[order]
@@ -353,11 +333,10 @@ def test_powmod_run_steps_against_python_pow(monkeypatch, regime, changes):
             assert took.startswith(regime)  # fused for the column, not for (m, n)
             assert np.array_equal(got, _python_pow(base, e, m))
             assert np.array_equal(kernels.powmod(base, e, m, order=l), got)
-            runs = [j for top, end in taken for j in range(top, end, -1)]
             if base is column and order is ascending:
-                assert runs and (k in runs) == (changes < 16)
+                assert taken and (k in taken) == (changes < 16)
             else:
-                assert not runs
+                assert not taken
 
 
 @pytest.mark.parametrize("lanes, taken", [(4 * 2048 - 1, False), (4 * 2048, True)])
@@ -369,11 +348,46 @@ def test_run_step_needs_elements_per_run(monkeypatch, lanes, taken):
     rng = np.random.default_rng(lanes)
     exp = np.sort(rng.integers(2**20, 2**20 + 4 * 2**10, size=lanes)).astype(np.int64)
     mod = rng.integers(2**20, 2**24, size=lanes).astype(np.int64)
-    steps = _record_run_steps(monkeypatch)
+    steps = spy_run_steps(monkeypatch)
     got = kernels.powmod(_column(3), exp, mod)
     assert np.array_equal(got, _python_pow(_column(3), exp, mod))
-    (top, end), = steps
-    assert top > 11 and end < 11 and (end < 10) == taken
+    assert steps == list(range(steps[0], steps[-1] - 1, -1))  # the top bits, in one chunk
+    assert steps[0] > 11 and 11 in steps and (10 in steps) == taken
+
+
+# Split primes p == 1 mod 3 from each lower bound up, whose (3, 1) radicand
+# calls take the regime named.
+SEAM_WINDOWS = {"float-fused": 10**7, "int64": 2 * 10**8}
+
+
+@pytest.mark.parametrize("regime", SEAM_WINDOWS)
+def test_powmod_across_chunk_seams(monkeypatch, regime):
+    """30000 lanes of the scan's (2, 5, 7) column make 90000 elements, two
+    chunks of _CHUNK = 2**16 at most, in either regime.  Every lane equals
+    Python's pow, checked with order=3 or not, on ascending lanes (run steps
+    at the top bits) and shuffled ones (per-lane steps).  A lane corrupted
+    in the last chunk alone still fails the guard."""
+    lo = SEAM_WINDOWS[regime]
+    mod = kernels.sieve_primes(lo + 2 * 10**6, lo, 3)[:30000]
+    assert mod.size == 30000
+    exp = (mod - 1) // 3
+    column = _column(2, 5, 7)
+    want = _python_pow(column, exp, mod)
+    shuffled = np.random.default_rng(0).permutation(mod.size)
+    runs = spy_run_steps(monkeypatch)
+    for lanes in (np.arange(mod.size), shuffled):
+        runs.clear()
+        with monkeypatch.context() as patch:
+            calls = spy_ladder(patch)
+            assert np.array_equal(kernels.powmod(column, exp[lanes], mod[lanes]), want[:, lanes])
+        assert residue_regimes(calls) == [regime] * 2
+        assert np.array_equal(kernels.powmod(column, exp[lanes], mod[lanes], order=3),
+                              want[:, lanes])
+        assert bool(runs) == (lanes is not shuffled)
+    calls = spy_ladder(monkeypatch, corrupt=1)
+    with pytest.raises(AssertionError, match="symbol value fell outside the root-of-unity"):
+        kernels.powmod(column, exp, mod, order=3)
+    assert residue_regimes(calls) == [regime] * 2  # corrupted and caught in the second
 
 
 @pytest.mark.parametrize("mod", [1, 2, 3, 4, 5])
