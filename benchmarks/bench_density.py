@@ -5,7 +5,9 @@ Each config runs in a fresh Python process that imports radsym from the
 given source tree, times one ``density_experiment``, ``character_sum`` or
 ``brute_force_kernel`` call, or one pass of the symbol study, and reports its
 own peak resident set size (``ru_maxrss``, which includes the interpreter
-and numpy).  One invocation appends one row, labelled by ``--label``, with
+and numpy), with the CPU time and largest peak RSS of the scan worker
+processes the call forked (``RUSAGE_CHILDREN``), so that the memory of a
+2-thread scan's workers stays visible.  One invocation appends one row, labelled by ``--label``, with
 the results of every config plus nproc, the Python and numpy versions and
 the git SHA of the source tree (null outside a git checkout):
 
@@ -123,12 +125,16 @@ CONFIGS = [
                               (1009, 36, 6, 1), (1021, 34, 2, 1))
 ]
 STUDIES = sorted({config[0] for config in CONFIGS})
-TIMINGS = ("wall_s", "peak_rss_mb", "primes_above_s", "symbols_s", "field_symbols_s",
-           "periods_s", "field_s")
+TIMINGS = ("wall_s", "peak_rss_mb", "workers_cpu_s", "workers_peak_rss_mb", "primes_above_s",
+           "symbols_s", "field_symbols_s", "periods_s", "field_s")
 
 ABOUT = ("density_experiment, character_sum or brute_force_kernel wall time "
          "(one call, import excluded), or one pass of the symbol study, and "
-         "peak RSS of its process (ru_maxrss, import included); one fresh "
+         "peak RSS of its process (ru_maxrss, import included); "
+         "workers_cpu_s and workers_peak_rss_mb are the CPU time and the "
+         "largest peak RSS of the scan worker processes it forked and reaped "
+         "(RUSAGE_CHILDREN; a worker's RSS includes the pages it shares with "
+         "its parent; 0 where nothing forked, absent from older rows); one fresh "
          "process per config and run; a row with runs > 1 holds the medians "
          "of alternating parent/change runs; results without a study are "
          "density; an oracle result counts the relations of its radicands "
@@ -206,7 +212,10 @@ else:
     counts = {"ideals": rep.ideals, "tallies": list(rep.tallies)}
 wall = time.perf_counter() - t0
 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"wall_s": wall, "peak_rss_mb": rss_kb / 1024, **counts}))
+workers = resource.getrusage(resource.RUSAGE_CHILDREN)  # the scan's forked workers
+print(json.dumps({"wall_s": wall, "peak_rss_mb": rss_kb / 1024,
+                  "workers_cpu_s": workers.ru_utime + workers.ru_stime,
+                  "workers_peak_rss_mb": workers.ru_maxrss / 1024, **counts}))
 """
 
 
@@ -287,7 +296,8 @@ def main() -> None:
         for label, _ in sides:
             row = median_result(runs[label])
             print(f"{label}: {study} l={l} {size} threads={threads}: {row['wall_s']:.3f} s, "
-                  f"{row['peak_rss_mb']:.0f} MB", flush=True)
+                  f"{row['peak_rss_mb']:.0f} MB; workers {row['workers_cpu_s']:.3f} s CPU, "
+                  f"{row['workers_peak_rss_mb']:.0f} MB", flush=True)
             results[label].append(row)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
     doc["about"] = ABOUT

@@ -30,18 +30,22 @@ never builds the ideals themselves:
 The split primes are sieved window by window along the progression
 1 + 2l*i, and each window leaves only integer tallies per checkpoint bound,
 so memory stays flat as the bound grows and the tallies do not depend on
-the thread count.  ``primes_above`` and ``residue_symbol`` remain the
-per-ideal path for single queries.  ``residue_symbol`` answers a plain int at
-f >= 2 by the same identity, so the tests compare the scan against it with
-``CyclotomicInt`` arguments, which always take the residue-field power.
+how many worker processes share the windows.  ``primes_above`` and
+``residue_symbol`` remain the per-ideal path for single queries.
+``residue_symbol`` answers a plain int at f >= 2 by the same identity, so
+the tests compare the scan against it with ``CyclotomicInt`` arguments,
+which always take the residue-field power.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
+import pickle
+import signal
+import threading
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,25 +63,26 @@ from .radical import (
 
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 
-# Most scan threads a call may ask for.  The pool may start one thread per
-# window, and threads beyond the core count only add switching.
+# Most scan workers a call may ask for (the ``threads`` argument).  A scan
+# forks at most one worker process per window, and workers beyond the core
+# count only add switching and memory.
 MAX_THREADS = 64
 
 # Most split primes per kernel call; a window's primes are cut into equal
 # blocks of at most this many, so no window ends in a short tail block.
-# powmod cuts a block into cache-sized chunks itself; a block this long
-# keeps each numpy pass over it long enough (tens of microseconds) for a
-# second scan thread to run while this one is inside numpy, which shorter
-# float64 passes did not.  The guard v**l runs inside the residue call, the
-# root v_i**(1/s_i) takes a scalar exponent, and the powers w**s of the
-# match counts are (n,) lane products, each a block-long pass.
+# powmod cuts a block into cache-sized chunks itself.  The guard v**l runs
+# inside the residue call, the root v_i**(1/s_i) takes a scalar exponent,
+# and the powers w**s of the match counts are (n,) lane products, each a
+# block-long pass.  This length was measured when scan workers were threads
+# sharing the GIL, which short numpy passes let run poorly; the workers are
+# processes now, and it has not been measured again since.
 _BLOCK = 1 << 15
 
 # Sieve window, in terms of the progression 1 + 2l*i per unit of
 # sqrt(norm bound).  A window loops in Python over the sieving primes (about
 # 2 sqrt(X) / ln X of them), which then costs little next to its striking,
-# and a window's arrays stay near a MB whatever the bound.  Threads take
-# windows in turn.
+# and a window's arrays stay near a MB whatever the bound.  Worker processes
+# take windows in turn.
 _WINDOW_SCALE = 32
 
 
@@ -250,6 +255,103 @@ def _windows(l: int, norm_bound: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + span - 1, norm_bound)) for lo in range(1, norm_bound + 1, span)]
 
 
+def _workers(threads: int, windows: int) -> int:
+    """How many processes share a scan of ``windows`` windows: one per
+    window up to ``threads``, or 1 where ``os.fork`` is missing or another
+    Python thread is alive, since a forked child holds only the forking
+    thread and could inherit a lock that another thread holds."""
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        return min(threads, windows)
+    return 1
+
+
+def _shares(window, windows: list, workers: int, shape: tuple[int, int]) -> np.ndarray:
+    """The sum of the int64 tallies ``window(w)``, of shape ``shape``, over
+    ``windows``, taken in ``workers`` shares: share i is windows[i::workers].
+
+    Share i > 0 runs in a child forked here, which pipes its tally, or the
+    exception it raised, back and exits (see ``_run_share``); the caller
+    runs share 0, and any share whose fork failed.  Every child is reaped
+    before this returns, and one whose tally has not arrived when the
+    caller or another child raises, or an interrupt arrives, is killed
+    first.  With one worker nothing is forked.  Tallies are integer sums, so
+    the total is the same for every worker count.
+    """
+    total = np.zeros(shape, dtype=np.int64)
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    received = 0
+    mine = [0]
+    try:
+        parent = os.getpid()
+        for i in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes or memory: run the share here
+                os.close(r)
+                os.close(w)
+                mine.append(i)
+                continue
+            if pid == 0:
+                os.close(r)
+                for _, fd in children:
+                    os.close(fd)
+                _run_share(window, windows[i::workers], w, parent)
+            children.append((pid, r))
+            os.close(w)
+        for i in mine:
+            for lo_hi in windows[i::workers]:
+                total += window(lo_hi)
+        for _, r in children:
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise AssertionError("a scan worker exited before sending its tally")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            total += value
+            received += 1
+    finally:
+        for k, (pid, r) in enumerate(children):
+            os.close(r)
+            if k >= received:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return total
+
+
+def _run_share(window, share: list, fd: int, parent: int):
+    """In a forked scan worker: sum ``window`` over ``share``, write
+    (True, tally) or, if that raised, (False, exception) pickled to the pipe
+    ``fd``, and leave by ``os._exit``, so the child never returns into its
+    parent's stack.  It exits early once ``parent`` is no longer its parent
+    process, checked between windows, or when the pipe is broken, so a
+    killed caller leaves no worker running for long."""
+    code = 0
+    try:
+        try:
+            tally = 0
+            for lo_hi in share:
+                if os.getppid() != parent:
+                    os._exit(1)
+                tally += window(lo_hi)
+            result = (True, tally)
+        except BaseException as exc:
+            result = (False, exc)
+        try:
+            data = pickle.dumps(result)
+            pickle.loads(data)
+        except Exception:  # an exception that does not survive pickling
+            data = pickle.dumps((False, AssertionError(f"scan worker failed: {result[1]!r}")))
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+    except BaseException:
+        code = 1
+    finally:
+        os._exit(code)
+
+
 def _scan(
     l: int,
     norm_bound: int,
@@ -266,8 +368,9 @@ def _scan(
     block adds k split primes, the sum of its first k match counts for
     ``targets`` (none counted when None) and, per radicand, the count of its
     first k residues other than 1; no per-lane column array is built.  Only
-    these integer sums outlive a window, and they do not depend on the
-    order in which threads take windows.  The degree >= 2 ideals are
+    these integer sums outlive a window, so they do not depend on which
+    worker took which window: with ``threads`` = k, min(k, windows) worker
+    processes share them (see ``_shares``).  The degree >= 2 ideals are
     counted per bound in closed form, by ``_high_degree_norms``.
     """
     bounds = np.array(_checkpoint_bounds(norm_bound), dtype=np.int64)
@@ -297,12 +400,8 @@ def _scan(
         return out
 
     windows = _windows(l, norm_bound)
-    if threads > 1 and len(windows) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(window, windows))
-    else:
-        parts = [window(w) for w in windows]
-    totals = np.sum(parts, axis=0).tolist()
+    shape = (bounds.size, 2 + len(radicands))
+    totals = _shares(window, windows, _workers(threads, len(windows)), shape).tolist()
     high = _high_degree_norms(l, norm_bound, exclude)
     return tuple(
         _Scan(c, split, bisect_right(high, c), matches, tuple(nontrivial))

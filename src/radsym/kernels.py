@@ -207,7 +207,7 @@ def powmod(
 
     With ``order``, every result r must also satisfy r**order == 1 mod p,
     as a power residue in the order-l subgroup does for order = l;
-    AssertionError otherwise.  Each chunk checks its residues with the same
+    AssertionError otherwise.  An ``order`` below 1 is a ValueError.  Each chunk checks its residues with the same
     ladder and reduction that made them, and one test serves both regimes:
     the power is 1 on every lane, or 1 mod p on every lane.  The float64
     regime checks its residues balanced, before the final step to [0, p);
@@ -222,6 +222,8 @@ def powmod(
     base = np.asarray(base, dtype=np.int64)
     _check_moduli(mod)
     _check_exponents(e)
+    if order is not None and order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
     shape = np.broadcast_shapes(base.shape, e.shape, mod.shape)
     emax = int(e.max()) if e.size else 0
     bits = emax.bit_length()

@@ -360,13 +360,13 @@ def test_batch_out_of_range_bound_keeps_the_stream(capsys):
 
 @pytest.fixture
 def no_heavy_work(monkeypatch):
-    """Fail any config that starts scan threads or searches for the ideals
+    """Fail any config that forks scan workers or searches for the ideals
     above p; the failure shows as exit 3 instead of the expected 2."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("started work for a rejected config")
 
-    monkeypatch.setattr(radsym.density, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(radsym.density.os, "fork", refuse)
     monkeypatch.setattr(radsym.cli, "primes_above", refuse)
 
 

@@ -1,6 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,7 +258,7 @@ def test_thread_counts_checked_before_sieving(monkeypatch, threads):
     def refuse(*args, **kwargs):
         raise AssertionError("started work for a bad thread count")
 
-    monkeypatch.setattr(radsym.density, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(radsym.density.os, "fork", refuse)
     monkeypatch.setattr(kernels, "sieve_primes", refuse)
     with pytest.raises(ValueError, match="threads"):
         density_experiment(normalize_inputs(3, [2]), (0,), 10**6, threads=threads)
@@ -562,6 +568,184 @@ def test_guard_failure_exits_3_without_a_traceback(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert residue_regimes(calls) and (code, out) == (3, "")
     assert err == "error: internal: symbol value fell outside the root-of-unity subgroup\n"
+
+
+def _spy_fork(monkeypatch) -> list[int]:
+    """Patch os.fork, as density reaches it, to record the pid of every scan
+    worker forked."""
+    forked = []
+    real = os.fork
+
+    def spy():
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(radsym.density.os, "fork", spy)
+    return forked
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _corrupt_in_workers(monkeypatch):
+    """spy_ladder(corrupt=0), whose patch a forked scan worker inherits, in
+    the workers alone: the caller's own ladders stay true, so a guard
+    failure can only come from a worker's share."""
+    real = kernels._ladder
+    spy_ladder(monkeypatch, corrupt=0)
+    spy, caller = kernels._ladder, os.getpid()
+    monkeypatch.setattr(
+        kernels, "_ladder", lambda *args: (real if os.getpid() == caller else spy)(*args)
+    )
+
+
+def test_guard_failure_in_a_worker_reaches_the_caller(monkeypatch):
+    """The AssertionError a worker raises in its share is raised again, with
+    its message, by the call; its worker is reaped."""
+    assert len(radsym.density._windows(3, 10**5)) == 2
+    _corrupt_in_workers(monkeypatch)
+    forked = _spy_fork(monkeypatch)
+    s = normalize_inputs(3, [2, 5])
+    assert density_experiment(s, (0, 0), 10**5).matches  # the caller alone: no fork, true
+    with pytest.raises(AssertionError, match="^symbol value fell outside the root-of-unity"):
+        density_experiment(s, (0, 0), 10**5, threads=2)
+    assert len(forked) == 1
+    _assert_no_children()
+
+
+def test_guard_failure_in_a_worker_exits_3(monkeypatch, capsys):
+    """Through the CLI with --threads 2, a worker's corrupted residue exits 3
+    with the same line as a corrupted residue in a 1-thread scan."""
+    _corrupt_in_workers(monkeypatch)
+    forked = _spy_fork(monkeypatch)
+    code = radsym.cli.main(["density", "-l", "3", "-x", "100000", "--threads", "2",
+                            "--targets", "0,0", "2", "5"])
+    out, err = capsys.readouterr()
+    assert (code, out, len(forked)) == (3, "", 1)
+    assert err == "error: internal: symbol value fell outside the root-of-unity subgroup\n"
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4, radsym.density.MAX_THREADS])
+def test_scans_fork_one_worker_per_extra_share(monkeypatch, threads):
+    """min(threads, windows) processes share a scan: the caller and one
+    forked worker per further share.  The counts stay the same and every
+    worker is reaped."""
+    s, bound = normalize_inputs(3, [2, 5]), 10**6
+    windows = len(radsym.density._windows(3, bound))
+    assert windows == 6
+    want = density_experiment(s, (0, 1), bound), character_sum(2, 3, bound)
+    forked = _spy_fork(monkeypatch)
+    got = density_experiment(s, (0, 1), bound, threads=threads), character_sum(
+        2, 3, bound, threads=threads
+    )
+    assert got == want
+    assert len(forked) == 2 * (min(threads, windows) - 1)
+    _assert_no_children()
+
+
+def test_no_fork_for_one_window_or_beside_another_thread(monkeypatch):
+    """A one-window scan forks nothing, and neither does a scan while another
+    Python thread is alive, where a child could inherit a held lock."""
+    s = normalize_inputs(3, [2, 5])
+    assert len(radsym.density._windows(3, 5000)) == 1
+    want = density_experiment(s, (0, 1), 10**5)
+    forked = _spy_fork(monkeypatch)
+    assert density_experiment(s, (0, 1), 5000, threads=4) == density_experiment(s, (0, 1), 5000)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert density_experiment(s, (0, 1), 10**5, threads=2) == want
+    finally:
+        stop.set()
+        other.join()
+    assert forked == []
+    assert density_experiment(s, (0, 1), 10**5, threads=2) == want
+    assert len(forked) == 1
+    _assert_no_children()
+
+
+def test_a_failing_caller_kills_and_reaps_its_workers(monkeypatch):
+    """An interrupt in the caller's own share reaches the caller after every
+    worker is killed (SIGKILL, spied on) and reaped."""
+    caller, real = os.getpid(), radsym.density._residues
+
+    def residues(*args):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(radsym.density, "_residues", residues)
+    forked = _spy_fork(monkeypatch)
+    killed, kill = [], os.kill
+
+    def spy_kill(pid, sig):
+        killed.append(pid)
+        kill(pid, sig)
+
+    monkeypatch.setattr(radsym.density.os, "kill", spy_kill)
+    with pytest.raises(KeyboardInterrupt):
+        density_experiment(normalize_inputs(3, [2, 5]), (0, 0), 10**6, threads=4)
+    assert len(forked) == 3 and killed == forked
+    _assert_no_children()
+
+
+def test_a_share_whose_fork_fails_runs_in_the_caller(monkeypatch):
+    s = normalize_inputs(3, [2, 5])
+    want = density_experiment(s, (0, 1), 10**6)
+
+    def fail():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(radsym.density.os, "fork", fail)
+    assert density_experiment(s, (0, 1), 10**6, threads=4) == want
+
+
+def _alive(pid: int) -> bool:
+    """Whether pid runs, a zombie (exited, not yet reaped) counting as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_a_killed_caller_leaves_no_worker_running():
+    """A worker whose parent is killed mid-scan stops at its next window, a
+    few tens of ms on; its share of the whole range would take seconds."""
+    script = (
+        "import os\n"
+        "from radsym import density_experiment, normalize_inputs\n"
+        "real = os.fork\n"
+        "def fork():\n"
+        "    pid = real()\n"
+        "    if pid:\n"
+        "        print(pid, flush=True)\n"
+        "    return pid\n"
+        "os.fork = fork\n"
+        "density_experiment(normalize_inputs(3, [2, 5]), (0, 0), 2**31 - 1, threads=2)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+                            text=True)
+    try:
+        worker = int(proc.stdout.readline())
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 3
+    while _alive(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(worker)
 
 
 def test_windows_tile_the_range():

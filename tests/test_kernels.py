@@ -119,6 +119,19 @@ def test_powmod_rejects_negative_exponents():
         kernels.powmod(one, np.array([-1], dtype=np.int64), np.array([7], dtype=np.int64))
 
 
+@pytest.mark.parametrize("order", [0, -1, -3])
+def test_powmod_rejects_orders_below_one(order):
+    """The subgroup check takes an order of at least 1, whatever the
+    exponents (all zero ones included); order=1 holds only for r == 1."""
+    base, mod = np.array([2, 3], dtype=np.int64), np.array([7, 11], dtype=np.int64)
+    for exp in ([2, 5], [0, 0]):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            kernels.powmod(base, np.array(exp, dtype=np.int64), mod, order=order)
+    assert kernels.powmod(base, np.array([0, 10], dtype=np.int64), mod, order=1).tolist() == [1, 1]
+    with pytest.raises(AssertionError, match="root-of-unity"):
+        kernels.powmod(base, np.array([2, 5], dtype=np.int64), mod, order=1)
+
+
 def _python_pow(base, exp, mod):
     b, e, m = np.broadcast_arrays(base, exp, mod)
     want = [pow(int(x), int(y), int(z)) for x, y, z in zip(b.flat, e.flat, m.flat)]
