@@ -7,9 +7,10 @@ given source tree, times one ``density_experiment``, ``character_sum`` or
 own peak resident set size (``ru_maxrss``, which includes the interpreter
 and numpy), with the CPU time and largest peak RSS of the scan worker
 processes the call forked (``RUSAGE_CHILDREN``), so that the memory of a
-2-thread scan's workers stays visible.  One invocation appends one row, labelled by ``--label``, with
-the results of every config plus nproc, the Python and numpy versions and
-the git SHA of the source tree (null outside a git checkout):
+2-thread scan's workers stays visible.  One invocation appends one row,
+labelled by ``--label``, with the results of every config plus nproc, the
+Python and numpy versions and the git SHA of the source tree (null outside
+a git checkout):
 
     python3 benchmarks/bench_density.py --label change
     python3 benchmarks/bench_density.py --src ../parent/src --label parent

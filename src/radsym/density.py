@@ -73,9 +73,9 @@ MAX_THREADS = 64
 # powmod cuts a block into cache-sized chunks itself.  The guard v**l runs
 # inside the residue call, the root v_i**(1/s_i) takes a scalar exponent,
 # and the powers w**s of the match counts are (n,) lane products, each a
-# block-long pass.  This length was measured when scan workers were threads
-# sharing the GIL, which short numpy passes let run poorly; the workers are
-# processes now, and it has not been measured again since.
+# block-long pass.  The length was chosen while a scan's second worker was
+# a thread that ran only inside long numpy passes; it has not been retuned
+# for worker processes.
 _BLOCK = 1 << 15
 
 # Sieve window, in terms of the progression 1 + 2l*i per unit of
@@ -293,10 +293,7 @@ def _shares(window, windows: list, workers: int, shape: tuple[int, int]) -> np.n
                 mine.append(i)
                 continue
             if pid == 0:
-                os.close(r)
-                for _, fd in children:
-                    os.close(fd)
-                _run_share(window, windows[i::workers], w, parent)
+                _run_share(window, windows[i::workers], w, parent, [r, *(fd for _, fd in children)])
             children.append((pid, r))
             os.close(w)
         for i in mine:
@@ -321,15 +318,18 @@ def _shares(window, windows: list, workers: int, shape: tuple[int, int]) -> np.n
     return total
 
 
-def _run_share(window, share: list, fd: int, parent: int):
-    """In a forked scan worker: sum ``window`` over ``share``, write
-    (True, tally) or, if that raised, (False, exception) pickled to the pipe
-    ``fd``, and leave by ``os._exit``, so the child never returns into its
-    parent's stack.  It exits early once ``parent`` is no longer its parent
-    process, checked between windows, or when the pipe is broken, so a
-    killed caller leaves no worker running for long."""
+def _run_share(window, share: list, fd: int, parent: int, inherited: list[int]):
+    """In a forked scan worker: close the pipe ends ``inherited`` from the
+    caller, sum ``window`` over ``share``, write (True, tally) or, if that
+    raised, (False, exception) pickled to the pipe ``fd``, and leave by
+    ``os._exit``, so the child never returns into its parent's stack.  It
+    exits early once ``parent`` is no longer its parent process, checked
+    between windows, or when the pipe is broken, so a killed caller leaves
+    no worker running for long."""
     code = 0
     try:
+        for other in inherited:
+            os.close(other)
         try:
             tally = 0
             for lo_hi in share:

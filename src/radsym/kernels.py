@@ -207,15 +207,15 @@ def powmod(
 
     With ``order``, every result r must also satisfy r**order == 1 mod p,
     as a power residue in the order-l subgroup does for order = l;
-    AssertionError otherwise.  An ``order`` below 1 is a ValueError.  Each chunk checks its residues with the same
-    ladder and reduction that made them, and one test serves both regimes:
-    the power is 1 on every lane, or 1 mod p on every lane.  The float64
-    regime checks its residues balanced, before the final step to [0, p);
-    that step maps them one to one onto the results, so a result passes
-    exactly when its balanced residue does.  A balanced power has
-    |r**order| <= p//2 + 2, below p - 1 once p >= 7, so there it is 1 mod p
-    only when it equals 1; below 7 it may also be 1 - p, and an int64 power
-    mod 1 is 0.
+    AssertionError otherwise; an ``order`` below 1 is a ValueError.  Each
+    chunk checks its residues with the same ladder and reduction that made
+    them, and one test serves both regimes: the power is 1 on every lane,
+    or 1 mod p on every lane.  The float64 regime checks its residues
+    balanced, before the final step to [0, p); that step maps them one to
+    one onto the results, so a result passes exactly when its balanced
+    residue does.  A balanced power has |r**order| <= p//2 + 2, below p - 1
+    once p >= 7, so there it is 1 mod p only when it equals 1; below 7 it
+    may also be 1 - p, and an int64 power mod 1 is 0.
     """
     mod = np.asarray(mod, dtype=np.int64)
     e = np.asarray(exp, dtype=np.int64)
