@@ -3,7 +3,8 @@
 
 Each config runs in a fresh Python process that imports radsym from the
 given source tree, times one ``density_experiment``, ``character_sum`` or
-``brute_force_kernel`` call, or one pass of the symbol study, and reports its
+``brute_force_kernel`` call, one pass of the symbol study or the answers to
+one batch line (see below), and reports its
 own peak resident set size (``ru_maxrss``, which includes the interpreter
 and numpy), with the CPU time and largest peak RSS of the scan worker
 processes the call forked (``RUSAGE_CHILDREN``), so that the memory of a
@@ -69,6 +70,24 @@ at p = 2, (1009, 16), (1009, 72) and (1009, 36) at p = 179, 37 and 41, and
 between commits, so it runs without ``--parent``:
 
     python3 benchmarks/bench_density.py --study split --runs 7 --label change
+
+The batch study times ``radsym batch`` one line at a time, split into its
+three stages: parse (``cli._config_from_json``), execute (``cli._execute``)
+and serialize (``cli._dumps``), each timed by a wrapper around that function
+while ``cli._run_batch`` answers the line with its reply written to a sink.
+It takes one fixed line per request class of the radbench ``queries`` deck:
+``symbol`` at l3.f1, l3.f2 and l7.f1 (27-, 20- and 27-bit primes) and l5.f4
+(a 14-bit prime), each with radicands 226 and 851; ``degree`` at l3.m7;
+``reduce`` and ``check`` at l3.m4; and one invalid line (an even l), which
+is parsed, refused by ``_execute`` and answered with an error record.  Each
+line is answered 20 times to warm up and then 300 times; a result holds the
+median microseconds per request of each stage (``parse_us``, ``execute_us``,
+``serialize_us``) and of the whole ``_run_batch`` call (``request_us``),
+with the reply's exit code and length in bytes, which must agree between
+trees whose replies are byte-identical:
+
+    python3 benchmarks/bench_density.py --study batch --runs 5 \
+        --parent ../parent/src --label change
 """
 
 import argparse
@@ -117,6 +136,19 @@ CONFIGS = [
 ] + [
     ("symbol", 1021, (2, 5), (), (34, 2, 1, False), 1),
 ] + [
+    ("batch", line["l"], (), (), (name, json.dumps(line, separators=(",", ":")), 300), 1)
+    for name, line in (
+        ("symbol.l3.f1", {"command": "symbol", "l": 3, "prime": 67108879, "radicands": [226, 851]}),
+        ("symbol.l3.f2", {"command": "symbol", "l": 3, "prime": 524309, "radicands": [226, 851]}),
+        ("symbol.l7.f1", {"command": "symbol", "l": 7, "prime": 67109071, "radicands": [226, 851]}),
+        ("symbol.l5.f4", {"command": "symbol", "l": 5, "prime": 8233, "radicands": [226, 851]}),
+        ("degree.l3.m7", {"command": "degree", "l": 3, "radicands": [6, 10, 15, 22, 35, 77, 210]}),
+        ("reduce.l3.m4", {"command": "reduce", "l": 3, "radicands": [12, 18, 50, 75]}),
+        ("check.l3.m4", {"command": "check", "l": 3, "radicands": [12, 18, 50, 75],
+                         "targets": [1, 2, 0, 1]}),
+        ("invalid.even-l", {"command": "degree", "l": 8, "radicands": [7]}),
+    )
+] + [
     ("split", l, (2, 5), (), (f, bits, count), 1)
     for l, f, bits, count in ((7, 2, 14, 40), (13, 2, 17, 40), (13, 3, 17, 40),
                               (41, 4, 20, 20), (41, 5, 20, 20), (61, 5, 20, 20),
@@ -127,7 +159,8 @@ CONFIGS = [
 ]
 STUDIES = sorted({config[0] for config in CONFIGS})
 TIMINGS = ("wall_s", "peak_rss_mb", "workers_cpu_s", "workers_peak_rss_mb", "primes_above_s",
-           "symbols_s", "field_symbols_s", "periods_s", "field_s")
+           "symbols_s", "field_symbols_s", "periods_s", "field_s", "parse_us", "execute_us",
+           "serialize_us", "request_us")
 
 ABOUT = ("density_experiment, character_sum or brute_force_kernel wall time "
          "(one call, import excluded), or one pass of the symbol study, and "
@@ -146,7 +179,12 @@ ABOUT = ("density_experiment, character_sum or brute_force_kernel wall time "
          "CyclotomicInt.from_int, which take the residue-field power at "
          "every f; absent from older rows and from the l = 1021 classes); a "
          "split result times the Gaussian-period (periods_s) and GF(p**f) "
-         "(field_s) splitting methods on the same primes")
+         "(field_s) splitting methods on the same primes; a batch result names "
+         "one batch line of a request class and holds the median microseconds "
+         "per request, over 300 answers of that line, of parsing it "
+         "(parse_us), executing it (execute_us), serializing the reply "
+         "(serialize_us) and the whole request (request_us), with the reply's "
+         "exit code and length in bytes")
 
 # Runs in the child: one study, then its wall time, peak RSS and counts.
 CHILD = """
@@ -155,7 +193,7 @@ from radsym import (CyclotomicInt, brute_force_kernel, character_sum, density_ex
                     is_prime, multiplicative_order, normalize_inputs, primes_above,
                     residue_symbol)
 study, l, radicands, targets, bound, threads = json.loads(sys.argv[1])
-s = normalize_inputs(l, radicands)
+s = normalize_inputs(l, radicands) if study in ("density", "oracle") else None
 if study in ("symbol", "split"):
     f, bits, count = bound[:3]
     primes, p = [], 1 << (bits - 1)
@@ -208,6 +246,50 @@ elif study == "density":
     counts = {"ideals": rep.ideals_scanned, "matches": rep.matches}
 elif study == "oracle":
     counts = {"relations": brute_force_kernel(s)}
+elif study == "batch":
+    import io, statistics
+    from radsym import cli
+    _, line, reps = bound
+    stages = {"parse_us": "_config_from_json", "execute_us": "_execute", "serialize_us": "_dumps"}
+    spent = dict.fromkeys(stages, 0.0)
+
+    def timed(key, fn):
+        def call(*args):
+            t = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[key] += time.perf_counter() - t
+        return call
+
+    for key, name in stages.items():
+        setattr(cli, name, timed(key, getattr(cli, name)))
+
+    class Sink:
+        text = ""
+
+        def write(self, text):
+            self.text += text
+            return len(text)
+
+        def flush(self):
+            pass
+
+    samples = {key: [] for key in (*stages, "request_us")}
+    stdout = sys.stdout
+    for k in range(20 + reps):  # the first 20 warm up
+        spent.update(dict.fromkeys(stages, 0.0))
+        sys.stdout = sink = Sink()
+        t1 = time.perf_counter()
+        code = cli._run_batch(io.StringIO(line))
+        t2 = time.perf_counter()
+        sys.stdout = stdout
+        if k >= 20:
+            samples["request_us"].append((t2 - t1) * 1e6)
+            for key in stages:
+                samples[key].append(spent[key] * 1e6)
+    counts = {"exit": code, "reply_bytes": len(sink.text),
+              **{key: statistics.median(values) for key, values in samples.items()}}
 else:
     rep = character_sum(radicands[0], l, bound, threads=threads).final
     counts = {"ideals": rep.ideals, "tallies": list(rep.tallies)}
@@ -245,6 +327,8 @@ def run_config(src: Path, study: str, l: int, radicands: tuple, targets: tuple,
     result = json.loads(out.stdout)
     if study in ("symbol", "split"):
         size = {"f": bound[0], "bits": bound[1]}
+    elif study == "batch":
+        size = {"request": bound[0], "line": bound[1]}
     else:
         size = {"norm_bound": bound}
     return {"study": study, "l": l, "radicands": list(radicands), "targets": list(targets),
@@ -292,10 +376,18 @@ def main() -> None:
                 runs[label].append(run_config(src, *config))
         if study in ("symbol", "split"):
             size = f"f={bound[0]} bits={bound[1]} primes={bound[2]}"
+        elif study == "batch":
+            size = bound[0]
         else:
             size = f"m={len(radicands)}" if bound is None else f"X={bound:.0e}"
         for label, _ in sides:
             row = median_result(runs[label])
+            if study == "batch":
+                print(f"{label}: batch {size}: parse {row['parse_us']:.1f} us, execute "
+                      f"{row['execute_us']:.1f} us, serialize {row['serialize_us']:.1f} us, "
+                      f"request {row['request_us']:.1f} us", flush=True)
+                results[label].append(row)
+                continue
             print(f"{label}: {study} l={l} {size} threads={threads}: {row['wall_s']:.3f} s, "
                   f"{row['peak_rss_mb']:.0f} MB; workers {row['workers_cpu_s']:.3f} s CPU, "
                   f"{row['workers_peak_rss_mb']:.0f} MB", flush=True)

@@ -7,10 +7,14 @@ warnings}; integers are serialized as decimal strings so that degrees and
 norms survive consumers with 64-bit number parsing.  Identical configs give
 byte-identical JSON regardless of --threads.
 
-The config echo and the density and charsum results and checkpoint rows are
-the fields of RunConfig, DensityReport (less the echoed request and its
-checkpoints), CheckpointStat and CharSumStat, built by ``_fields`` in field
-order; ``_stringify`` and ``_fmt`` alone decide how tuples are written.
+A report is built once, ready to write: every integer in it is already its
+decimal string (``_fields`` and the handlers convert where they put the
+report together), tuples are lists and records are dicts, so ``_dumps`` is
+one call to a shared encoder and ``_render_text`` prints each string as its
+integer would have printed.  The config echo and the density and charsum
+results and checkpoint rows are the fields of RunConfig, DensityReport (less
+the echoed request and its checkpoints), CheckpointStat and CharSumStat, in
+field order.
 
 Exit codes: 0 success, 2 invalid input, 3 internal invariant violation.
 """
@@ -19,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 
 from .arith import FactorizationError, is_prime
 from .cyclotomic import poly_str, primes_above, residue_symbol
@@ -71,6 +77,11 @@ class RunConfig:
     n: int | None = None
 
 
+# {name: default} of RunConfig in field order, read once at import and shared
+# by every request.
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
 def _validate_config(cfg: RunConfig) -> None:
     if cfg.l < 3 or cfg.l % 2 == 0 or not is_prime(cfg.l):
         raise ValueError(f"l must be an odd prime >= 3, got {cfg.l}")
@@ -83,14 +94,46 @@ def _validate_config(cfg: RunConfig) -> None:
             f"got {len(cfg.targets)} targets for {len(cfg.radicands)} radicands"
         )
     _check_threads(cfg.threads)
-    if cfg.format not in ("text", "json"):
-        raise ValueError(f"unknown format {cfg.format!r}")
+
+
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _value(value):
+    """A record's field as the report holds it: integers as decimal strings
+    (bools stay bools), tuples as lists and nested records as dicts.  It
+    runs for every field of every report, so it compares types instead of
+    calling isinstance() or is_dataclass()."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is tuple or kind is list:
+        return [_value(v) for v in value]
+    if hasattr(kind, "__dataclass_fields__"):  # a nested record
+        return _fields(value)
+    return value
 
 
 def _fields(record, skip=()) -> dict:
     """{name: value} for the fields of a dataclass record, in field order,
-    leaving out the names in ``skip``."""
-    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
+    leaving out the names in ``skip``, each converted by ``_value``."""
+    return {
+        name: _value(getattr(record, name))
+        for name in _field_names(type(record))
+        if name not in skip
+    }
+
+
+def _strs(values) -> list[str]:
+    """Decimal strings of a sequence of integers."""
+    return [str(v) for v in values]
+
+
+def _dropped(s) -> list[str]:
+    """Decimal strings of the raw positions that normalization dropped."""
+    return [str(i) for i, pos in enumerate(s.index_map) if pos is None]
 
 
 def _report(cfg: RunConfig, result: dict, checkpoints=(), warnings=()) -> dict:
@@ -121,16 +164,16 @@ def _cmd_degree(cfg: RunConfig) -> dict:
             raise DegreeMismatchError(
                 f"certified oracle gives {cross}, methods give {value}"
             )
-        oracle = {"relation_count": relations, "degree": cross}
+        oracle = {"relation_count": str(relations), "degree": str(cross)}
     result = {
-        "degree": value,
-        "rank": kernel.rank,
-        "t": red.t,
-        "b": red.b,
-        "exclusive_primes": red.exclusive_primes,
-        "kernel_basis": kernel.basis,
-        "normalized": s.normalized,
-        "dropped_indices": [i for i, pos in enumerate(s.index_map) if pos is None],
+        "degree": str(value),
+        "rank": str(kernel.rank),
+        "t": str(red.t),
+        "b": _strs(red.b),
+        "exclusive_primes": _strs(red.exclusive_primes),
+        "kernel_basis": [_strs(row) for row in kernel.basis],
+        "normalized": _strs(s.normalized),
+        "dropped_indices": _dropped(s),
         "oracle": oracle,
     }
     return _report(cfg, result, warnings=warnings)
@@ -140,13 +183,13 @@ def _cmd_reduce(cfg: RunConfig) -> dict:
     s = normalize_inputs(cfg.l, cfg.radicands)
     red = reduce_basis(s)
     result = {
-        "t": red.t,
-        "b": red.b,
-        "exclusive_primes": red.exclusive_primes,
-        "transform": [[int(x) for x in row] for row in red.transform],
-        "degree": checked_degree(red, rank_and_kernel(s)),
-        "normalized": s.normalized,
-        "dropped_indices": [i for i, pos in enumerate(s.index_map) if pos is None],
+        "t": str(red.t),
+        "b": _strs(red.b),
+        "exclusive_primes": _strs(red.exclusive_primes),
+        "transform": [_strs(row) for row in red.transform.tolist()],
+        "degree": str(checked_degree(red, rank_and_kernel(s))),
+        "normalized": _strs(s.normalized),
+        "dropped_indices": _dropped(s),
     }
     return _report(cfg, result)
 
@@ -157,34 +200,32 @@ def _cmd_symbol(cfg: RunConfig) -> dict:
     if not is_prime(cfg.prime):
         raise ValueError(f"{cfg.prime} is not prime")
     ideals = primes_above(cfg.prime, cfg.l)
-    ideal_count = len(ideals)
+    chosen = list(enumerate(ideals))
     if cfg.ideal != "all":
         try:
-            index = int(cfg.ideal)
+            index = _decimal(cfg.ideal)
         except ValueError:
             raise ValueError(f"--ideal must be an index or 'all', got {cfg.ideal!r}")
         if not 0 <= index < len(ideals):
             raise ValueError(f"ideal index {index} out of range 0..{len(ideals) - 1}")
-        ideals = [ideals[index]]
-    rows = []
-    for k, ideal in enumerate(ideals):
-        symbols = [
-            {"radicand": a, "exponent": residue_symbol(a, ideal)}
-            for a in cfg.radicands
-        ]
-        rows.append(
-            {
-                "index": k if cfg.ideal == "all" else int(cfg.ideal),
-                "g": poly_str(ideal.g),
-                "g_coeffs": ideal.g,
-                "norm": ideal.norm,
-                "symbols": symbols,
-            }
-        )
+        chosen = [chosen[index]]
+    rows = [
+        {
+            "index": str(k),
+            "g": poly_str(ideal.g),
+            "g_coeffs": _strs(ideal.g),
+            "norm": str(ideal.norm),
+            "symbols": [
+                {"radicand": str(a), "exponent": str(residue_symbol(a, ideal))}
+                for a in cfg.radicands
+            ],
+        }
+        for k, ideal in chosen
+    ]
     result = {
-        "prime": cfg.prime,
-        "inertia_degree": ideals[0].f,
-        "ideal_count": ideal_count,
+        "prime": str(cfg.prime),
+        "inertia_degree": str(ideals[0].f),
+        "ideal_count": str(len(ideals)),
         "ideals": rows,
     }
     return _report(cfg, result)
@@ -199,7 +240,6 @@ def _cmd_density(cfg: RunConfig) -> dict:
     rep = density_experiment(s, cfg.targets, cfg.norm_bound, threads=cfg.threads)
     # the echoed request fields are in the config already
     result = _fields(rep, skip=("l", "norm_bound", "radicands", "targets", "checkpoints"))
-    result["char_sums"] = [_fields(c) for c in rep.char_sums]
     return _report(cfg, result, checkpoints=[_fields(row) for row in rep.checkpoints])
 
 
@@ -219,9 +259,9 @@ def _cmd_check(cfg: RunConfig) -> dict:
     kernel = rank_and_kernel(s)
     result = {
         "consistent": consistency_check(s, cfg.targets, kernel),
-        "rank": kernel.rank,
-        "kernel_basis": kernel.basis,
-        "dropped_indices": [i for i, pos in enumerate(s.index_map) if pos is None],
+        "rank": str(kernel.rank),
+        "kernel_basis": [_strs(row) for row in kernel.basis],
+        "dropped_indices": _dropped(s),
     }
     return _report(cfg, result)
 
@@ -236,21 +276,11 @@ _HANDLERS = {
 }
 
 
-def _stringify(obj):
-    """Integers become decimal strings (bools stay bools) for safe transport."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
-    return obj
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _dumps(report: dict) -> str:
-    return json.dumps(_stringify(report), sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(report)
 
 
 def _fmt(value) -> str:
@@ -342,17 +372,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)}
+    values = {name: getattr(args, name, default) for name, default in _CONFIG_DEFAULTS.items()}
     values["radicands"] = tuple(values["radicands"])
     return RunConfig(**values)
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """The integer an ASCII decimal string ``-?[0-9]+`` writes; int() alone
+    would also take underscores, spaces, a plus sign and non-ASCII digits."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 def _int(value) -> int:
     """A JSON integer, or a decimal string of one as the echo writes it;
     bools and floats are refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    if type(value) is int:
+        return value
+    if not isinstance(value, str):
         raise TypeError("not an integer")
-    return int(value)
+    return _decimal(value)
 
 
 def _int_tuple(value) -> tuple[int, ...]:
@@ -372,13 +415,20 @@ def _exactly(kind: type):
     return convert
 
 
+def _json_format(value):
+    """Batch replies are JSON lines, so a batch line may only ask for json."""
+    if value != "json":
+        raise ValueError("batch reports are JSON")
+    return value
+
+
 # Batch JSON converters for the fields that are not integers; every other
 # field goes through _int().  null is kept only where it is the default.
 _FROM_JSON = {
     "command": _exactly(str),
     "radicands": _int_tuple,
     "targets": _int_tuple,
-    "format": _exactly(str),
+    "format": _json_format,
     "oracle": _exactly(bool),
     "ideal": _exactly(str),
 }
@@ -391,20 +441,20 @@ def _config_from_json(line: str) -> RunConfig:
         raise ValueError("config is nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(payload) - {f.name for f in fields(RunConfig)}
+    unknown = payload.keys() - _CONFIG_DEFAULTS.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     values = {"format": "json"}  # batch reports default to JSON
-    for f in fields(RunConfig):
-        if f.name not in payload:
+    for name, default in _CONFIG_DEFAULTS.items():
+        if name not in payload:
             continue
-        value = payload[f.name]
+        value = payload[name]
         try:
-            if value is not None or f.default is not None:
-                value = _FROM_JSON.get(f.name, _int)(value)
+            if value is not None or default is not None:
+                value = _FROM_JSON.get(name, _int)(value)
         except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"bad value for config key {f.name!r}: {value!r}") from None
-        values[f.name] = value
+            raise ValueError(f"bad value for config key {name!r}: {value!r}") from None
+        values[name] = value
     if "command" not in values:
         raise ValueError("config must name a command")
     if values["command"] not in _HANDLERS:
@@ -455,7 +505,7 @@ def _run_batch(stream=None) -> int:
             report = _execute(_config_from_json(line))
         except _REPORTED as exc:
             code, message = _failure(exc)
-            report = {"error": message, "line": line_no}
+            report = {"error": message, "line": str(line_no)}
             worst = max(worst, code)
         print(_dumps(report))
     return worst

@@ -247,6 +247,61 @@ _PINNED_REPORTS = {
         '"predicted":0.1111111111111111,"reduced":["2","5"],"t":"2",'
         '"translated":["0","1"]},"warnings":[]}\n',
     ),
+    "symbol-json": (
+        ["symbol", "-l", "7", "-p", "29", "2", "3", "--format", "json"],
+        '{"checkpoints":[],"config":{"command":"symbol","format":"json",'
+        '"ideal":"all","l":"7","n":null,"norm_bound":null,"oracle":false,'
+        '"prime":"29","radicands":["2","3"],"seed":"0","targets":null,'
+        '"threads":"1"},"result":{"ideal_count":"6","ideals":[{"g":"X+22",'
+        '"g_coeffs":["22","1"],"index":"0","norm":"29","symbols":[{"exponent":"5",'
+        '"radicand":"2"},{"exponent":"4","radicand":"3"}]},{"g":"X+13",'
+        '"g_coeffs":["13","1"],"index":"1","norm":"29","symbols":[{"exponent":"1",'
+        '"radicand":"2"},{"exponent":"5","radicand":"3"}]},{"g":"X+9",'
+        '"g_coeffs":["9","1"],"index":"2","norm":"29","symbols":[{"exponent":"6",'
+        '"radicand":"2"},{"exponent":"2","radicand":"3"}]},{"g":"X+6",'
+        '"g_coeffs":["6","1"],"index":"3","norm":"29","symbols":[{"exponent":"3",'
+        '"radicand":"2"},{"exponent":"1","radicand":"3"}]},{"g":"X+5",'
+        '"g_coeffs":["5","1"],"index":"4","norm":"29","symbols":[{"exponent":"4",'
+        '"radicand":"2"},{"exponent":"6","radicand":"3"}]},{"g":"X+4",'
+        '"g_coeffs":["4","1"],"index":"5","norm":"29","symbols":[{"exponent":"2",'
+        '"radicand":"2"},{"exponent":"3","radicand":"3"}]}],"inertia_degree":"1",'
+        '"prime":"29"},"warnings":[]}\n',
+    ),
+    "degree-json": (
+        ["degree", "-l", "3", "2", "3", "6", "--format", "json"],
+        '{"checkpoints":[],"config":{"command":"degree","format":"json",'
+        '"ideal":"all","l":"3","n":null,"norm_bound":null,"oracle":false,'
+        '"prime":null,"radicands":["2","3","6"],"seed":"0","targets":null,'
+        '"threads":"1"},"result":{"b":["2","3"],"degree":"9","dropped_indices":[],'
+        '"exclusive_primes":["2","3"],"kernel_basis":[["1","1","2"]],'
+        '"normalized":["2","3","6"],"oracle":{"degree":"9","relation_count":"3"},'
+        '"rank":"2","t":"2"},"warnings":[]}\n',
+    ),
+    "reduce-json": (
+        ["reduce", "-l", "3", "12", "18", "--format", "json"],
+        '{"checkpoints":[],"config":{"command":"reduce","format":"json",'
+        '"ideal":"all","l":"3","n":null,"norm_bound":null,"oracle":false,'
+        '"prime":null,"radicands":["12","18"],"seed":"0","targets":null,'
+        '"threads":"1"},"result":{"b":["12"],"degree":"3","dropped_indices":[],'
+        '"exclusive_primes":["2"],"normalized":["12","18"],"t":"1",'
+        '"transform":[["1","0"]]},"warnings":[]}\n',
+    ),
+    "charsum-json": (
+        ["charsum", "-l", "3", "-x", "2000", "2", "--format", "json"],
+        '{"checkpoints":[{"bound":"1000","ideals":"165",'
+        '"magnitude":3.0000000000000107,"n":"2","normalized":0.018181818181818247,'
+        '"tallies":["53","56","56"],"value_im":2.1316282072803006e-14,'
+        '"value_re":-3.0000000000000107},{"bound":"2000","ideals":"302",'
+        '"magnitude":4.000000000000021,"n":"2","normalized":0.013245033112582853,'
+        '"tallies":["98","102","102"],"value_im":2.842170943040401e-14,'
+        '"value_re":-4.000000000000021}],"config":{"command":"charsum",'
+        '"format":"json","ideal":"all","l":"3","n":"2","norm_bound":"2000",'
+        '"oracle":false,"prime":null,"radicands":[],"seed":"0","targets":null,'
+        '"threads":"1"},"result":{"bound":"2000","ideals":"302",'
+        '"magnitude":4.000000000000021,"n":"2","normalized":0.013245033112582853,'
+        '"tallies":["98","102","102"],"value_im":2.842170943040401e-14,'
+        '"value_re":-4.000000000000021},"warnings":[]}\n',
+    ),
     "charsum-text": (
         ["charsum", "-l", "3", "-x", "2000", "2"],
         "config: command=charsum l=3 radicands=[] targets=None norm_bound=2000 "
@@ -417,20 +472,36 @@ def test_batch_rejects_bools_and_floats_for_typed_keys(capsys):
                         "ideal": 0}),
             json.dumps({"command": ["degree"], "l": 3, "radicands": [2]}),
             json.dumps({"command": "degree", "l": 3, "radicands": [2], "format": ["json"]}),
+            # integer strings are ASCII -?[0-9]+ only, as the echo writes them
+            json.dumps({"command": "degree", "l": 3, "radicands": ["1_000"]}),
+            json.dumps({"command": "degree", "l": " 3 ", "radicands": [2]}),
+            json.dumps({"command": "degree", "l": 3, "radicands": ["+5"]}),
+            json.dumps({"command": "degree", "l": 3, "radicands": ["\u0661\u0662"]}),
+            json.dumps({"command": "degree", "l": 3, "radicands": [2], "seed": ""}),
+            # batch replies are JSON, so a line may not ask for another format
+            json.dumps({"command": "degree", "l": 3, "radicands": [2], "format": "text"}),
+            json.dumps({"command": "degree", "l": 3, "radicands": [2], "format": "xml"}),
+            json.dumps({"command": "symbol", "l": 3, "prime": 7, "radicands": [2],
+                        "ideal": "+0"}),
+            json.dumps({"command": "symbol", "l": 3, "prime": 7, "radicands": [2],
+                        "ideal": "\u0660"}),
             json.dumps({"command": "degree", "l": "3", "radicands": ["2", 3], "oracle": False}),
         ]
     )
     code = _run_batch(io.StringIO(lines))
     out = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
     assert code == 2
-    assert len(out) == 11
+    assert len(out) == 20
     keys = ["oracle", "l", "targets", "norm_bound", "ideal", "format", "command", "ideal",
-            "command", "format"]
+            "command", "format", "radicands", "l", "radicands", "radicands", "seed", "format",
+            "format"]
     for line_no, key in enumerate(keys, 1):
         record = out[line_no - 1]
         assert set(record) == {"error", "line"} and record["line"] == str(line_no)
         assert record["error"].startswith(f"bad value for config key '{key}'")
-    assert out[10]["result"]["degree"] == "9"  # decimal strings still read as integers
+    assert out[17] == {"error": "--ideal must be an index or 'all', got '+0'", "line": "18"}
+    assert out[18] == {"error": "--ideal must be an index or 'all', got '\u0660'", "line": "19"}
+    assert out[19]["result"]["degree"] == "9"  # decimal strings still read as integers
 
 
 def _no_memory(*args, **kwargs):
@@ -547,13 +618,17 @@ _LINES = st.one_of(
 )
 
 
+def _no_json_int(text):
+    raise AssertionError(f"a reply holds the JSON integer {text}, not its decimal string")
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.lists(_LINES, min_size=1, max_size=5))
 def test_batch_answers_every_random_line(lines):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = _run_batch(io.StringIO("\n".join(lines)))
-    replies = [json.loads(line) for line in out.getvalue().splitlines()]
+    replies = [json.loads(line, parse_int=_no_json_int) for line in out.getvalue().splitlines()]
     assert len(replies) == len(lines)
     codes = []
     for line_no, reply in enumerate(replies, 1):
