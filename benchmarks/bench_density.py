@@ -386,11 +386,10 @@ def main() -> None:
                 print(f"{label}: batch {size}: parse {row['parse_us']:.1f} us, execute "
                       f"{row['execute_us']:.1f} us, serialize {row['serialize_us']:.1f} us, "
                       f"request {row['request_us']:.1f} us", flush=True)
-                results[label].append(row)
-                continue
-            print(f"{label}: {study} l={l} {size} threads={threads}: {row['wall_s']:.3f} s, "
-                  f"{row['peak_rss_mb']:.0f} MB; workers {row['workers_cpu_s']:.3f} s CPU, "
-                  f"{row['workers_peak_rss_mb']:.0f} MB", flush=True)
+            else:
+                print(f"{label}: {study} l={l} {size} threads={threads}: {row['wall_s']:.3f} s, "
+                      f"{row['peak_rss_mb']:.0f} MB; workers {row['workers_cpu_s']:.3f} s CPU, "
+                      f"{row['workers_peak_rss_mb']:.0f} MB", flush=True)
             results[label].append(row)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
     doc["about"] = ABOUT
