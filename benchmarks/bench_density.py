@@ -4,14 +4,14 @@
 Each config runs in a fresh Python process that imports radsym from the
 given source tree, times one ``density_experiment``, ``character_sum`` or
 ``brute_force_kernel`` call, one pass of the symbol study or the answers to
-one batch line (see below), and reports its
-own peak resident set size (``ru_maxrss``, which includes the interpreter
-and numpy), with the CPU time and largest peak RSS of the scan worker
-processes the call forked (``RUSAGE_CHILDREN``), so that the memory of a
-2-thread scan's workers stays visible.  One invocation appends one row,
-labelled by ``--label``, with the results of every config plus nproc, the
-Python and numpy versions and the git SHA of the source tree (null outside
-a git checkout):
+one batch line (see below), and reports its own peak resident set size
+(``ru_maxrss``, which includes the interpreter and numpy), with the CPU
+time and largest peak RSS of the scan worker processes the call forked
+(``RUSAGE_CHILDREN``, read after the timed call, once the workers it kept
+are stopped and reaped), so that the memory of a 2-thread scan's workers
+stays visible.  One invocation appends one row, labelled by ``--label``,
+with the results of every config plus nproc, the Python and numpy versions
+and the git SHA of the source tree (null outside a git checkout):
 
     python3 benchmarks/bench_density.py --label change
     python3 benchmarks/bench_density.py --src ../parent/src --label parent
@@ -166,8 +166,9 @@ ABOUT = ("density_experiment, character_sum or brute_force_kernel wall time "
          "(one call, import excluded), or one pass of the symbol study, and "
          "peak RSS of its process (ru_maxrss, import included); "
          "workers_cpu_s and workers_peak_rss_mb are the CPU time and the "
-         "largest peak RSS of the scan worker processes it forked and reaped "
-         "(RUSAGE_CHILDREN; a worker's RSS includes the pages it shares with "
+         "largest peak RSS of the scan worker processes it forked, stopped "
+         "and reaped after the timed call (RUSAGE_CHILDREN; a worker's RSS "
+         "includes the pages it shares with "
          "its parent; 0 where nothing forked, absent from older rows); one fresh "
          "process per config and run; a row with runs > 1 holds the medians "
          "of alternating parent/change runs; results without a study are "
@@ -294,6 +295,10 @@ else:
     rep = character_sum(radicands[0], l, bound, threads=threads).final
     counts = {"ideals": rep.ideals, "tallies": list(rep.tallies)}
 wall = time.perf_counter() - t0
+import radsym.density
+crew = getattr(radsym.density, "_CREW", None)  # scan workers kept after the call
+if crew is not None:
+    crew.stop()  # RUSAGE_CHILDREN counts reaped children only
 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 workers = resource.getrusage(resource.RUSAGE_CHILDREN)  # the scan's forked workers
 print(json.dumps({"wall_s": wall, "peak_rss_mb": rss_kb / 1024,

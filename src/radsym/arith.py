@@ -64,7 +64,7 @@ class PrimeFactorization:
 
 @cache
 def _small_primes() -> tuple[int, ...]:
-    return tuple(int(p) for p in sieve_primes(_TRIAL_LIMIT))
+    return tuple(sieve_primes(_TRIAL_LIMIT).tolist())
 
 
 def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:

@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass, fields
 from functools import cache
 
-from .arith import FactorizationError, is_prime
+from .arith import FactorizationError, is_prime, multiplicative_order
 from .cyclotomic import poly_str, primes_above, residue_symbol
 from .density import _check_threads, character_sum, density_experiment
 from .radical import (
@@ -199,15 +199,20 @@ def _cmd_symbol(cfg: RunConfig) -> dict:
         raise ValueError("symbol requires -p/--prime")
     if not is_prime(cfg.prime):
         raise ValueError(f"{cfg.prime} is not prime")
-    ideals = primes_above(cfg.prime, cfg.l)
-    chosen = list(enumerate(ideals))
-    if cfg.ideal != "all":
+    index = None
+    # The index is checked before the factorization of Phi_l mod p, against
+    # the ideal count (l-1)/f; at p = l that factorization raises first.
+    if cfg.ideal != "all" and cfg.prime != cfg.l:
         try:
             index = _decimal(cfg.ideal)
         except ValueError:
             raise ValueError(f"--ideal must be an index or 'all', got {cfg.ideal!r}")
-        if not 0 <= index < len(ideals):
-            raise ValueError(f"ideal index {index} out of range 0..{len(ideals) - 1}")
+        count = (cfg.l - 1) // multiplicative_order(cfg.prime, cfg.l)
+        if not 0 <= index < count:
+            raise ValueError(f"ideal index {index} out of range 0..{count - 1}")
+    ideals = primes_above(cfg.prime, cfg.l)
+    chosen = list(enumerate(ideals))
+    if index is not None:
         chosen = [chosen[index]]
     rows = [
         {
@@ -318,6 +323,7 @@ def _targets_type(text: str) -> tuple[int, ...]:
         )
 
 
+@cache  # prog is fixed, so one parser serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radsym",

@@ -30,7 +30,10 @@ never builds the ideals themselves:
 The split primes are sieved window by window along the progression
 1 + 2l*i, and each window leaves only integer tallies per checkpoint bound,
 so memory stays flat as the bound grows and the tallies do not depend on
-how many worker processes share the windows.  ``primes_above`` and
+how many processes share the windows.  A scan on k processes takes its
+windows one at a time from one shared queue, in the caller and in k - 1
+forked scan workers that stay alive for the next scan (``_Crew``).
+``primes_above`` and
 ``residue_symbol`` remain the per-ideal path for single queries.
 ``residue_symbol`` answers a plain int at f >= 2 by the same identity, so
 the tests compare the scan against it with ``CyclotomicInt`` arguments,
@@ -39,14 +42,18 @@ which always take the residue-field power.
 
 from __future__ import annotations
 
+import atexit
 import cmath
+import contextlib
 import math
 import os
 import pickle
 import signal
+import struct
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -63,9 +70,10 @@ from .radical import (
 
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 
-# Most scan workers a call may ask for (the ``threads`` argument).  A scan
-# forks at most one worker process per window, and workers beyond the core
-# count only add switching and memory.
+# Most processes a scan may share its windows among (the ``threads``
+# argument): the caller and at most one kept worker process per further
+# window.  Workers beyond the core count only add switching and memory, and
+# the bound keeps a call's queue within one atomic pipe write (``_INDEX``).
 MAX_THREADS = 64
 
 # Most split primes per kernel call; a window's primes are cut into equal
@@ -75,14 +83,15 @@ MAX_THREADS = 64
 # and the powers w**s of the match counts are (n,) lane products, each a
 # block-long pass.  The length was chosen while a scan's second worker was
 # a thread that ran only inside long numpy passes; it has not been retuned
-# for worker processes.
+# since the windows went to worker processes through a shared queue.
 _BLOCK = 1 << 15
 
 # Sieve window, in terms of the progression 1 + 2l*i per unit of
 # sqrt(norm bound).  A window loops in Python over the sieving primes (about
 # 2 sqrt(X) / ln X of them), which then costs little next to its striking,
-# and a window's arrays stay near a MB whatever the bound.  Worker processes
-# take windows in turn.
+# and a window's arrays stay near a MB whatever the bound.  The processes
+# sharing a scan take its windows one at a time from a queue (``_tally``),
+# so one that finishes a window early takes the next.
 _WINDOW_SCALE = 32
 
 
@@ -265,91 +274,269 @@ def _workers(threads: int, windows: int) -> int:
     return 1
 
 
-def _shares(window, windows: list, workers: int, shape: tuple[int, int]) -> np.ndarray:
-    """The sum of the int64 tallies ``window(w)``, of shape ``shape``, over
-    ``windows``, taken in ``workers`` shares: share i is windows[i::workers].
+@dataclass(frozen=True)
+class _Spec:
+    """A scan's inputs to ``_window``, pickled to every scan worker."""
 
-    Share i > 0 runs in a child forked here, which pipes its tally, or the
-    exception it raised, back and exits (see ``_run_share``); the caller
-    runs share 0, and any share whose fork failed.  Every child is reaped
-    before this returns, and one whose tally has not arrived when the
-    caller or another child raises, or an interrupt arrives, is killed
-    first.  With one worker nothing is forked.  Tallies are integer sums, so
-    the total is the same for every worker count.
-    """
-    total = np.zeros(shape, dtype=np.int64)
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    received = 0
-    mine = [0]
+    l: int
+    bounds: np.ndarray  # checkpoint bounds, ascending
+    skip: np.ndarray  # excluded split primes, ascending
+    radicands: tuple[int, ...]
+    targets: tuple[int, ...] | None  # None: no matches counted
+    windows: list[tuple[int, int]]
+
+
+def _window(spec: _Spec, lo: int, hi: int, out: np.ndarray) -> None:
+    """Add the tallies of the window [lo, hi] of ``spec`` to ``out``, one
+    row per checkpoint bound (see ``_scan``)."""
+    primes = kernels.sieve_primes(hi, lo, spec.l)
+    skip = spec.skip
+    if skip.size and skip[-1] >= lo and skip[0] <= hi:
+        primes = primes[~np.isin(primes, skip)]
+    parts = -(-primes.size // _BLOCK)
+    step = -(-primes.size // parts) if parts else 1  # equal blocks, no short tail
+    for start in range(0, primes.size, step):
+        chunk = primes[start : start + step]
+        vals = _residues(spec.l, chunk, spec.radicands)
+        if spec.targets is not None:
+            counts = _match_counts(spec.l, chunk, vals, spec.targets)
+        nontrivial = vals != 1
+        for row, k in enumerate(np.searchsorted(chunk, spec.bounds, side="right").tolist()):
+            if k:
+                out[row, 0] += k
+                if spec.targets is not None:
+                    out[row, 1] += counts[:k].sum()
+                for j, v in enumerate(nontrivial, 2):
+                    out[row, j] += np.count_nonzero(v[:k])
+
+
+def _take(spec: _Spec, indices) -> np.ndarray:
+    """The int64 tallies of the windows ``spec.windows[i]``, i in
+    ``indices``, summed."""
+    out = np.zeros((spec.bounds.size, 2 + len(spec.radicands)), dtype=np.int64)
+    for i in indices:
+        _window(spec, *spec.windows[i], out)
+    return out
+
+
+# One window index on the queue pipe.  A call writes its whole queue, every
+# index and then one -1 per process, in one write before any process reads
+# it: at most 242 windows (l = 3 just below MAX_MODULUS) and MAX_THREADS
+# sentinels, 1224 bytes, under PIPE_BUF, so the write is atomic and never
+# blocks, and each read of one index takes a whole one.
+_INDEX = struct.Struct("i")
+
+
+def _queued(fd: int, parent: int | None = None):
+    """Window indices read one at a time from the queue pipe ``fd``, up to
+    the next -1, or its end once no process holds its write end.  With
+    ``parent``, a worker leaves by ``os._exit`` before its next window once
+    ``parent`` is no longer its parent process, so a killed caller leaves no
+    worker scanning for long."""
+    while data := os.read(fd, _INDEX.size):
+        (i,) = _INDEX.unpack(data)
+        if i < 0:
+            return
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        yield i
+
+
+def _send(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+class _Worker:
+    """The caller's ends of one scan worker's pipes: the write end of its
+    task pipe and, as a file, the read end of its reply pipe."""
+
+    def __init__(self, tasks: int, replies: int):
+        self.pid = 0  # 0 until forked
+        self.tasks = tasks
+        self.replies = open(replies, "rb")
+
+    def close(self) -> None:
+        os.close(self.tasks)
+        self.replies.close()
+
+    def reply(self) -> np.ndarray:
+        """The tally of this worker's share of the current call, or the
+        exception that share raised, raised again."""
+        try:
+            ok, value = pickle.load(self.replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise AssertionError("a scan worker exited before sending its tally") from None
+        if not ok:
+            raise value
+        return value
+
+
+def _release(workers: list[_Worker]) -> None:
+    """Close the pipes of ``workers``, SIGKILL them and reap them.  A worker
+    holds nothing to save between windows, and the kill also ends one that
+    would never read the end of its task pipe, because a process forked
+    outside ``os.fork`` (so without ``forget``) still holds it open."""
+    for worker in workers:
+        worker.close()
+        if worker.pid:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(worker.pid, signal.SIGKILL)
+    for worker in workers:
+        if worker.pid:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(worker.pid, 0)
+
+
+def _exited(pid: int) -> bool:
+    """Whether the child ``pid`` has exited, reaping it if so."""
     try:
+        return os.waitpid(pid, os.WNOHANG)[0] != 0
+    except ChildProcessError:
+        return True
+
+
+class _Crew:
+    """This process's scan workers, kept from one scan to the next, and the
+    queue pipe from which they and the caller take window indices.
+
+    Each worker is a child forked by ``_fork`` that runs ``_serve`` until
+    the end of its task pipe.  After a call the set is exactly the workers
+    that call used (``hire``, or ``stop`` where the caller scans alone).  A
+    call that fails or is interrupted before every reply has arrived stops
+    the whole set, since the queue may still hold indices.  A process forked
+    from this one closes its copies of the set's pipe ends and starts with
+    none (``forget``), and the set is stopped at exit."""
+
+    def __init__(self):
+        self.workers: list[_Worker] = []
+        self.queue: tuple[int, int] | None = None  # (read end, write end)
+
+    def hire(self, n: int) -> list[_Worker]:
+        """The queue and n workers, or fewer where a fork fails: the dead
+        are reaped, any beyond n stopped and the missing ones forked."""
+        dead = [worker for worker in self.workers if _exited(worker.pid)]
+        for worker in dead:
+            worker.close()
+        live = [worker for worker in self.workers if worker not in dead]
+        _release(live[n:])
+        self.workers = live[:n]
+        if self.queue is None:
+            self.queue = os.pipe()
+        while len(self.workers) < n and self._fork():
+            pass
+        return self.workers
+
+    def _fork(self) -> bool:
+        task_r, task_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        queue = os.dup(self.queue[0])  # the child's own: forget closes the set's
+        worker = _Worker(task_w, reply_r)
+        self.workers.append(worker)  # so that the child's forget closes these ends
         parent = os.getpid()
-        for i in range(1, workers):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes or memory: run the share here
-                os.close(r)
-                os.close(w)
-                mine.append(i)
-                continue
-            if pid == 0:
-                _run_share(window, windows[i::workers], w, parent, [r, *(fd for _, fd in children)])
-            children.append((pid, r))
-            os.close(w)
-        for i in mine:
-            for lo_hi in windows[i::workers]:
-                total += window(lo_hi)
-        for _, r in children:
-            with open(r, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if not data:
-                raise AssertionError("a scan worker exited before sending its tally")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            total += value
-            received += 1
-    finally:
-        for k, (pid, r) in enumerate(children):
-            os.close(r)
-            if k >= received:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return total
+        try:
+            pid = os.fork()
+        except OSError:  # out of processes or memory: the others take its windows
+            pid = -1
+        if pid == 0:
+            _serve(task_r, reply_w, queue, parent)
+        for fd in (task_r, reply_w, queue):
+            os.close(fd)
+        if pid < 0:
+            self.workers.remove(worker)
+            worker.close()
+            return False
+        worker.pid = pid
+        return True
+
+    def stop(self) -> None:
+        """Close the queue, then kill and reap every worker."""
+        for fd in self.queue or ():
+            os.close(fd)
+        workers, self.workers, self.queue = self.workers, [], None
+        _release(workers)
+
+    def forget(self) -> None:
+        """In a child just forked from this process: close the inherited
+        ends of the set's pipes and keep no workers."""
+        for worker in self.workers:
+            worker.close()
+        for fd in self.queue or ():
+            os.close(fd)
+        self.workers, self.queue = [], None
 
 
-def _run_share(window, share: list, fd: int, parent: int, inherited: list[int]):
-    """In a forked scan worker: close the pipe ends ``inherited`` from the
-    caller, sum ``window`` over ``share``, write (True, tally) or, if that
-    raised, (False, exception) pickled to the pipe ``fd``, and leave by
-    ``os._exit``, so the child never returns into its parent's stack.  It
-    exits early once ``parent`` is no longer its parent process, checked
-    between windows, or when the pipe is broken, so a killed caller leaves
-    no worker running for long."""
+_CREW = _Crew()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_CREW.forget)
+atexit.register(_CREW.stop)
+
+
+def _serve(tasks: int, replies: int, queue: int, parent: int) -> NoReturn:
+    """A scan worker, in the child forked by ``_Crew._fork``: read a pickled
+    _Spec from the task pipe ``tasks``, sum the windows whose indices it
+    takes from ``queue`` (see ``_queued``), and write (True, tally) or, if
+    that raised, (False, exception) pickled to the pipe ``replies``; again
+    until the end of the task pipe.  It ignores SIGINT, which is the
+    caller's to report, and leaves by ``os._exit``, so it never returns into
+    its parent's stack."""
     code = 0
     try:
-        for other in inherited:
-            os.close(other)
-        try:
-            tally = 0
-            for lo_hi in share:
-                if os.getppid() != parent:
-                    os._exit(1)
-                tally += window(lo_hi)
-            result = (True, tally)
-        except BaseException as exc:
-            result = (False, exc)
-        try:
-            data = pickle.dumps(result)
-            pickle.loads(data)
-        except Exception:  # an exception that does not survive pickling
-            data = pickle.dumps((False, AssertionError(f"scan worker failed: {result[1]!r}")))
-        with open(fd, "wb") as pipe:
-            pipe.write(data)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with open(tasks, "rb") as pipe:
+            while True:
+                try:
+                    spec = pickle.load(pipe)
+                except EOFError:
+                    break
+                try:
+                    result = (True, _take(spec, _queued(queue, parent)))
+                except Exception as exc:
+                    result = (False, exc)
+                try:
+                    data = pickle.dumps(result)
+                    pickle.loads(data)
+                except Exception:  # an exception that does not survive pickling
+                    data = pickle.dumps(
+                        (False, AssertionError(f"scan worker failed: {result[1]!r}"))
+                    )
+                _send(replies, data)
     except BaseException:
         code = 1
     finally:
         os._exit(code)
+
+
+def _tally(spec: _Spec, workers: int) -> np.ndarray:
+    """The int64 tallies of every window of ``spec``, summed by ``workers``
+    processes: the caller and up to workers - 1 scan workers of ``_CREW``.
+
+    One process is the caller's own loop over the windows.  Otherwise the
+    caller writes the queue, sends the pickled spec to every worker, takes
+    windows from the queue until its -1, as each worker does, and adds the
+    workers' replies; a worker's exception is raised again here.  The
+    tallies are integer sums, so the total is the same for every worker
+    count and whichever process took which window.
+    """
+    if workers == 1:
+        _CREW.stop()
+        return _take(spec, range(len(spec.windows)))
+    try:
+        crew = _CREW.hire(workers - 1)
+        read, write = _CREW.queue
+        entries = [*range(len(spec.windows)), *[-1] * (1 + len(crew))]
+        os.write(write, struct.pack(f"{len(entries)}{_INDEX.format}", *entries))
+        task = pickle.dumps(spec)
+        for worker in crew:
+            _send(worker.tasks, task)
+        total = _take(spec, _queued(read))
+        for worker in crew:
+            total += worker.reply()
+    except BaseException:
+        _CREW.stop()
+        raise
+    return total
 
 
 def _scan(
@@ -369,43 +556,24 @@ def _scan(
     ``targets`` (none counted when None) and, per radicand, the count of its
     first k residues other than 1; no per-lane column array is built.  Only
     these integer sums outlive a window, so they do not depend on which
-    worker took which window: with ``threads`` = k, min(k, windows) worker
-    processes share them (see ``_shares``).  The degree >= 2 ideals are
+    process took which window: with ``threads`` = k, min(k, windows)
+    processes share them (see ``_tally``).  The degree >= 2 ideals are
     counted per bound in closed form, by ``_high_degree_norms``.
     """
-    bounds = np.array(_checkpoint_bounds(norm_bound), dtype=np.int64)
-    skip = np.array(sorted(p for p in exclude if p % l == 1), dtype=np.int64)
-
-    def window(lo_hi: tuple[int, int]) -> np.ndarray:
-        lo, hi = lo_hi
-        primes = kernels.sieve_primes(hi, lo, l)
-        if skip.size and skip[-1] >= lo and skip[0] <= hi:
-            primes = primes[~np.isin(primes, skip)]
-        out = np.zeros((bounds.size, 2 + len(radicands)), dtype=np.int64)
-        parts = -(-primes.size // _BLOCK)
-        step = -(-primes.size // parts) if parts else 1  # equal blocks, no short tail
-        for start in range(0, primes.size, step):
-            chunk = primes[start : start + step]
-            vals = _residues(l, chunk, radicands)
-            if targets is not None:
-                counts = _match_counts(l, chunk, vals, targets)
-            nontrivial = vals != 1
-            for row, k in enumerate(np.searchsorted(chunk, bounds, side="right").tolist()):
-                if k:
-                    out[row, 0] += k
-                    if targets is not None:
-                        out[row, 1] += counts[:k].sum()
-                    for j, v in enumerate(nontrivial, 2):
-                        out[row, j] += np.count_nonzero(v[:k])
-        return out
-
     windows = _windows(l, norm_bound)
-    shape = (bounds.size, 2 + len(radicands))
-    totals = _shares(window, windows, _workers(threads, len(windows)), shape).tolist()
+    spec = _Spec(
+        l,
+        np.array(_checkpoint_bounds(norm_bound), dtype=np.int64),
+        np.array(sorted(p for p in exclude if p % l == 1), dtype=np.int64),
+        radicands,
+        targets,
+        windows,
+    )
+    totals = _tally(spec, _workers(threads, len(windows))).tolist()
     high = _high_degree_norms(l, norm_bound, exclude)
     return tuple(
         _Scan(c, split, bisect_right(high, c), matches, tuple(nontrivial))
-        for c, (split, matches, *nontrivial) in zip(bounds.tolist(), totals)
+        for c, (split, matches, *nontrivial) in zip(spec.bounds.tolist(), totals)
     )
 
 

@@ -457,6 +457,28 @@ def test_batch_caps_l_and_threads(capsys, no_heavy_work):
     assert out[3]["result"]["degree"] == "25"
 
 
+def test_bad_ideal_index_is_refused_before_the_factorization(capsys, no_heavy_work):
+    """The ideal index is parsed, and checked against the ideal count
+    (l-1)/f, before primes_above factors Phi_l mod p: with primes_above
+    refusing, a non-decimal and an out-of-range index still get their
+    error records and exit codes, at f = 1 (29 mod 7) and f = 3 (2 mod 7)."""
+    lines = "\n".join(
+        json.dumps({"command": "symbol", "l": 7, "prime": p, "radicands": [2], "ideal": i})
+        for p, i in ((29, "x"), (29, "9999"), (2, "2"), (2, "-1"))
+    )
+    assert _run_batch(io.StringIO(lines)) == 2
+    assert capsys.readouterr().out == (
+        '{"error":"--ideal must be an index or \'all\', got \'x\'","line":"1"}\n'
+        '{"error":"ideal index 9999 out of range 0..5","line":"2"}\n'
+        '{"error":"ideal index 2 out of range 0..1","line":"3"}\n'
+        '{"error":"ideal index -1 out of range 0..1","line":"4"}\n'
+    )
+    assert run_cli(capsys, "symbol", "-l", "7", "-p", "29", "--ideal", "x", "2") == (
+        2, "", "error: --ideal must be an index or 'all', got 'x'\n")
+    assert run_cli(capsys, "symbol", "-l", "7", "-p", "29", "--ideal", "9999", "2") == (
+        2, "", "error: ideal index 9999 out of range 0..5\n")
+
+
 def test_batch_rejects_bools_and_floats_for_typed_keys(capsys):
     lines = "\n".join(
         [

@@ -1,5 +1,7 @@
 import math
 import os
+import select
+import signal
 import subprocess
 import sys
 import threading
@@ -30,6 +32,14 @@ from radsym.radical import (
     rank_and_kernel,
     reduce_basis,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_scan_workers():
+    """Every test starts without scan workers, and leaves none behind."""
+    radsym.density._CREW.stop()
+    yield
+    radsym.density._CREW.stop()
 
 
 def exact_symbol(a, I):
@@ -586,9 +596,17 @@ def _spy_fork(monkeypatch) -> list[int]:
     return forked
 
 
-def _assert_no_children():
+def _assert_no_children(stop: bool = True):
+    """No child process is left, after stopping the scan worker set unless
+    ``stop`` is False."""
+    if stop:
+        radsym.density._CREW.stop()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _crew_pids() -> list[int]:
+    return [worker.pid for worker in radsym.density._CREW.workers]
 
 
 def _corrupt_in_workers(monkeypatch):
@@ -603,7 +621,29 @@ def _corrupt_in_workers(monkeypatch):
     )
 
 
-def test_guard_failure_in_a_worker_reaches_the_caller(monkeypatch):
+@pytest.fixture
+def worker_goes_first(monkeypatch):
+    """Hold the caller's first window of a scan shared with workers until a
+    worker has taken a window, so that a 2-window scan on 2 processes gives
+    the worker one however the processes are timed."""
+    r, w = os.pipe()
+    caller, real, held = os.getpid(), radsym.density._window, []
+
+    def window(*args):
+        if os.getpid() != caller:
+            os.write(w, b".")
+        elif radsym.density._CREW.workers and not held:
+            held.append(True)
+            assert select.select([r], [], [], 30)[0], "no worker took a window"
+        real(*args)
+
+    monkeypatch.setattr(radsym.density, "_window", window)
+    yield
+    os.close(r)
+    os.close(w)
+
+
+def test_guard_failure_in_a_worker_reaches_the_caller(monkeypatch, worker_goes_first):
     """The AssertionError a worker raises in its share is raised again, with
     its message, by the call; its worker is reaped."""
     assert len(radsym.density._windows(3, 10**5)) == 2
@@ -617,7 +657,23 @@ def test_guard_failure_in_a_worker_reaches_the_caller(monkeypatch):
     _assert_no_children()
 
 
-def test_guard_failure_in_a_worker_exits_3(monkeypatch, capsys):
+def test_a_worker_guard_failure_resets_the_set(monkeypatch, worker_goes_first):
+    """A call that fails in a worker kills and reaps the whole set before it
+    raises, and the next call forks a fresh worker and counts right."""
+    s = normalize_inputs(3, [2, 5])
+    want = density_experiment(s, (0, 0), 10**5)
+    forked = _spy_fork(monkeypatch)
+    with monkeypatch.context() as m:
+        _corrupt_in_workers(m)
+        with pytest.raises(AssertionError, match="subgroup"):
+            density_experiment(s, (0, 0), 10**5, threads=2)
+    assert len(forked) == 1 and _crew_pids() == []
+    _assert_no_children(stop=False)
+    assert density_experiment(s, (0, 0), 10**5, threads=2) == want
+    assert len(forked) == 2 and _crew_pids() == forked[1:]
+
+
+def test_guard_failure_in_a_worker_exits_3(monkeypatch, capsys, worker_goes_first):
     """Through the CLI with --threads 2, a worker's corrupted residue exits 3
     with the same line as a corrupted residue in a 1-thread scan."""
     _corrupt_in_workers(monkeypatch)
@@ -633,18 +689,107 @@ def test_guard_failure_in_a_worker_exits_3(monkeypatch, capsys):
 @pytest.mark.parametrize("threads", [1, 2, 4, radsym.density.MAX_THREADS])
 def test_scans_fork_one_worker_per_extra_share(monkeypatch, threads):
     """min(threads, windows) processes share a scan: the caller and one
-    forked worker per further share.  The counts stay the same and every
-    worker is reaped."""
+    forked worker per further share, forked by the first call and kept for
+    the next.  The counts stay the same and every worker is reaped once the
+    set stops."""
     s, bound = normalize_inputs(3, [2, 5]), 10**6
     windows = len(radsym.density._windows(3, bound))
     assert windows == 6
     want = density_experiment(s, (0, 1), bound), character_sum(2, 3, bound)
     forked = _spy_fork(monkeypatch)
-    got = density_experiment(s, (0, 1), bound, threads=threads), character_sum(
-        2, 3, bound, threads=threads
-    )
-    assert got == want
-    assert len(forked) == 2 * (min(threads, windows) - 1)
+    got = [density_experiment(s, (0, 1), bound, threads=threads)]
+    assert len(forked) == min(threads, windows) - 1
+    got.append(character_sum(2, 3, bound, threads=threads))
+    assert tuple(got) == want
+    assert len(forked) == min(threads, windows) - 1 and _crew_pids() == forked
+    _assert_no_children()
+
+
+def test_consecutive_scans_keep_one_worker_set(monkeypatch):
+    """Consecutive 2-process scans fork one worker between them.  A scan
+    in the caller alone stops the set, as does a one-window scan."""
+    s = normalize_inputs(3, [2, 5])
+    want = density_experiment(s, (0, 1), 10**6)
+    forked = _spy_fork(monkeypatch)
+    for _ in range(3):
+        assert density_experiment(s, (0, 1), 10**6, threads=2) == want
+    assert len(forked) == 1 and _crew_pids() == forked
+    assert density_experiment(s, (0, 1), 10**6) == want
+    _assert_no_children(stop=False)
+    assert density_experiment(s, (0, 1), 10**6, threads=2) == want
+    assert len(forked) == 2 and _crew_pids() == forked[1:]
+    density_experiment(s, (0, 1), 5000, threads=4)
+    _assert_no_children(stop=False)
+
+
+def test_one_worker_set_serves_scans_of_every_spec(monkeypatch):
+    """Scans with another l, other radicands or other targets, density and
+    character sums, run on the same two workers and equal the caller's own
+    counts."""
+    calls = [
+        lambda k: density_experiment(normalize_inputs(3, [2, 5]), (0, 1), 10**6, threads=k),
+        lambda k: density_experiment(normalize_inputs(7, [2, 3, 5]), (0, 1, 2), 10**6, threads=k),
+        lambda k: density_experiment(normalize_inputs(5, [3]), (1,), 10**6, threads=k),
+        lambda k: character_sum(2, 3, 10**6, threads=k),
+        lambda k: density_experiment(normalize_inputs(3, [2, 5]), (0, 0), 10**6, threads=k),
+        lambda k: character_sum(-3, 7, 10**6, threads=k),
+    ]
+    want = [call(1) for call in calls]
+    forked = _spy_fork(monkeypatch)
+    assert [call(3) for call in calls] == want
+    assert len(forked) == 2 and _crew_pids() == forked
+
+
+def test_a_worker_killed_between_scans_is_replaced(monkeypatch):
+    s = normalize_inputs(3, [2, 5])
+    want = density_experiment(s, (0, 1), 10**6)
+    forked = _spy_fork(monkeypatch)
+    assert density_experiment(s, (0, 1), 10**6, threads=2) == want
+    os.kill(forked[0], signal.SIGKILL)
+    os.waitid(os.P_PID, forked[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+    assert density_experiment(s, (0, 1), 10**6, threads=2) == want
+    assert len(forked) == 2 and _crew_pids() == forked[1:]
+    with pytest.raises(ChildProcessError):  # the caller reaped the dead one
+        os.waitpid(forked[0], os.WNOHANG)
+
+
+def test_a_worker_ignores_sigint(monkeypatch):
+    """An interrupt is the caller's to report: a worker sent SIGINT between
+    scans keeps serving, and nothing new is forked."""
+    s = normalize_inputs(3, [2, 5])
+    want = density_experiment(s, (0, 1), 10**6)
+    forked = _spy_fork(monkeypatch)
+    assert density_experiment(s, (0, 1), 10**6, threads=2) == want
+    os.kill(forked[0], signal.SIGINT)
+    time.sleep(0.1)
+    assert density_experiment(s, (0, 1), 10**6, threads=2) == want
+    assert _crew_pids() == forked
+
+
+def test_a_forked_child_forks_its_own_workers(monkeypatch):
+    """A child made by os.fork() after a scan starts with no workers and
+    forks its own; the parent's worker keeps serving the parent."""
+    s = normalize_inputs(3, [2, 5])
+    want = density_experiment(s, (0, 1), 10**6)
+    forked = _spy_fork(monkeypatch)
+    assert density_experiment(s, (0, 1), 10**6, threads=2) == want
+    worker = forked[0]
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(60)  # a child that hangs dies, and the parent sees it
+            crew = radsym.density._CREW
+            if crew.workers == [] and crew.queue is None:
+                ok = density_experiment(s, (0, 1), 10**6, threads=2) == want
+                if ok and _crew_pids() == forked[-1:] and forked[-1] != worker:
+                    code = 0
+            crew.stop()
+        finally:
+            os._exit(code)
+    assert os.waitpid(pid, 0) == (pid, 0)
+    assert density_experiment(s, (0, 1), 10**6, threads=2) == want
+    assert forked == [worker, pid] and _crew_pids() == [worker]
     _assert_no_children()
 
 
@@ -692,7 +837,7 @@ def test_a_failing_caller_kills_and_reaps_its_workers(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         density_experiment(normalize_inputs(3, [2, 5]), (0, 0), 10**6, threads=4)
     assert len(forked) == 3 and killed == forked
-    _assert_no_children()
+    _assert_no_children(stop=False)
 
 
 def test_a_share_whose_fork_fails_runs_in_the_caller(monkeypatch):
@@ -715,27 +860,35 @@ def _alive(pid: int) -> bool:
         return False
 
 
+# A script that scans on 2 processes to the bound given as its argument and
+# prints the pid of each scan worker it forks.
+_SCAN_SCRIPT = (
+    "import os, sys\n"
+    "from radsym import density_experiment, normalize_inputs\n"
+    "real = os.fork\n"
+    "def fork():\n"
+    "    pid = real()\n"
+    "    if pid:\n"
+    "        print(pid, flush=True)\n"
+    "    return pid\n"
+    "os.fork = fork\n"
+    "density_experiment(normalize_inputs(3, [2, 5]), (0, 0), int(sys.argv[1]), threads=2)\n"
+)
+
+
+def _start_scan(bound: int) -> subprocess.Popen:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.Popen([sys.executable, "-c", _SCAN_SCRIPT, str(bound)], env=env,
+                            stdout=subprocess.PIPE, text=True)
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
 def test_a_killed_caller_leaves_no_worker_running():
     """A worker whose parent is killed mid-scan stops at its next window, a
     few tens of ms on; its share of the whole range would take seconds."""
-    script = (
-        "import os\n"
-        "from radsym import density_experiment, normalize_inputs\n"
-        "real = os.fork\n"
-        "def fork():\n"
-        "    pid = real()\n"
-        "    if pid:\n"
-        "        print(pid, flush=True)\n"
-        "    return pid\n"
-        "os.fork = fork\n"
-        "density_experiment(normalize_inputs(3, [2, 5]), (0, 0), 2**31 - 1, threads=2)\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
-                            text=True)
+    proc = _start_scan(2**31 - 1)
     try:
         worker = int(proc.stdout.readline())
     finally:
@@ -748,11 +901,33 @@ def test_a_killed_caller_leaves_no_worker_running():
     assert not _alive(worker)
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_a_caller_that_exits_reaps_its_workers():
+    """A process that scans on 2 processes and exits normally has stopped
+    and reaped its worker before it ends: no such process is left, not even
+    a zombie."""
+    proc = _start_scan(10**6)
+    with proc:
+        worker = int(proc.stdout.readline())
+        assert proc.wait(timeout=60) == 0
+    assert not os.path.exists(f"/proc/{worker}")
+
+
 def test_windows_tile_the_range():
     for l, bound in [(3, 2), (3, 1000), (7, 10**6), (13, 2**31 - 1)]:
         windows = radsym.density._windows(l, bound)
         assert windows[0][0] == 1 and windows[-1][1] == bound
         assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
+
+
+def test_a_full_queue_fits_one_atomic_pipe_write():
+    """The most windows any scan has (l = 3 just below the norm cap), plus a
+    -1 for each of MAX_THREADS processes, fit in PIPE_BUF, so the caller's
+    one write of the queue neither blocks nor interleaves."""
+    windows = len(radsym.density._windows(3, kernels.MAX_MODULUS - 1))
+    assert windows == 242
+    entries = windows + radsym.density.MAX_THREADS
+    assert entries * radsym.density._INDEX.size <= select.PIPE_BUF
 
 
 def _peak_traced_bytes(bound):
