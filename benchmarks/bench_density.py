@@ -78,8 +78,10 @@ while ``cli._run_batch`` answers the line with its reply written to a sink.
 It takes one fixed line per request class of the radbench ``queries`` deck:
 ``symbol`` at l3.f1, l3.f2 and l7.f1 (27-, 20- and 27-bit primes) and l5.f4
 (a 14-bit prime), each with radicands 226 and 851; ``degree`` at l3.m7;
-``reduce`` and ``check`` at l3.m4; and one invalid line (an even l), which
-is parsed, refused by ``_execute`` and answered with an error record.  Each
+``reduce`` and ``check`` at l3.m4; ``density`` at l = 3 with radicands
+(2, 5) and ``charsum`` of 2 at l = 5, both at X = 1e5; and one invalid line
+(an even l), which is parsed, refused by ``_execute`` and answered with an
+error record.  Each
 line is answered 20 times to warm up and then 300 times; a result holds the
 median microseconds per request of each stage (``parse_us``, ``execute_us``,
 ``serialize_us``) and of the whole ``_run_batch`` call (``request_us``),
@@ -87,6 +89,19 @@ with the reply's exit code and length in bytes, which must agree between
 trees whose replies are byte-identical:
 
     python3 benchmarks/bench_density.py --study batch --runs 5 \
+        --parent ../parent/src --label change
+
+The windows study times ``density_experiment`` with its range cut into a
+given number of equal windows of whole progression terms (``cut``; the
+scan's own ``_windows`` is replaced in the child), or into the tree's own
+windows (``cut`` 0), at l = 3 with radicands (2, 5) and targets (0, 1) for
+X = 1e5 .. 1e7, at l = 5 with (2, 3), (1, 2) and l = 7 with (2, 3, 5),
+(0, 1, 2) for X = 3e5 .. 3e6, on 1 thread, and at X = 1e5 and 1e6 (l = 3)
+and 3e6 (l = 7) on 2 threads.  A result holds the windows the scan took and
+the median milliseconds per call (``call_ms``) over 5 to 40 calls after 2
+that warm up and fork any workers:
+
+    python3 benchmarks/bench_density.py --study windows --runs 7 \
         --parent ../parent/src --label change
 """
 
@@ -147,7 +162,24 @@ CONFIGS = [
         ("check.l3.m4", {"command": "check", "l": 3, "radicands": [12, 18, 50, 75],
                          "targets": [1, 2, 0, 1]}),
         ("invalid.even-l", {"command": "degree", "l": 8, "radicands": [7]}),
+        ("density.l3", {"command": "density", "l": 3, "radicands": [2, 5], "targets": [0, 1],
+                        "norm_bound": 10**5}),
+        ("charsum.l5", {"command": "charsum", "l": 5, "n": 2, "norm_bound": 10**5}),
     )
+] + [
+    ("windows", l, radicands, targets, (bound, cut), threads)
+    for l, radicands, targets, threads, cuts in (
+        (3, (2, 5), (0, 1), 1, {10**5: range(3), 2 * 10**5: range(4), 5 * 10**5: range(5),
+                                10**6: range(7), 2 * 10**6: range(9),
+                                5 * 10**6: (0, 4, 6, 8, 10, 12), 10**7: (0, 8, 12, 14, 17)}),
+        (5, (2, 3), (1, 2), 1, {3 * 10**5: range(3), 10**6: range(5), 3 * 10**6: range(7)}),
+        (7, (2, 3, 5), (0, 1, 2), 1, {3 * 10**5: range(3), 10**6: range(4),
+                                      3 * 10**6: range(5)}),
+        (3, (2, 5), (0, 1), 2, {10**5: range(3), 10**6: range(7)}),
+        (7, (2, 3, 5), (0, 1, 2), 2, {3 * 10**6: range(5)}),
+    )
+    for bound, counts in cuts.items()
+    for cut in counts
 ] + [
     ("split", l, (2, 5), (), (f, bits, count), 1)
     for l, f, bits, count in ((7, 2, 14, 40), (13, 2, 17, 40), (13, 3, 17, 40),
@@ -160,7 +192,7 @@ CONFIGS = [
 STUDIES = sorted({config[0] for config in CONFIGS})
 TIMINGS = ("wall_s", "peak_rss_mb", "workers_cpu_s", "workers_peak_rss_mb", "primes_above_s",
            "symbols_s", "field_symbols_s", "periods_s", "field_s", "parse_us", "execute_us",
-           "serialize_us", "request_us")
+           "serialize_us", "request_us", "call_ms")
 
 ABOUT = ("density_experiment, character_sum or brute_force_kernel wall time "
          "(one call, import excluded), or one pass of the symbol study, and "
@@ -185,7 +217,10 @@ ABOUT = ("density_experiment, character_sum or brute_force_kernel wall time "
          "per request, over 300 answers of that line, of parsing it "
          "(parse_us), executing it (execute_us), serializing the reply "
          "(serialize_us) and the whole request (request_us), with the reply's "
-         "exit code and length in bytes")
+         "exit code and length in bytes; a windows result times density_experiment "
+         "with its range cut into cut equal windows (0: the tree's own windows) and "
+         "holds the windows taken and the median ms per call (call_ms) over calls "
+         "after 2 that warm up")
 
 # Runs in the child: one study, then its wall time, peak RSS and counts.
 CHILD = """
@@ -194,7 +229,7 @@ from radsym import (CyclotomicInt, brute_force_kernel, character_sum, density_ex
                     is_prime, multiplicative_order, normalize_inputs, primes_above,
                     residue_symbol)
 study, l, radicands, targets, bound, threads = json.loads(sys.argv[1])
-s = normalize_inputs(l, radicands) if study in ("density", "oracle") else None
+s = normalize_inputs(l, radicands) if study in ("density", "oracle", "windows") else None
 if study in ("symbol", "split"):
     f, bits, count = bound[:3]
     primes, p = [], 1 << (bits - 1)
@@ -247,6 +282,25 @@ elif study == "density":
     counts = {"ideals": rep.ideals_scanned, "matches": rep.matches}
 elif study == "oracle":
     counts = {"relations": brute_force_kernel(s)}
+elif study == "windows":
+    import statistics
+    import radsym.density
+    bound, cut = bound
+    if cut:
+        def cut_windows(l, x):
+            span = 2 * l * -(-x // (2 * l * cut))
+            return [(lo, min(lo + span - 1, x)) for lo in range(1, x + 1, span)]
+        radsym.density._windows = cut_windows
+    reps = max(5, min(40, 4 * 10**6 // bound))
+    times = []
+    for k in range(2 + reps):  # the first 2 warm up and fork any workers
+        t1 = time.perf_counter()
+        rep = density_experiment(s, targets, bound, threads=threads)
+        if k >= 2:
+            times.append(time.perf_counter() - t1)
+    counts = {"windows": len(radsym.density._windows(l, bound)), "calls": reps,
+              "call_ms": statistics.median(times) * 1e3, "ideals": rep.ideals_scanned,
+              "matches": rep.matches}
 elif study == "batch":
     import io, statistics
     from radsym import cli
@@ -334,6 +388,8 @@ def run_config(src: Path, study: str, l: int, radicands: tuple, targets: tuple,
         size = {"f": bound[0], "bits": bound[1]}
     elif study == "batch":
         size = {"request": bound[0], "line": bound[1]}
+    elif study == "windows":
+        size = {"norm_bound": bound[0], "cut": bound[1]}
     else:
         size = {"norm_bound": bound}
     return {"study": study, "l": l, "radicands": list(radicands), "targets": list(targets),
@@ -383,6 +439,8 @@ def main() -> None:
             size = f"f={bound[0]} bits={bound[1]} primes={bound[2]}"
         elif study == "batch":
             size = bound[0]
+        elif study == "windows":
+            size = f"X={bound[0]:.0e} cut={bound[1]}"
         else:
             size = f"m={len(radicands)}" if bound is None else f"X={bound:.0e}"
         for label, _ in sides:
@@ -391,6 +449,9 @@ def main() -> None:
                 print(f"{label}: batch {size}: parse {row['parse_us']:.1f} us, execute "
                       f"{row['execute_us']:.1f} us, serialize {row['serialize_us']:.1f} us, "
                       f"request {row['request_us']:.1f} us", flush=True)
+            elif study == "windows":
+                print(f"{label}: windows l={l} {size} threads={threads}: {row['windows']} "
+                      f"windows, {row['call_ms']:.2f} ms per call", flush=True)
             else:
                 print(f"{label}: {study} l={l} {size} threads={threads}: {row['wall_s']:.3f} s, "
                       f"{row['peak_rss_mb']:.0f} MB; workers {row['workers_cpu_s']:.3f} s CPU, "

@@ -499,8 +499,10 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
     0.17-0.29 s; every other f takes under 0.3 s, 0.07-0.1 s of it in the
     product, and at l near 1000 and p < 200, where f >= k but one draw
     rarely separates, 0.03-0.12 s, most of it in the product too.
-    The random choices are seeded per (p, l), so repeated calls do the same
-    work; the sorted output does not depend on them.
+    At f = 1 the roots are the powers of one theta found by search, with no
+    random choice.  At f >= 2 the random choices are seeded per (p, l), so
+    repeated calls do the same work; the sorted output does not depend on
+    them.
     """
     _check_l(l)
     if p == l:
@@ -511,13 +513,14 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
     if f == l - 1:
         return [PrimeIdeal(l, p, f, phi)]
 
-    rng = random.Random(p * 1_000_003 + l * 1_009)
     if f == 1:
-        factors = _linear_factors(p, l, rng)
-    elif f >= k or _separates(p, k) and k * k <= f**3:
-        factors = _split_by_periods(p, l, f, rng)
+        factors = _linear_factors(p, l)
     else:
-        factors = _split_by_field(p, l, f, _element_of_order_l(p, l, f, rng))
+        rng = random.Random(p * 1_000_003 + l * 1_009)
+        if f >= k or _separates(p, k) and k * k <= f**3:
+            factors = _split_by_periods(p, l, f, rng)
+        else:
+            factors = _split_by_field(p, l, f, _element_of_order_l(p, l, f, rng))
 
     factors.sort(key=lambda g: _canonical_key(g, p))
     if any(len(g) - 1 != f for g in factors):
@@ -539,14 +542,12 @@ def primes_above(p: int, l: int) -> list[PrimeIdeal]:
     return [PrimeIdeal(l, p, f, g) for g in factors]
 
 
-def _linear_factors(p: int, l: int, rng: random.Random) -> list[tuple[int, ...]]:
+def _linear_factors(p: int, l: int) -> list[tuple[int, ...]]:
     """The factors X - theta**j, j = 1 .. l-1, of Phi_l mod p at f = 1, for
-    a random theta of order l in GF(p)."""
+    theta = z**((p-1)/l) of order l in GF(p) at the least z >= 2 where that
+    power is not 1."""
     e = (p - 1) // l
-    while True:
-        theta = pow(rng.randrange(2, p), e, p)
-        if theta > 1:
-            break
+    theta = next(t for t in (pow(z, e, p) for z in range(2, p)) if t != 1)
     factors = []
     w = theta
     for _ in range(l - 1):

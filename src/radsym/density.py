@@ -30,7 +30,10 @@ never builds the ideals themselves:
 The split primes are sieved window by window along the progression
 1 + 2l*i, and each window leaves only integer tallies per checkpoint bound,
 so memory stays flat as the bound grows and the tallies do not depend on
-how many processes share the windows.  A scan on k processes takes its
+how many processes share the windows.  A window spans a fixed number of
+progression terms per unit of sqrt(X), but holds at least about
+``_WINDOW_PRIMES`` expected split primes, so a small scan is one window
+(``_windows``).  A scan on k processes takes its
 windows one at a time from one shared queue, in the caller and in k - 1
 forked scan workers that stay alive for the next scan (``_Crew``).
 ``primes_above`` and
@@ -81,18 +84,28 @@ MAX_THREADS = 64
 # powmod cuts a block into cache-sized chunks itself.  The guard v**l runs
 # inside the residue call, the root v_i**(1/s_i) takes a scalar exponent,
 # and the powers w**s of the match counts are (n,) lane products, each a
-# block-long pass.  The length was chosen while a scan's second worker was
-# a thread that ran only inside long numpy passes; it has not been retuned
-# since the windows went to worker processes through a shared queue.
+# block-long pass.  The bound cuts only the windows of large scans: at
+# l = 3 a window first holds more primes than this from about X = 2e7 (the
+# first windows of a 3e7 scan hold 41,000), at l = 7 from about 3e7, and
+# every smaller window is one block.
 _BLOCK = 1 << 15
 
 # Sieve window, in terms of the progression 1 + 2l*i per unit of
-# sqrt(norm bound).  A window loops in Python over the sieving primes (about
-# 2 sqrt(X) / ln X of them), which then costs little next to its striking,
-# and a window's arrays stay near a MB whatever the bound.  The processes
-# sharing a scan take its windows one at a time from a queue (``_tally``),
-# so one that finishes a window early takes the next.
+# sqrt(norm bound): the shortest window ``_windows`` cuts.  A window loops
+# in Python over the sieving primes (about 2 sqrt(X) / ln X of them), which
+# then costs little next to its striking, and a window's arrays stay near a
+# MB whatever the bound.  The processes sharing a scan take its windows one
+# at a time from a queue (``_tally``), so one that finishes a window early
+# takes the next.
 _WINDOW_SCALE = 32
+
+# Fewest expected split primes per window.  Each window pays a fixed cost
+# besides its primes (a sieve call, powmod's set-up and each ladder step's
+# numpy calls, the match and tally calls), which a window of _WINDOW_SCALE
+# terms per unit of sqrt(X) does not amortize at small bounds.  Chosen by
+# the windows study of BENCH_density.json, which times scans at l = 3, 5
+# and 7 and X = 1e5 .. 1e7 cut into every window count.
+_WINDOW_PRIMES = 9000
 
 
 @dataclass(frozen=True)
@@ -259,8 +272,19 @@ class _Scan:
 
 def _windows(l: int, norm_bound: int) -> list[tuple[int, int]]:
     """[lo, hi] ranges covering 1 .. norm_bound, each holding
-    _WINDOW_SCALE * isqrt(norm_bound) terms of the progression 1 + 2l*i."""
+    _WINDOW_SCALE * isqrt(norm_bound) terms of the progression 1 + 2l*i
+    (the last one fewer), unless that leaves fewer than _WINDOW_PRIMES
+    expected split primes per window.  By the prime number theorem for the
+    progression about X / ((l-1) ln X) split primes lie below X; such a
+    scan is cut instead into as many equal windows, of whole progression
+    terms, as that estimate fills with _WINDOW_PRIMES each, and at least
+    one.  So a scan to 1e5 is one window, and the floor binds only up to
+    X near 2.4e6 at l = 3, 4.1e6 at l = 7 and 6.8e6 at l = 13."""
     span = 2 * l * _WINDOW_SCALE * math.isqrt(norm_bound)
+    expected = norm_bound / ((l - 1) * math.log(norm_bound))
+    if expected < _WINDOW_PRIMES * -(-norm_bound // span):
+        count = max(1, int(expected // _WINDOW_PRIMES))
+        span = 2 * l * -(-norm_bound // (2 * l * count))
     return [(lo, min(lo + span - 1, norm_bound)) for lo in range(1, norm_bound + 1, span)]
 
 

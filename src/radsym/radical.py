@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .arith import (
     factorize,
     is_prime,
 )
-from .cyclotomic import PrimeIdeal, residue_symbol
 
 
 class DegreeMismatchError(RuntimeError):
@@ -189,25 +189,35 @@ def degree(s: InputSet) -> int:
     return checked_degree(reduce_basis(s), rank_and_kernel(s))
 
 
-def _filter_primes(cores: tuple[int, ...], l: int, k: int) -> list[int]:
-    """The first k primes q = 1 + 2l*i that divide no core."""
-    out: list[int] = []
+def _filter_primes(cores: tuple[int, ...], l: int):
+    """The primes q = 1 + 2l*i that divide no core, ascending."""
     q = 1
-    while len(out) < k:
+    while True:
         q += 2 * l
         if is_prime(q) and all(a % q for a in cores):
-            out.append(q)
-    return out
+            yield q
 
 
 def _symbol_exponents(cores: tuple[int, ...], l: int, q: int) -> list[int]:
     """Each core's l-th power residue symbol mod q as an exponent c in Z/l:
     a**((q-1)/l) == w**c mod q for the first w = x**((q-1)/l) != 1, read at
-    the degree-1 ideal (q, zeta - w).  q must be 1 mod l and divide no core."""
+    the degree-1 ideal (q, zeta - w).  q must be 1 mod l and divide no core.
+    A power that is no power of w, so lies outside the order-l subgroup,
+    raises AssertionError as ``residue_symbol`` does."""
     e = (q - 1) // l
     w = next(z for z in (pow(x, e, q) for x in range(2, q)) if z != 1)
-    ideal = PrimeIdeal(l, q, 1, ((-w) % q, 1))
-    return [residue_symbol(a, ideal) for a in cores]
+    logs = {}
+    z = 1
+    for c in range(l):
+        logs[z] = c
+        z = z * w % q
+    out = []
+    for a in cores:
+        c = logs.get(pow(a, e, q))
+        if c is None:
+            raise AssertionError("residue power is not a root of unity image")
+        out.append(c)
+    return out
 
 
 # Largest l**m that brute_force_kernel accepts, read at each call.
@@ -226,17 +236,20 @@ def brute_force_kernel(s: InputSet) -> int:
     product with an exact l-th root, ker C is the group of relations, since
     products of l-th powers are l-th powers, and the count is l**dim.
     Otherwise k doubles: by Chebotarev a product that is no l-th power has a
-    nontrivial symbol at a positive density of q.  The cost does not grow
-    with l**m.
+    nontrivial symbol at a positive density of q.  The rows of the earlier
+    primes are kept, so each prime's symbols are computed once.  The cost
+    does not grow with l**m.
     """
     l = s.l
     cores = s.normalized
     m = len(cores)
     if l**m > ORACLE_LIMIT:
         raise OracleScaleError(f"l**{m} exceeds the scale guard {ORACLE_LIMIT}")
+    primes = _filter_primes(cores, l)
+    symbols: list[list[int]] = []
     k = m
     while True:
-        symbols = [_symbol_exponents(cores, l, q) for q in _filter_primes(cores, l, k)]
+        symbols += [_symbol_exponents(cores, l, q) for q in islice(primes, k - len(symbols))]
         r, pivots = _rref_mod(symbols, l)
         basis = _nullspace_mod(r, pivots, m, l)
         if all(

@@ -139,7 +139,7 @@ def test_split_prime_root_check_fires_on_bad_roots(monkeypatch, p, l):
     unity, is 1, or repeats another, or when the leading coefficient is off."""
     assert multiplicative_order(p, l) == 1
     real = cyclotomic._linear_factors
-    good = real(p, l, random.Random(0))
+    good = real(p, l)
     w = (-good[0][0]) % p
     stranger = next(x for x in range(2, p) if pow(x, l, p) != 1)
     corruptions = {
@@ -151,7 +151,7 @@ def test_split_prime_root_check_fires_on_bad_roots(monkeypatch, p, l):
     }
     assert primes_above(p, l)  # the true factors pass
     for name, factors in corruptions.items():
-        monkeypatch.setattr(cyclotomic, "_linear_factors", lambda p, l, rng, fs=factors: fs)
+        monkeypatch.setattr(cyclotomic, "_linear_factors", lambda p, l, fs=factors: fs)
         with pytest.raises(AssertionError, match="does not reproduce the cyclotomic"):
             primes_above(p, l)
         monkeypatch.setattr(cyclotomic, "_linear_factors", real)

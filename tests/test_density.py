@@ -465,9 +465,11 @@ def test_scan_matches_ideal_walk(study):
 @given(_studies())
 def test_scan_matches_ideal_walk_across_small_windows(study):
     """Windows of a few dozen progression terms and blocks of five primes put
-    window, block and checkpoint edges inside every scan."""
+    window, block and checkpoint edges inside every scan; with no floor of
+    split primes per window, the sqrt rule alone cuts them."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(radsym.density, "_WINDOW_SCALE", 1)
+        mp.setattr(radsym.density, "_WINDOW_PRIMES", 0)
         mp.setattr(radsym.density, "_BLOCK", 5)
         _check_study(*study)
 
@@ -646,13 +648,13 @@ def worker_goes_first(monkeypatch):
 def test_guard_failure_in_a_worker_reaches_the_caller(monkeypatch, worker_goes_first):
     """The AssertionError a worker raises in its share is raised again, with
     its message, by the call; its worker is reaped."""
-    assert len(radsym.density._windows(3, 10**5)) == 2
+    assert len(radsym.density._windows(3, 5 * 10**5)) == 2
     _corrupt_in_workers(monkeypatch)
     forked = _spy_fork(monkeypatch)
     s = normalize_inputs(3, [2, 5])
-    assert density_experiment(s, (0, 0), 10**5).matches  # the caller alone: no fork, true
+    assert density_experiment(s, (0, 0), 5 * 10**5).matches  # the caller alone: no fork, true
     with pytest.raises(AssertionError, match="^symbol value fell outside the root-of-unity"):
-        density_experiment(s, (0, 0), 10**5, threads=2)
+        density_experiment(s, (0, 0), 5 * 10**5, threads=2)
     assert len(forked) == 1
     _assert_no_children()
 
@@ -661,24 +663,26 @@ def test_a_worker_guard_failure_resets_the_set(monkeypatch, worker_goes_first):
     """A call that fails in a worker kills and reaps the whole set before it
     raises, and the next call forks a fresh worker and counts right."""
     s = normalize_inputs(3, [2, 5])
-    want = density_experiment(s, (0, 0), 10**5)
+    assert len(radsym.density._windows(3, 5 * 10**5)) == 2
+    want = density_experiment(s, (0, 0), 5 * 10**5)
     forked = _spy_fork(monkeypatch)
     with monkeypatch.context() as m:
         _corrupt_in_workers(m)
         with pytest.raises(AssertionError, match="subgroup"):
-            density_experiment(s, (0, 0), 10**5, threads=2)
+            density_experiment(s, (0, 0), 5 * 10**5, threads=2)
     assert len(forked) == 1 and _crew_pids() == []
     _assert_no_children(stop=False)
-    assert density_experiment(s, (0, 0), 10**5, threads=2) == want
+    assert density_experiment(s, (0, 0), 5 * 10**5, threads=2) == want
     assert len(forked) == 2 and _crew_pids() == forked[1:]
 
 
 def test_guard_failure_in_a_worker_exits_3(monkeypatch, capsys, worker_goes_first):
     """Through the CLI with --threads 2, a worker's corrupted residue exits 3
     with the same line as a corrupted residue in a 1-thread scan."""
+    assert len(radsym.density._windows(3, 5 * 10**5)) == 2
     _corrupt_in_workers(monkeypatch)
     forked = _spy_fork(monkeypatch)
-    code = radsym.cli.main(["density", "-l", "3", "-x", "100000", "--threads", "2",
+    code = radsym.cli.main(["density", "-l", "3", "-x", "500000", "--threads", "2",
                             "--targets", "0,0", "2", "5"])
     out, err = capsys.readouterr()
     assert (code, out, len(forked)) == (3, "", 1)
@@ -692,7 +696,7 @@ def test_scans_fork_one_worker_per_extra_share(monkeypatch, threads):
     forked worker per further share, forked by the first call and kept for
     the next.  The counts stay the same and every worker is reaped once the
     set stops."""
-    s, bound = normalize_inputs(3, [2, 5]), 10**6
+    s, bound = normalize_inputs(3, [2, 5]), 16 * 10**5
     windows = len(radsym.density._windows(3, bound))
     assert windows == 6
     want = density_experiment(s, (0, 1), bound), character_sum(2, 3, bound)
@@ -726,13 +730,15 @@ def test_one_worker_set_serves_scans_of_every_spec(monkeypatch):
     """Scans with another l, other radicands or other targets, density and
     character sums, run on the same two workers and equal the caller's own
     counts."""
+    bound = 3 * 10**6
+    assert all(len(radsym.density._windows(l, bound)) >= 3 for l in (3, 5, 7))
     calls = [
-        lambda k: density_experiment(normalize_inputs(3, [2, 5]), (0, 1), 10**6, threads=k),
-        lambda k: density_experiment(normalize_inputs(7, [2, 3, 5]), (0, 1, 2), 10**6, threads=k),
-        lambda k: density_experiment(normalize_inputs(5, [3]), (1,), 10**6, threads=k),
-        lambda k: character_sum(2, 3, 10**6, threads=k),
-        lambda k: density_experiment(normalize_inputs(3, [2, 5]), (0, 0), 10**6, threads=k),
-        lambda k: character_sum(-3, 7, 10**6, threads=k),
+        lambda k: density_experiment(normalize_inputs(3, [2, 5]), (0, 1), bound, threads=k),
+        lambda k: density_experiment(normalize_inputs(7, [2, 3, 5]), (0, 1, 2), bound, threads=k),
+        lambda k: density_experiment(normalize_inputs(5, [3]), (1,), bound, threads=k),
+        lambda k: character_sum(2, 3, bound, threads=k),
+        lambda k: density_experiment(normalize_inputs(3, [2, 5]), (0, 0), bound, threads=k),
+        lambda k: character_sum(-3, 7, bound, threads=k),
     ]
     want = [call(1) for call in calls]
     forked = _spy_fork(monkeypatch)
@@ -798,19 +804,20 @@ def test_no_fork_for_one_window_or_beside_another_thread(monkeypatch):
     Python thread is alive, where a child could inherit a held lock."""
     s = normalize_inputs(3, [2, 5])
     assert len(radsym.density._windows(3, 5000)) == 1
-    want = density_experiment(s, (0, 1), 10**5)
+    assert len(radsym.density._windows(3, 5 * 10**5)) == 2
+    want = density_experiment(s, (0, 1), 5 * 10**5)
     forked = _spy_fork(monkeypatch)
     assert density_experiment(s, (0, 1), 5000, threads=4) == density_experiment(s, (0, 1), 5000)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        assert density_experiment(s, (0, 1), 10**5, threads=2) == want
+        assert density_experiment(s, (0, 1), 5 * 10**5, threads=2) == want
     finally:
         stop.set()
         other.join()
     assert forked == []
-    assert density_experiment(s, (0, 1), 10**5, threads=2) == want
+    assert density_experiment(s, (0, 1), 5 * 10**5, threads=2) == want
     assert len(forked) == 1
     _assert_no_children()
 
@@ -911,6 +918,45 @@ def test_a_caller_that_exits_reaps_its_workers():
         worker = int(proc.stdout.readline())
         assert proc.wait(timeout=60) == 0
     assert not os.path.exists(f"/proc/{worker}")
+
+
+def _sqrt_windows(l: int, bound: int) -> list[tuple[int, int]]:
+    """The windows of _WINDOW_SCALE * isqrt(bound) progression terms alone,
+    with no floor of split primes per window."""
+    span = 2 * l * radsym.density._WINDOW_SCALE * math.isqrt(bound)
+    return [(lo, min(lo + span - 1, bound)) for lo in range(1, bound + 1, span)]
+
+
+def test_large_scans_keep_the_sqrt_windows():
+    """Where every window of the sqrt rule expects _WINDOW_PRIMES split
+    primes, its windows stay exactly as they are; so do the radbench scans
+    and the largest queue.  A small scan is one window."""
+    for l, bound, count in [(3, 3 * 10**7, 29), (7, 3 * 10**7, 13),
+                            (3, kernels.MAX_MODULUS - 1, 242)]:
+        windows = radsym.density._windows(l, bound)
+        assert windows == _sqrt_windows(l, bound) and len(windows) == count
+    assert len(radsym.density._windows(3, 10**5)) == 1
+    assert len(_sqrt_windows(3, 10**5)) == 2
+
+
+@pytest.mark.parametrize("l, radicands, targets", [
+    (3, (2, 5), (0, 1)),
+    (5, (2, 3), (1, 2)),
+    (7, (2, 3, 5), (0, 1, 2)),
+])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_window_rule_leaves_every_report_unchanged(monkeypatch, l, radicands, targets, threads):
+    """density_experiment and character_sum reports are equal under the
+    window rule and under the sqrt rule alone, from one window to several,
+    on one process and on two."""
+    s = normalize_inputs(l, radicands)
+    bounds = [10**4, 10**5, 3 * 10**5, 10**6, 2 * 10**6]
+    got = [(density_experiment(s, targets, x, threads=threads),
+            character_sum(radicands[0], l, x, threads=threads)) for x in bounds]
+    assert any(radsym.density._windows(l, x) != _sqrt_windows(l, x) for x in bounds)
+    monkeypatch.setattr(radsym.density, "_windows", _sqrt_windows)
+    assert got == [(density_experiment(s, targets, x, threads=threads),
+                    character_sum(radicands[0], l, x, threads=threads)) for x in bounds]
 
 
 def test_windows_tile_the_range():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import radsym.radical
 from radsym.arith import FACTOR_BOUND, exact_lth_root, factorize
+from radsym.cyclotomic import PrimeIdeal, residue_symbol
 from radsym.radical import (
     OracleScaleError,
     _nullspace_mod,
@@ -269,6 +270,46 @@ def test_brute_force_kernel_examples(monkeypatch):
     with pytest.raises(OracleScaleError, match="l\\*\\*3 exceeds the scale guard 10"):
         brute_force_kernel(normalize_inputs(3, [2, 3, 5]))
     assert brute_force_kernel(normalize_inputs(3, [2, 3])) == 1  # 3**2 <= 10
+
+
+def test_oracle_computes_each_filter_prime_once(monkeypatch):
+    """Inputs whose first m filter primes leave a kernel vector that is no
+    l-th power take a second round of 2m primes, which keeps the rows of
+    the first m: every prime's symbols are computed once, in order."""
+    calls = []
+    real = radsym.radical._symbol_exponents
+
+    def spy(cores, l, q):
+        calls.append(q)
+        return real(cores, l, q)
+
+    monkeypatch.setattr(radsym.radical, "_symbol_exponents", spy)
+    for l, radicands in ((3, [2, 3, 5, 7, 11]), (5, [2, 3, 5, 7, 11, 13, 17])):
+        calls.clear()
+        s = normalize_inputs(l, radicands)
+        assert brute_force_kernel(s) == 1
+        assert len(calls) == 2 * len(s.normalized)  # a second round ran
+        assert calls == sorted(set(calls))
+
+
+@pytest.mark.parametrize("l", [3, 5, 7, 13])
+def test_oracle_symbols_match_residue_symbol(l):
+    """The oracle's exponents equal residue_symbol at the degree-1 ideal
+    (q, zeta - w) its docstring names, and a core that q divides, whose
+    power 0 is no root of unity, raises the same AssertionError."""
+    cores = (2, 3, 5, 6, 10, 77, 2**70 + 1)
+    for q in [q for q in range(2 * l + 1, 4000, 2 * l) if all(q % d for d in range(2, q))][:12]:
+        if any(a % q == 0 for a in cores):
+            continue
+        e = (q - 1) // l
+        w = next(z for z in (pow(x, e, q) for x in range(2, q)) if z != 1)
+        ideal = PrimeIdeal(l, q, 1, ((-w) % q, 1))
+        assert radsym.radical._symbol_exponents(cores, l, q) == [
+            residue_symbol(a, ideal) for a in cores
+        ]
+    q = next(q for q in range(2 * l + 1, 4000, 2 * l) if all(q % d for d in range(2, q)))
+    with pytest.raises(AssertionError, match="not a root of unity image"):
+        radsym.radical._symbol_exponents((2, q), l, q)
 
 
 # The first primes 1 + 2l*i, which the oracle's filter would take unless
