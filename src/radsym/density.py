@@ -86,7 +86,7 @@ MAX_THREADS = 64
 # and the powers w**s of the match counts are (n,) lane products, each a
 # block-long pass.  The bound cuts only the windows of large scans: at
 # l = 3 a window first holds more primes than this from about X = 2e7 (the
-# first windows of a 3e7 scan hold 41,000), at l = 7 from about 3e7, and
+# first windows of a 3e7 scan hold 41,000), at l = 7 from about 3.6e7, and
 # every smaller window is one block.
 _BLOCK = 1 << 15
 

@@ -13,6 +13,7 @@ its basis has an exact big-integer l-th root.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -189,7 +190,7 @@ def degree(s: InputSet) -> int:
     return checked_degree(reduce_basis(s), rank_and_kernel(s))
 
 
-def _filter_primes(cores: tuple[int, ...], l: int):
+def _filter_primes(cores: tuple[int, ...], l: int) -> Iterator[int]:
     """The primes q = 1 + 2l*i that divide no core, ascending."""
     q = 1
     while True:
