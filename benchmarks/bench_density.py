@@ -96,10 +96,12 @@ given number of equal windows of whole progression terms (``cut``; the
 scan's own ``_windows`` is replaced in the child), or into the tree's own
 windows (``cut`` 0), at l = 3 with radicands (2, 5) and targets (0, 1) for
 X = 1e5 .. 1e7, at l = 5 with (2, 3), (1, 2) and l = 7 with (2, 3, 5),
-(0, 1, 2) for X = 3e5 .. 3e6, on 1 thread, and at X = 1e5 and 1e6 (l = 3)
-and 3e6 (l = 7) on 2 threads.  A result holds the windows the scan took and
-the median milliseconds per call (``call_ms``) over 5 to 40 calls after 2
-that warm up and fork any workers:
+(0, 1, 2) for X = 3e5 .. 3e6, on 1 thread, and on 2 threads at X = 1e5 ..
+1e6 (l = 3), 5e5 .. 3e6 (l = 7) and 2.5e6 (l = 13 with (2, 3), (0, 1)),
+points on both sides of where 2 processes keep the sqrt rule's windows.
+A result holds the windows the scan took and the median milliseconds per
+call (``call_ms``) over 5 to 40 calls after 2 that warm up and fork any
+workers:
 
     python3 benchmarks/bench_density.py --study windows --runs 7 \
         --parent ../parent/src --label change
@@ -175,8 +177,11 @@ CONFIGS = [
         (5, (2, 3), (1, 2), 1, {3 * 10**5: range(3), 10**6: range(5), 3 * 10**6: range(7)}),
         (7, (2, 3, 5), (0, 1, 2), 1, {3 * 10**5: range(3), 10**6: range(4),
                                       3 * 10**6: range(5)}),
-        (3, (2, 5), (0, 1), 2, {10**5: range(3), 10**6: range(7)}),
-        (7, (2, 3, 5), (0, 1, 2), 2, {3 * 10**6: range(5)}),
+        (3, (2, 5), (0, 1), 2, {10**5: range(3), 2 * 10**5: range(3), 3 * 10**5: range(4),
+                                10**6: range(7)}),
+        (7, (2, 3, 5), (0, 1, 2), 2, {5 * 10**5: range(3), 10**6: range(4),
+                                      3 * 10**6: range(5)}),
+        (13, (2, 3), (0, 1), 2, {25 * 10**5: range(3)}),
     )
     for bound, counts in cuts.items()
     for cut in counts
@@ -286,11 +291,17 @@ elif study == "windows":
     import statistics
     import radsym.density
     bound, cut = bound
-    if cut:
-        def cut_windows(l, x):
+    own, taken = radsym.density._windows, []
+
+    def spy(l, x, *rest):  # a tree's _windows may or may not take threads
+        if cut:
             span = 2 * l * -(-x // (2 * l * cut))
-            return [(lo, min(lo + span - 1, x)) for lo in range(1, x + 1, span)]
-        radsym.density._windows = cut_windows
+            windows = [(lo, min(lo + span - 1, x)) for lo in range(1, x + 1, span)]
+        else:
+            windows = own(l, x, *rest)
+        taken.append(len(windows))
+        return windows
+    radsym.density._windows = spy
     reps = max(5, min(40, 4 * 10**6 // bound))
     times = []
     for k in range(2 + reps):  # the first 2 warm up and fork any workers
@@ -298,7 +309,7 @@ elif study == "windows":
         rep = density_experiment(s, targets, bound, threads=threads)
         if k >= 2:
             times.append(time.perf_counter() - t1)
-    counts = {"windows": len(radsym.density._windows(l, bound)), "calls": reps,
+    counts = {"windows": taken[-1], "calls": reps,
               "call_ms": statistics.median(times) * 1e3, "ideals": rep.ideals_scanned,
               "matches": rep.matches}
 elif study == "batch":

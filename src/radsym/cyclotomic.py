@@ -183,23 +183,30 @@ class PrimeIdeal:
         tuple of the f coefficients of X**i mod g.  Cached on the instance,
         outside the compared and hashed fields."""
         p, g, l = self.p, self.g, self.l
-        logs = {}
         if self.f == 1:
-            root = (-g[0]) % p
-            w = 1
-            for i in range(l):
-                logs.setdefault(w, i)
-                w = w * root % p
-        else:
-            x = (0, 1) + (0,) * (len(g) - 3)
-            w = (1,) + (0,) * (len(g) - 2)
-            for i in range(l):
-                logs.setdefault(w, i)
-                w = _mulmod(w, x, g, p)
+            return (p - 1) // l, _root_logs((-g[0]) % p, l, p)
+        logs = {}
+        x = (0, 1) + (0,) * (len(g) - 3)
+        w = (1,) + (0,) * (len(g) - 2)
+        for i in range(l):
+            logs.setdefault(w, i)
+            w = _mulmod(w, x, g, p)
         return (self.norm - 1) // l, logs
 
     def __str__(self) -> str:
         return f"({self.p}, {poly_str(self.g)})"
+
+
+def _root_logs(root: int, l: int, p: int) -> dict[int, int]:
+    """root**i mod p mapped to i, for i in [0, l): the table that reads a
+    symbol exponent off a residue power at a degree-1 ideal where zeta maps
+    to root (``PrimeIdeal._symbol_table``, ``radical._symbol_exponents``)."""
+    logs: dict[int, int] = {}
+    w = 1
+    for i in range(l):
+        logs.setdefault(w, i)
+        w = w * root % p
+    return logs
 
 
 def poly_str(g: tuple[int, ...]) -> str:

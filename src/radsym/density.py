@@ -32,8 +32,9 @@ The split primes are sieved window by window along the progression
 so memory stays flat as the bound grows and the tallies do not depend on
 how many processes share the windows.  A window spans a fixed number of
 progression terms per unit of sqrt(X), but holds at least about
-``_WINDOW_PRIMES`` expected split primes, so a small scan is one window
-(``_windows``).  A scan on k processes takes its
+``_WINDOW_PRIMES`` expected split primes, so a small scan is one window,
+unless several processes may share it and it is large enough to pay for
+that (``_windows``).  A scan on k processes takes its
 windows one at a time from one shared queue, in the caller and in k - 1
 forked scan workers that stay alive for the next scan (``_Crew``).
 ``primes_above`` and
@@ -106,6 +107,17 @@ _WINDOW_SCALE = 32
 # the windows study of BENCH_density.json, which times scans at l = 3, 5
 # and 7 and X = 1e5 .. 1e7 cut into every window count.
 _WINDOW_PRIMES = 9000
+
+# Fewest expected split primes for which a scan that several processes may
+# share keeps the windows of the sqrt rule.  Sharing with a worker (the
+# spec's pickle, the pipe round trips, a second window's fixed cost) costs
+# about what one process spends on 4,000 split primes, so on 2 processes a
+# 1e5 scan at l = 3 (about 4,800 primes) is no faster in 2 windows than in
+# 1, and one of 12,000 (l = 7 at 1e6) is faster in 2 or 3.  Above this
+# bound _WINDOW_PRIMES is not applied: few windows on several processes
+# leave them unbalanced, as 3 windows on 2 processes leave one with 2.
+# Chosen by the windows study's 2-process rows at l = 3, 5, 7 and 13.
+_SHARED_PRIMES = 8000
 
 
 @dataclass(frozen=True)
@@ -270,7 +282,7 @@ class _Scan:
     nontrivial: tuple[int, ...]  # per radicand, split primes where v_j != 1
 
 
-def _windows(l: int, norm_bound: int) -> list[tuple[int, int]]:
+def _windows(l: int, norm_bound: int, threads: int = 1) -> list[tuple[int, int]]:
     """[lo, hi] ranges covering 1 .. norm_bound, each holding
     _WINDOW_SCALE * isqrt(norm_bound) terms of the progression 1 + 2l*i
     (the last one fewer), unless that leaves fewer than _WINDOW_PRIMES
@@ -278,11 +290,15 @@ def _windows(l: int, norm_bound: int) -> list[tuple[int, int]]:
     progression about X / ((l-1) ln X) split primes lie below X; such a
     scan is cut instead into as many equal windows, of whole progression
     terms, as that estimate fills with _WINDOW_PRIMES each, and at least
-    one.  So a scan to 1e5 is one window, and the floor binds only up to
-    X near 2.4e6 at l = 3, 4.1e6 at l = 7 and 6.8e6 at l = 13."""
+    one.  A scan that ``threads`` > 1 processes may share and that expects
+    _SHARED_PRIMES split primes keeps the sqrt rule's windows.  So a scan to
+    1e5 is one window on any number of processes, and on one process the
+    floor binds only up to X near 2.4e6 at l = 3, 4.1e6 at l = 7 and 6.8e6
+    at l = 13."""
     span = 2 * l * _WINDOW_SCALE * math.isqrt(norm_bound)
     expected = norm_bound / ((l - 1) * math.log(norm_bound))
-    if expected < _WINDOW_PRIMES * -(-norm_bound // span):
+    shared = threads > 1 and expected >= _SHARED_PRIMES
+    if expected < _WINDOW_PRIMES * -(-norm_bound // span) and not shared:
         count = max(1, int(expected // _WINDOW_PRIMES))
         span = 2 * l * -(-norm_bound // (2 * l * count))
     return [(lo, min(lo + span - 1, norm_bound)) for lo in range(1, norm_bound + 1, span)]
@@ -584,7 +600,7 @@ def _scan(
     processes share them (see ``_tally``).  The degree >= 2 ideals are
     counted per bound in closed form, by ``_high_degree_norms``.
     """
-    windows = _windows(l, norm_bound)
+    windows = _windows(l, norm_bound, threads)
     spec = _Spec(
         l,
         np.array(_checkpoint_bounds(norm_bound), dtype=np.int64),

@@ -28,6 +28,7 @@ from .arith import (
     factorize,
     is_prime,
 )
+from .cyclotomic import PrimeIdeal, _root_logs, residue_symbol
 
 
 class DegreeMismatchError(RuntimeError):
@@ -202,22 +203,16 @@ def _filter_primes(cores: tuple[int, ...], l: int) -> Iterator[int]:
 def _symbol_exponents(cores: tuple[int, ...], l: int, q: int) -> list[int]:
     """Each core's l-th power residue symbol mod q as an exponent c in Z/l:
     a**((q-1)/l) == w**c mod q for the first w = x**((q-1)/l) != 1, read at
-    the degree-1 ideal (q, zeta - w).  q must be 1 mod l and divide no core.
-    A power that is no power of w, so lies outside the order-l subgroup,
-    raises AssertionError as ``residue_symbol`` does."""
+    the degree-1 ideal (q, zeta - w) with one ``pow`` per core and the table
+    ``residue_symbol`` reads there.  q must be 1 mod l and divide no core;
+    where a core has no symbol, ``residue_symbol`` raises its error."""
     e = (q - 1) // l
     w = next(z for z in (pow(x, e, q) for x in range(2, q)) if z != 1)
-    logs = {}
-    z = 1
-    for c in range(l):
-        logs[z] = c
-        z = z * w % q
-    out = []
-    for a in cores:
-        c = logs.get(pow(a, e, q))
-        if c is None:
-            raise AssertionError("residue power is not a root of unity image")
-        out.append(c)
+    logs = _root_logs(w, l, q)
+    out = [logs.get(pow(a, e, q)) for a in cores]
+    if None in out:
+        ideal = PrimeIdeal(l, q, 1, ((-w) % q, 1))
+        return [residue_symbol(a, ideal) for a in cores]
     return out
 
 

@@ -648,7 +648,7 @@ def worker_goes_first(monkeypatch):
 def test_guard_failure_in_a_worker_reaches_the_caller(monkeypatch, worker_goes_first):
     """The AssertionError a worker raises in its share is raised again, with
     its message, by the call; its worker is reaped."""
-    assert len(radsym.density._windows(3, 5 * 10**5)) == 2
+    assert len(radsym.density._windows(3, 5 * 10**5, 2)) == 4
     _corrupt_in_workers(monkeypatch)
     forked = _spy_fork(monkeypatch)
     s = normalize_inputs(3, [2, 5])
@@ -663,7 +663,7 @@ def test_a_worker_guard_failure_resets_the_set(monkeypatch, worker_goes_first):
     """A call that fails in a worker kills and reaps the whole set before it
     raises, and the next call forks a fresh worker and counts right."""
     s = normalize_inputs(3, [2, 5])
-    assert len(radsym.density._windows(3, 5 * 10**5)) == 2
+    assert len(radsym.density._windows(3, 5 * 10**5, 2)) == 4
     want = density_experiment(s, (0, 0), 5 * 10**5)
     forked = _spy_fork(monkeypatch)
     with monkeypatch.context() as m:
@@ -679,7 +679,7 @@ def test_a_worker_guard_failure_resets_the_set(monkeypatch, worker_goes_first):
 def test_guard_failure_in_a_worker_exits_3(monkeypatch, capsys, worker_goes_first):
     """Through the CLI with --threads 2, a worker's corrupted residue exits 3
     with the same line as a corrupted residue in a 1-thread scan."""
-    assert len(radsym.density._windows(3, 5 * 10**5)) == 2
+    assert len(radsym.density._windows(3, 5 * 10**5, 2)) == 4
     _corrupt_in_workers(monkeypatch)
     forked = _spy_fork(monkeypatch)
     code = radsym.cli.main(["density", "-l", "3", "-x", "500000", "--threads", "2",
@@ -697,8 +697,9 @@ def test_scans_fork_one_worker_per_extra_share(monkeypatch, threads):
     the next.  The counts stay the same and every worker is reaped once the
     set stops."""
     s, bound = normalize_inputs(3, [2, 5]), 16 * 10**5
-    windows = len(radsym.density._windows(3, bound))
-    assert windows == 6
+    assert len(radsym.density._windows(3, bound)) == 6
+    windows = len(radsym.density._windows(3, bound, threads))
+    assert windows == (6 if threads == 1 else 7)
     want = density_experiment(s, (0, 1), bound), character_sum(2, 3, bound)
     forked = _spy_fork(monkeypatch)
     got = [density_experiment(s, (0, 1), bound, threads=threads)]
@@ -804,7 +805,7 @@ def test_no_fork_for_one_window_or_beside_another_thread(monkeypatch):
     Python thread is alive, where a child could inherit a held lock."""
     s = normalize_inputs(3, [2, 5])
     assert len(radsym.density._windows(3, 5000)) == 1
-    assert len(radsym.density._windows(3, 5 * 10**5)) == 2
+    assert len(radsym.density._windows(3, 5 * 10**5, 2)) == 4
     want = density_experiment(s, (0, 1), 5 * 10**5)
     forked = _spy_fork(monkeypatch)
     assert density_experiment(s, (0, 1), 5000, threads=4) == density_experiment(s, (0, 1), 5000)
@@ -929,12 +930,14 @@ def _sqrt_windows(l: int, bound: int) -> list[tuple[int, int]]:
 
 def test_large_scans_keep_the_sqrt_windows():
     """Where every window of the sqrt rule expects _WINDOW_PRIMES split
-    primes, its windows stay exactly as they are; so do the radbench scans
-    and the largest queue.  A small scan is one window."""
+    primes, its windows stay exactly as they are, on any number of
+    processes; so do the radbench scans and the largest queue.  A small
+    scan is one window."""
     for l, bound, count in [(3, 3 * 10**7, 29), (7, 3 * 10**7, 13),
                             (3, kernels.MAX_MODULUS - 1, 242)]:
-        windows = radsym.density._windows(l, bound)
-        assert windows == _sqrt_windows(l, bound) and len(windows) == count
+        for threads in (1, 2, radsym.density.MAX_THREADS):
+            windows = radsym.density._windows(l, bound, threads)
+            assert windows == _sqrt_windows(l, bound) and len(windows) == count
     assert len(radsym.density._windows(3, 10**5)) == 1
     assert len(_sqrt_windows(3, 10**5)) == 2
 
@@ -953,10 +956,27 @@ def test_window_rule_leaves_every_report_unchanged(monkeypatch, l, radicands, ta
     bounds = [10**4, 10**5, 3 * 10**5, 10**6, 2 * 10**6]
     got = [(density_experiment(s, targets, x, threads=threads),
             character_sum(radicands[0], l, x, threads=threads)) for x in bounds]
-    assert any(radsym.density._windows(l, x) != _sqrt_windows(l, x) for x in bounds)
-    monkeypatch.setattr(radsym.density, "_windows", _sqrt_windows)
+    assert any(radsym.density._windows(l, x, threads) != _sqrt_windows(l, x) for x in bounds)
+    monkeypatch.setattr(radsym.density, "_windows", lambda l, x, threads: _sqrt_windows(l, x))
     assert got == [(density_experiment(s, targets, x, threads=threads),
                     character_sum(radicands[0], l, x, threads=threads)) for x in bounds]
+
+
+@pytest.mark.parametrize("l, bound", [(3, 3 * 10**5), (7, 10**6), (13, 25 * 10**5)])
+def test_shared_scans_keep_the_sqrt_windows(monkeypatch, l, bound):
+    """A scan that the split-prime floor makes one window on one process
+    keeps the sqrt rule's windows where two processes may share it and it
+    expects _SHARED_PRIMES split primes, and forks its worker; a scan too
+    small for that stays one window and forks nothing."""
+    assert len(radsym.density._windows(l, bound)) == 1
+    for threads in (2, 4):
+        assert radsym.density._windows(l, bound, threads) == _sqrt_windows(l, bound)
+    assert len(radsym.density._windows(3, 10**5, radsym.density.MAX_THREADS)) == 1
+    forked = _spy_fork(monkeypatch)
+    assert character_sum(2, l, bound, threads=2) == character_sum(2, l, bound)
+    assert len(forked) == 1
+    character_sum(2, 3, 10**5, threads=2)
+    _assert_no_children(stop=False)
 
 
 def test_windows_tile_the_range():

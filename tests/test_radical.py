@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import radsym.radical
 from radsym.arith import FACTOR_BOUND, exact_lth_root, factorize
-from radsym.cyclotomic import PrimeIdeal, residue_symbol
+from radsym.cyclotomic import PrimeIdeal, SymbolUndefinedError, residue_symbol
 from radsym.radical import (
     OracleScaleError,
     _nullspace_mod,
@@ -295,8 +295,8 @@ def test_oracle_computes_each_filter_prime_once(monkeypatch):
 @pytest.mark.parametrize("l", [3, 5, 7, 13])
 def test_oracle_symbols_match_residue_symbol(l):
     """The oracle's exponents equal residue_symbol at the degree-1 ideal
-    (q, zeta - w) its docstring names, and a core that q divides, whose
-    power 0 is no root of unity, raises the same AssertionError."""
+    (q, zeta - w) its docstring names, and a core that q divides raises
+    the SymbolUndefinedError that residue_symbol raises."""
     cores = (2, 3, 5, 6, 10, 77, 2**70 + 1)
     for q in [q for q in range(2 * l + 1, 4000, 2 * l) if all(q % d for d in range(2, q))][:12]:
         if any(a % q == 0 for a in cores):
@@ -308,7 +308,7 @@ def test_oracle_symbols_match_residue_symbol(l):
             residue_symbol(a, ideal) for a in cores
         ]
     q = next(q for q in range(2 * l + 1, 4000, 2 * l) if all(q % d for d in range(2, q)))
-    with pytest.raises(AssertionError, match="not a root of unity image"):
+    with pytest.raises(SymbolUndefinedError, match="symbol undefined"):
         radsym.radical._symbol_exponents((2, q), l, q)
 
 
